@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -32,7 +31,6 @@ from .lyapunov import (
     solve_algebraic,
 )
 from .models import (
-    MatrixFormatError,
     ModelSpec,
     SplitMix64,
     build_model,
@@ -42,8 +40,9 @@ from .models import (
     random_hermitian,
     random_matrix,
     save_matrix,
+    write_atomic,
 )
-from .numkernel import KernelPrecisionError, SingularMatrixError, spectral_norm
+from .numkernel import KernelPrecisionError, spectral_norm
 from .perturb import RadiusExceededError, max_alpha, verify_perturbation
 from .resolvent import (
     export_scan_csv,
@@ -90,7 +89,6 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--tol", type=float, default=DEFAULT_MEMBERSHIP_TOL)
     p.add_argument("--out-dir", default=".")
     p.add_argument("--out", help="report filename (default derived from the input)")
-    p.add_argument("--threads", type=int, default=1)
 
 
 def build_parser() -> _Parser:
@@ -206,7 +204,6 @@ def _norm_model(args, n: int):
 def _config_echo(args, extra: dict | None = None) -> dict:
     config = {
         "tol": args.tol,
-        "threads": args.threads,
         "out_dir": args.out_dir,
         "norm_file": args.norm_file,
     }
@@ -237,27 +234,26 @@ def _witness_block(witness, a: np.ndarray) -> dict:
     }
 
 
-def _atomic_write_text(path: str, payload: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _finish(report: dict, args, default_name: str, started: float, code: int) -> int:
+def _finish(report: dict, args, spec: ModelSpec, started: float, code: int) -> int:
     report["timings"] = {"total_s": time.perf_counter() - started}
     os.makedirs(args.out_dir, exist_ok=True)
-    name = args.out if getattr(args, "out", None) else default_name
+    name = args.out or f"{report['command']}-{_tag(spec)}.json"
     path = os.path.join(args.out_dir, name)
-    _atomic_write_text(path, json.dumps(report, indent=2) + "\n")
+    write_atomic(path, json.dumps(report, indent=2) + "\n")
     print(f"{report['verdict']}: report written to {path}")
     return code
+
+
+def _refuted(report: dict, a: np.ndarray, args, spec: ModelSpec,
+             started: float) -> int | None:
+    """Finish a ``refuted`` report and return exit code 2 when A has an
+    eigenvalue with nonnegative real part; None when no witness exists."""
+    witness = refute_stability(a)
+    if witness is None:
+        return None
+    report["verdict"] = "refuted"
+    report["witness"] = _witness_block(witness, a)
+    return _finish(report, args, spec, started, 2)
 
 
 def _base_report(command: str, spec: ModelSpec, descriptor: dict, config: dict,
@@ -279,18 +275,15 @@ def cmd_certify(args) -> int:
     nm, descriptor = _norm_model(args, a.shape[0])
     report = _base_report("certify", spec, descriptor, _config_echo(args), a)
 
-    witness = refute_stability(a)
-    if witness is not None:
-        report["verdict"] = "refuted"
-        report["witness"] = _witness_block(witness, a)
-        return _finish(report, args, f"certify-{_tag(spec)}.json", started, 2)
+    if (code := _refuted(report, a, args, spec, started)) is not None:
+        return code
 
     q = solve_algebraic(a, nm.w)
     cand = membership_margin(q, a, nm, tol=args.tol)
     if not cand.is_member:
         report["verdict"] = "inconclusive"
         report["candidate"] = _candidate_block(cand)
-        return _finish(report, args, f"certify-{_tag(spec)}.json", started, 1)
+        return _finish(report, args, spec, started, 1)
     cert = certificate(cand, a, nm)
     report["certificate"] = {
         **_candidate_block(cand),
@@ -302,11 +295,11 @@ def cmd_certify(args) -> int:
     }
     if not cert.grid_pass:
         report["verdict"] = "inconclusive"
-        return _finish(report, args, f"certify-{_tag(spec)}.json", started, 1)
+        return _finish(report, args, spec, started, 1)
     report["verdict"] = "certified"
     print(f"epsilon={cert.epsilon:.6e} M={cert.overshoot:.6e} "
           f"|Q|={cand.q_norm:.6e} theta={cand.theta:.6e}")
-    return _finish(report, args, f"certify-{_tag(spec)}.json", started, 0)
+    return _finish(report, args, spec, started, 0)
 
 
 def cmd_refute(args) -> int:
@@ -315,14 +308,11 @@ def cmd_refute(args) -> int:
     a = build_model(spec)
     nm, descriptor = _norm_model(args, a.shape[0])
     report = _base_report("refute", spec, descriptor, _config_echo(args), a)
-    witness = refute_stability(a)
-    if witness is not None:
-        report["verdict"] = "refuted"
-        report["witness"] = _witness_block(witness, a)
-        return _finish(report, args, f"refute-{_tag(spec)}.json", started, 2)
+    if (code := _refuted(report, a, args, spec, started)) is not None:
+        return code
     report["verdict"] = "not_refuted"
     report["spectral_bound"] = float(spectral_bound(a))
-    return _finish(report, args, f"refute-{_tag(spec)}.json", started, 0)
+    return _finish(report, args, spec, started, 0)
 
 
 def cmd_q0(args) -> int:
@@ -334,11 +324,8 @@ def cmd_q0(args) -> int:
                                  "panels": args.panels})
     report = _base_report("q0", spec, descriptor, config, a)
 
-    witness = refute_stability(a)
-    if witness is not None:
-        report["verdict"] = "refuted"
-        report["witness"] = _witness_block(witness, a)
-        return _finish(report, args, f"q0-{_tag(spec)}.json", started, 2)
+    if (code := _refuted(report, a, args, spec, started)) is not None:
+        return code
 
     if args.riesz:
         riesz = RieszMap.from_matrix(load_matrix(args.riesz), nm)
@@ -355,7 +342,7 @@ def cmd_q0(args) -> int:
         report["q0"]["algebraic_gap"] = gap
         print(f"relative Frobenius gap against the algebraic solve: {gap:.3e}")
     report["verdict"] = "pass" if cand.is_member else "inconclusive"
-    return _finish(report, args, f"q0-{_tag(spec)}.json", started,
+    return _finish(report, args, spec, started,
                    0 if cand.is_member else 1)
 
 
@@ -364,6 +351,13 @@ def cmd_resolvent(args) -> int:
     spec = _spec_from_args(args)
     a = build_model(spec)
     nm, descriptor = _norm_model(args, a.shape[0])
+    config = _config_echo(args, {
+        "delta0": args.delta0, "omega_max": args.omega_max,
+        "n_axis": args.n_axis, "n_interior": args.n_interior, "n_grid": args.n_grid,
+    })
+    report = _base_report("resolvent", spec, descriptor, config, a)
+    if (code := _refuted(report, a, args, spec, started)) is not None:
+        return code
 
     q = solve_algebraic(a, nm.w)
     cand = membership_margin(q, a, nm, tol=args.tol)
@@ -371,18 +365,12 @@ def cmd_resolvent(args) -> int:
         delta0 = 0.5 * min(abs(spectral_bound(a)), 1.0 / (2.0 * cand.q_norm))
     else:
         delta0 = float(args.delta0)
-    config = _config_echo(args, {
-        "delta0": delta0, "omega_max": args.omega_max,
-        "n_axis": args.n_axis, "n_interior": args.n_interior, "n_grid": args.n_grid,
-    })
-    report = _base_report("resolvent", spec, descriptor, config, a)
+    config["delta0"] = delta0
     report["candidate"] = _candidate_block(cand)
 
     right = verify_bound_right(a, nm, [cand], omega_max=args.omega_max,
-                               n_axis=args.n_axis, n_interior=args.n_interior,
-                               threads=args.threads)
-    strip = verify_bound_left_strip(a, nm, cand, delta0, n_grid=args.n_grid,
-                                    threads=args.threads)
+                               n_axis=args.n_axis, n_interior=args.n_interior)
+    strip = verify_bound_left_strip(a, nm, cand, delta0, n_grid=args.n_grid)
     os.makedirs(args.out_dir, exist_ok=True)
     tag = _tag(spec)
     right_csv = f"resolvent-{tag}-right.csv"
@@ -410,7 +398,7 @@ def cmd_resolvent(args) -> int:
     report["verdict"] = "pass" if ok else "fail"
     print(f"right worst_ratio={right.worst_ratio:.9f} "
           f"strip worst_ratio={strip.worst_ratio:.9f}")
-    return _finish(report, args, f"resolvent-{tag}.json", started, 0 if ok else 2)
+    return _finish(report, args, spec, started, 0 if ok else 2)
 
 
 def cmd_perturb(args) -> int:
@@ -425,11 +413,14 @@ def cmd_perturb(args) -> int:
     if args.alpha is not None and not args.alpha > 1.0:
         raise ValueError(f"alpha must exceed 1, got {args.alpha}")
 
-    q = solve_algebraic(a, nm.w)
-    cand = membership_margin(q, a, nm, tol=args.tol)
     config = _config_echo(args, {"alpha": args.alpha, "b_file": args.b_file,
                                  "random_trials": args.random_trials})
     report = _base_report("perturb", spec, descriptor, config, a)
+    if (code := _refuted(report, a, args, spec, started)) is not None:
+        return code
+
+    q = solve_algebraic(a, nm.w)
+    cand = membership_margin(q, a, nm, tol=args.tol)
     report["candidate"] = _candidate_block(cand)
 
     if args.b_file:
@@ -450,7 +441,7 @@ def cmd_perturb(args) -> int:
                 "excess": float(exc.excess),
                 "detail": str(exc),
             }
-            return _finish(report, args, f"perturb-{_tag(spec)}.json", started, 2)
+            return _finish(report, args, spec, started, 2)
         ok = rep.margin_after <= args.tol and rep.rescaled_member
         report["perturbation"] = {
             "alpha": float(alpha),
@@ -462,7 +453,7 @@ def cmd_perturb(args) -> int:
             "rescaled_margin": float(rep.rescaled_margin),
         }
         report["verdict"] = "pass" if ok else "fail"
-        return _finish(report, args, f"perturb-{_tag(spec)}.json", started, 0 if ok else 2)
+        return _finish(report, args, spec, started, 0 if ok else 2)
 
     alpha = args.alpha if args.alpha is not None else 2.0
     trials = args.random_trials
@@ -492,7 +483,7 @@ def cmd_perturb(args) -> int:
     }
     report["verdict"] = "pass" if passes == trials else "fail"
     print(f"perturbation trials passed: {passes}/{trials}")
-    return _finish(report, args, f"perturb-{_tag(spec)}.json", started,
+    return _finish(report, args, spec, started,
                    0 if passes == trials else 2)
 
 
@@ -501,6 +492,7 @@ def cmd_leftinv(args) -> int:
     spec = _spec_from_args(args)
     a = build_model(spec)
     nm, descriptor = _norm_model(args, a.shape[0])
+    t_grid = None
     if args.t_grid:
         try:
             start, stop, count = args.t_grid.split(",")
@@ -508,16 +500,13 @@ def cmd_leftinv(args) -> int:
                                  int(count))
         except ValueError as exc:
             raise _CliUsageError(f"--t-grid expects start,stop,count: {exc}") from exc
-    else:
-        t_grid = default_time_grid(a)
     config = _config_echo(args, {"t_grid": args.t_grid})
     report = _base_report("leftinv", spec, descriptor, config, a)
+    if (code := _refuted(report, a, args, spec, started)) is not None:
+        return code
 
-    witness = refute_stability(a)
-    if witness is not None:
-        report["verdict"] = "refuted"
-        report["witness"] = _witness_block(witness, a)
-        return _finish(report, args, f"leftinv-{_tag(spec)}.json", started, 2)
+    if t_grid is None:
+        t_grid = default_time_grid(a)
 
     q = solve_algebraic(a, nm.w)
     cand = membership_margin(q, a, nm, tol=args.tol)
@@ -542,7 +531,7 @@ def cmd_leftinv(args) -> int:
     report["verdict"] = "pass" if ok and t0 is not None else "fail"
     print(f"c={fit.c:.6e} alpha={fit.alpha:.6e} theta={cand.theta:.6e} "
           f"c^2/(2 alpha)={bound:.6e}")
-    return _finish(report, args, f"leftinv-{_tag(spec)}.json", started,
+    return _finish(report, args, spec, started,
                    0 if report["verdict"] == "pass" else 2)
 
 
@@ -615,19 +604,15 @@ def _recheck_one(path: str) -> list:
         cand = check_candidate(report["candidate"], "candidate")
         if cand is None:
             return problems
-        right = report["scans"]["right"]
-        lam = complex(right["argmax"][0], right["argmax"][1])
-        ratio = resolvent_norm(a, lam, nm) / right["bound"]
-        if ratio > right["worst_ratio"] * (1.0 + _RECHECK_REL_TOL) + _RECHECK_REL_TOL:
-            problems.append(f"right scan: argmax ratio {ratio!r} above reported worst")
-        if right["pass"] and ratio > 1.0 + right["tol"]:
-            problems.append("right scan: reported pass but argmax ratio breaks the bound")
-        strip = report["scans"]["strip"]
-        lam = complex(strip["argmax"][0], strip["argmax"][1])
-        pointwise = 2.0 * cand.q_norm / (1.0 + 2.0 * cand.q_norm * lam.real)
-        ratio = resolvent_norm(a, lam, nm) / pointwise
-        if strip["pass"] and ratio > 1.0 + strip["tol"]:
-            problems.append("strip scan: reported pass but argmax ratio breaks the bound")
+        for kind, scan in report["scans"].items():
+            lam = complex(scan["argmax"][0], scan["argmax"][1])
+            bound = scan["bound"] if kind == "right" else (
+                2.0 * cand.q_norm / (1.0 + 2.0 * cand.q_norm * lam.real))
+            ratio = resolvent_norm(a, lam, nm) / bound
+            if ratio > scan["worst_ratio"] * (1.0 + _RECHECK_REL_TOL) + _RECHECK_REL_TOL:
+                problems.append(f"{kind} scan: argmax ratio {ratio!r} above reported worst")
+            if scan["pass"] and ratio > 1.0 + scan["tol"]:
+                problems.append(f"{kind} scan: reported pass but argmax ratio breaks the bound")
     elif command == "perturb" and verdict in ("pass", "fail"):
         cand = check_candidate(report["candidate"], "candidate")
         if cand is None:
@@ -691,13 +676,7 @@ def main(argv=None) -> int:
     except _CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (MatrixFormatError, SingularMatrixError, KernelPrecisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except UnstableGeneratorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (KernelPrecisionError, UnstableGeneratorError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

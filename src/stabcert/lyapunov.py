@@ -28,14 +28,7 @@ from .numkernel import (
     spectral_norm,
 )
 from .semigroup import UnstableGeneratorError, certified_decay, evaluate, spectral_bound
-from .space import (
-    NormModel,
-    RieszMap,
-    dual_map_norm,
-    op_norm,
-    strong_positivity_theta,
-    whiten_form,
-)
+from .space import NormModel, RieszMap, dual_map_norm, form_eigenvalues, op_norm, whiten_form
 
 __all__ = [
     "DEFAULT_MEMBERSHIP_TOL",
@@ -115,29 +108,28 @@ def membership_margin(
 
     The margin is the largest eigenvalue of the whitened
     A* Q + Q A + W; it is also the smallest rho such that the quadratic
-    form stays below -(1 - rho) |x|^2 on unit vectors.  Non-PSD input is
+    form stays below -(1 - rho) |x|^2 on unit vectors.  One eigensolve of
+    the whitened Q gives the PSD gate, theta and |Q|; non-PSD input is
     rejected as a distinct error before any membership question is asked.
     """
     qq = as_complex_matrix(q, "q")
     aa = as_complex_matrix(a, "a")
     if qq.shape != aa.shape or qq.shape[0] != nm.n:
         raise ValueError(f"dimension mismatch: q {qq.shape}, a {aa.shape}, w {nm.w.shape}")
-    drift = np.linalg.norm(qq - qq.conj().T, "fro")
-    if drift > 1e-12 * max(np.linalg.norm(qq, "fro"), 1e-300):
-        raise ValueError("candidate must be Hermitian")
-    qs = hermitian_part(qq)
-    lam_q, _ = hermitian_eig(qs)
-    if lam_q[0] < -1e-10 * max(abs(lam_q[-1]), abs(lam_q[0])):
+    lam_q = form_eigenvalues(qq, nm)
+    q_norm = max(abs(lam_q[0]), abs(lam_q[-1]))
+    if lam_q[0] < -1e-10 * q_norm:
         raise NotPositiveSemidefiniteError(
-            f"candidate has eigenvalue {lam_q[0]:.6e}; not positive semidefinite"
+            f"candidate has whitened eigenvalue {lam_q[0]:.6e}; not positive semidefinite"
         )
+    qs = hermitian_part(qq)
     residual = hermitian_part(aa.conj().T @ qs + qs @ aa + nm.w)
     lam_s, _ = hermitian_eig(whiten_form(residual, nm))
     return LyapunovCandidate(
         q=qs,
         margin=float(lam_s[-1]),
-        q_norm=dual_map_norm(qs, nm),
-        theta=strong_positivity_theta(qs, nm),
+        q_norm=float(q_norm),
+        theta=float(lam_q[0]),
         tol=tol,
     )
 

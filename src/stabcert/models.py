@@ -25,6 +25,7 @@ __all__ = [
     "build_model",
     "load_matrix",
     "save_matrix",
+    "write_atomic",
     "matrix_to_json_dict",
     "matrix_from_json_dict",
     "random_matrix",
@@ -218,20 +219,25 @@ def load_matrix(path) -> np.ndarray:
         raise MatrixFormatError(f"{path}: {exc}") from exc
 
 
-def save_matrix(path, m) -> None:
-    """Serialize to the matrix JSON schema, written atomically."""
-    doc = matrix_to_json_dict(m)
+def write_atomic(path, text: str) -> None:
+    """Write ``text`` through a temporary file in the target directory and
+    ``os.replace``: readers see the old file or the new one, never a
+    partial write, and a failed write leaves no temporary file behind."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_matrix(path, m) -> None:
+    """Serialize to the matrix JSON schema, written atomically."""
+    write_atomic(path, json.dumps(matrix_to_json_dict(m), indent=2) + "\n")
 
 
 def _resolve_rng(seed_or_rng) -> SplitMix64:

@@ -21,6 +21,7 @@ __all__ = [
     "KernelPrecisionError",
     "as_complex_matrix",
     "hermitian_part",
+    "hermitian_gate",
     "spectral_norm",
     "expm",
     "hermitian_eig",
@@ -107,22 +108,28 @@ def expm(a, t: float, tol: float = DEFAULT_EXPM_TOL) -> np.ndarray:
     return result
 
 
-def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a (nearly) Hermitian matrix.
+def hermitian_gate(h, name: str = "matrix") -> np.ndarray:
+    """Hermitian part of a nearly Hermitian matrix.
 
-    The input is symmetrized before the solve; anything beyond the
-    1e-12 relative symmetrization tolerance is rejected since it signals
-    a caller bug rather than round-off drift.  Returns eigenvalues in
-    ascending order and the unitary matrix of eigenvectors.
+    Frobenius asymmetry beyond 1e-12 of the Frobenius norm is rejected
+    since it signals a caller bug rather than round-off drift.
     """
-    m = as_complex_matrix(h, "h")
+    m = as_complex_matrix(h, name)
     scale = np.linalg.norm(m, "fro")
     drift = np.linalg.norm(m - m.conj().T, "fro")
     if drift > 1e-12 * max(scale, 1e-300):
         raise NonHermitianError(
-            f"matrix is not Hermitian: asymmetry {drift:.3e} vs scale {scale:.3e}"
+            f"{name} is not Hermitian: asymmetry {drift:.3e} vs scale {scale:.3e}"
         )
-    w, v = np.linalg.eigh(hermitian_part(m))
+    return hermitian_part(m)
+
+
+def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a (nearly) Hermitian matrix, symmetrized by
+    :func:`hermitian_gate` first.  Returns eigenvalues in ascending order
+    and the unitary matrix of eigenvectors.
+    """
+    w, v = np.linalg.eigh(hermitian_gate(h))
     return w, v
 
 

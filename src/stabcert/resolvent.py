@@ -11,15 +11,12 @@ a failed global optimizer could certify silently.
 from __future__ import annotations
 
 import math
-import os
-import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lyapunov import LyapunovCandidate, NotAMemberError
-from .models import SplitMix64, random_vector
+from .models import SplitMix64, random_vector, write_atomic
 from .numkernel import SingularMatrixError, as_complex_matrix, solve_linear
 from .semigroup import UnstableGeneratorError, spectral_bound
 from .space import NormModel, op_norm, vec_norm
@@ -90,16 +87,6 @@ def _argmax_lambda(grid, ratios) -> complex:
     return min(ties, key=lambda z: (z.real, z.imag))
 
 
-def _scan_norms(aa, nm, grid, threads: int):
-    def one(lam):
-        return op_norm(_resolvent_matrix(aa, lam), nm)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, grid))
-    return [one(lam) for lam in grid]
-
-
 def verify_bound_right(
     a,
     nm: NormModel,
@@ -108,7 +95,6 @@ def verify_bound_right(
     n_axis: int = 129,
     n_interior: int = 16,
     tol: float = DEFAULT_SCAN_TOL,
-    threads: int = 1,
     proof_samples: int = 3,
 ) -> ScanReport:
     """Check sup over the right half-plane of |R(lambda)| against
@@ -162,11 +148,7 @@ def verify_bound_right(
             worst_slack = min(worst_slack, (rhs - ry_norm ** 2) / max(rhs, 1e-300))
         return op_norm(r, nm), worst_slack
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, grid))
-    else:
-        results = [one(lam) for lam in grid]
+    results = [one(lam) for lam in grid]
     norms = [nrm for nrm, _ in results]
     slack = min(s for _, s in results)
     ratios = [nrm / bound for nrm in norms]
@@ -201,7 +183,6 @@ def verify_bound_left_strip(
     delta0: float,
     n_grid: int = 24,
     tol: float = DEFAULT_SCAN_TOL,
-    threads: int = 1,
 ) -> ScanReport:
     """Check the pointwise strip bound |R| <= 2|Q| / (1 + 2|Q| Re lambda)
     on a grid over (max(s(A), -1/(2|Q|)), -delta0] x [-10|A|, 10|A|] i.
@@ -235,7 +216,7 @@ def verify_bound_left_strip(
     im_pts = np.linspace(-im_extent, im_extent, n_im)
     grid = [complex(re, im) for re in re_pts for im in im_pts]
 
-    norms = _scan_norms(aa, nm, grid, threads)
+    norms = [op_norm(_resolvent_matrix(aa, lam), nm) for lam in grid]
     pointwise = [2.0 * qn / (1.0 + 2.0 * qn * lam.real) for lam in grid]
     ratios = [nrm / b for nrm, b in zip(norms, pointwise)]
     worst = max(ratios)
@@ -258,7 +239,6 @@ def abscissa_profile(
     a_values,
     omega_max: float | None = None,
     n: int = 64,
-    threads: int = 1,
     stable_rel: float = 1e-6,
     max_refinements: int = 12,
 ):
@@ -286,7 +266,7 @@ def abscissa_profile(
         for _ in range(max_refinements):
             omegas = np.linspace(-omega_max, omega_max, count)
             grid = [complex(abscissa, w) for w in omegas]
-            sup = max(_scan_norms(aa, nm, grid, threads))
+            sup = max(op_norm(_resolvent_matrix(aa, lam), nm) for lam in grid)
             if previous is not None and abs(sup - previous) <= stable_rel * sup:
                 previous = sup
                 break
@@ -302,14 +282,4 @@ def export_scan_csv(report: ScanReport, path) -> None:
     lines = ["re_lambda,im_lambda,resolvent_norm,bound,ratio"]
     for lam, nrm, bnd in zip(report.grid, report.norms, report.pointwise_bounds):
         lines.append(f"{lam.real!r},{lam.imag!r},{nrm!r},{bnd!r},{nrm / bnd!r}")
-    payload = "\n".join(lines) + "\n"
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, "\n".join(lines) + "\n")

@@ -56,14 +56,17 @@ class UnstableGeneratorError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Spectral bound, grid growth-bound estimate, and the eigenvalues."""
+    """Spectral bound, grid growth-bound estimate, the eigenvalues, and the
+    sampled |T(t)| the estimate was taken from."""
 
     s: float
     omega0_hat: float
     eigenvalues: list
+    norms: list
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", list(self.eigenvalues))
+        object.__setattr__(self, "norms", list(self.norms))
 
 
 @dataclass(frozen=True)
@@ -123,11 +126,12 @@ def growth_bound_estimate(a, nm: NormModel, t_grid) -> SpectralSummary:
         raise ValueError(f"time grid needs >= 8 points, got {grid.size}")
     eigs = np.linalg.eigvals(m)
     order = sorted(range(len(eigs)), key=lambda i: (-eigs[i].real, -eigs[i].imag))
-    rates = [math.log(op_norm(evaluate(m, t), nm)) / t for t in grid]
+    norms = [op_norm(evaluate(m, t), nm) for t in grid]
     return SpectralSummary(
         s=float(np.max(eigs.real)),
-        omega0_hat=float(min(rates)),
+        omega0_hat=float(min(math.log(v) / t for v, t in zip(norms, grid))),
         eigenvalues=[complex(eigs[i]) for i in order],
+        norms=norms,
     )
 
 
@@ -158,10 +162,8 @@ def certified_decay(a, nm: NormModel, safety: float = 2.0) -> tuple[float, float
             "exceeds the searched horizons"
         )
     s_hat = 0.5 * (s + summary.omega0_hat)
-    peaks = [1.0]
-    for t in grid:
-        peaks.append(op_norm(evaluate(m, t), nm) * math.exp(-s_hat * t))
-    return s_hat, safety * max(peaks)
+    peaks = [v * math.exp(-s_hat * t) for v, t in zip(summary.norms, grid)]
+    return s_hat, safety * max([1.0] + peaks)
 
 
 def datko_integral(a, nm: NormModel, x, tail_tol: float = 1e-9) -> float:

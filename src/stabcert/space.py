@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkernel import (
-    NonHermitianError,
     as_complex_matrix,
     hermitian_eig,
+    hermitian_gate,
     hermitian_part,
     singular_extremes,
     spectral_norm,
@@ -31,6 +31,7 @@ __all__ = [
     "op_norm",
     "dual_map_norm",
     "strong_positivity_theta",
+    "form_eigenvalues",
     "whiten_operator",
     "whiten_form",
 ]
@@ -50,11 +51,7 @@ class NormModel:
 
     @classmethod
     def from_weight(cls, w) -> "NormModel":
-        ww = as_complex_matrix(w, "w")
-        drift = np.linalg.norm(ww - ww.conj().T, "fro")
-        if drift > 1e-12 * max(np.linalg.norm(ww, "fro"), 1e-300):
-            raise NonHermitianError("norm weight must be Hermitian")
-        ww = hermitian_part(ww)
+        ww = hermitian_gate(w, "norm weight")
         lam, v = np.linalg.eigh(ww)
         if lam[0] <= 0.0:
             raise ValueError(
@@ -132,27 +129,29 @@ def op_norm(t, nm: NormModel) -> float:
     return singular_extremes(whiten_operator(t, nm))[0]
 
 
+def form_eigenvalues(q, nm: NormModel) -> np.ndarray:
+    """Ascending eigenvalues of the congruence-whitened Hermitian map.
+
+    By Sylvester's law of inertia they carry the signs of Q's own
+    eigenvalues, so this one eigensolve decides positivity and yields
+    both the positivity constant and the dual-map norm.
+    """
+    w, _ = hermitian_eig(whiten_form(hermitian_gate(q, "q"), nm))
+    return w
+
+
 def dual_map_norm(q, nm: NormModel) -> float:
     """State-to-dual operator norm of a Hermitian map.
 
     This is the ``|Q|`` appearing in every resolvent and perturbation
-    bound; it equals the largest singular value of the congruence-whitened
-    matrix.
+    bound: the largest whitened eigenvalue in magnitude.
     """
-    qq = as_complex_matrix(q, "q")
-    drift = np.linalg.norm(qq - qq.conj().T, "fro")
-    if drift > 1e-12 * max(np.linalg.norm(qq, "fro"), 1e-300):
-        raise NonHermitianError("dual_map_norm requires a Hermitian matrix")
-    return singular_extremes(whiten_form(hermitian_part(qq), nm))[0]
+    w = form_eigenvalues(q, nm)
+    return float(max(abs(w[0]), abs(w[-1])))
 
 
 def strong_positivity_theta(q, nm: NormModel) -> float:
     """Largest theta with <Qx, x> >= theta |x|^2; positive iff Q is
     strongly positive.  Computed exactly as the smallest whitened
     eigenvalue."""
-    qq = as_complex_matrix(q, "q")
-    drift = np.linalg.norm(qq - qq.conj().T, "fro")
-    if drift > 1e-12 * max(np.linalg.norm(qq, "fro"), 1e-300):
-        raise NonHermitianError("strong_positivity_theta requires a Hermitian matrix")
-    w, _ = hermitian_eig(whiten_form(hermitian_part(qq), nm))
-    return float(w[0])
+    return float(form_eigenvalues(q, nm)[0])

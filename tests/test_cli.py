@@ -91,6 +91,30 @@ class TestQ0:
         assert report["verdict"] == "refuted"
 
 
+class TestRefutationContract:
+    @pytest.mark.parametrize("command", ["resolvent", "perturb", "leftinv"])
+    def test_unstable_input_is_refuted_with_exit_two(self, tmp_path, command):
+        extra = ["--random-trials", "4"] if command == "perturb" else []
+        code = run([command, "--family", "jordan", "--n", "3", "--lambda", "1", *extra,
+                    "--out-dir", tmp_path])
+        assert code == 2
+        path = tmp_path / f"{command}-jordan-n3.json"
+        report = read_report(path)
+        assert report["verdict"] == "refuted"
+        assert report["witness"]["eigenvalue"][0] >= 0.0
+        assert run(["recheck", path]) == 0
+
+    @pytest.mark.parametrize("command, extra", [
+        ("perturb", []),
+        ("leftinv", ["--t-grid", "1,2"]),
+    ], ids=["perturb", "leftinv"])
+    def test_usage_errors_come_before_refutation(self, tmp_path, command, extra):
+        code = run([command, "--family", "jordan", "--n", "3", "--lambda", "1", *extra,
+                    "--out-dir", tmp_path])
+        assert code == 1
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestResolvent:
     def test_heat_auto_delta0_passes(self, tmp_path):
         code = run(["resolvent", "--family", "heat", "--n", "16", "--delta0", "auto",
@@ -284,6 +308,15 @@ class TestGenAndRecheck:
         path.write_text(json.dumps(report))
         assert run(["recheck", path]) == 2
 
+    def test_recheck_catches_halved_strip_worst_ratio(self, tmp_path):
+        assert run(["resolvent", "--family", "heat", "--n", "6",
+                    "--out-dir", tmp_path]) == 0
+        path = tmp_path / "resolvent-heat-n6.json"
+        report = read_report(path)
+        report["scans"]["strip"]["worst_ratio"] *= 0.5
+        path.write_text(json.dumps(report))
+        assert run(["recheck", path]) == 2
+
     def test_recheck_rejects_non_reports(self, tmp_path):
         path = tmp_path / "nonsense.json"
         path.write_text(json.dumps({"hello": 1}))
@@ -319,7 +352,6 @@ class TestDeterminism:
         run(["certify", "--family", "heat", "--n", "6", "--out-dir", tmp_path])
         report = read_report(tmp_path / "certify-heat-n6.json")
         assert report["config"]["tol"] == 1e-8
-        assert report["config"]["threads"] == 1
         assert report["tool"]["name"] == "stabcert"
 
 

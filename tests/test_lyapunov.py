@@ -32,7 +32,16 @@ from stabcert.semigroup import (
     evaluate,
     lower_envelope,
 )
-from stabcert.space import NormModel, RieszMap, dual_map_norm, op_norm, pairing, vec_norm
+from stabcert.space import (
+    NormModel,
+    RieszMap,
+    dual_map_norm,
+    op_norm,
+    pairing,
+    strong_positivity_theta,
+    vec_norm,
+    whiten_form,
+)
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
@@ -90,6 +99,37 @@ class TestMembershipMargin:
         nm = NormModel.identity(2)
         with pytest.raises(NotPositiveSemidefiniteError):
             membership_margin(np.diag([1.0, -0.5]), -np.eye(2), nm)
+
+    def test_weighted_psd_gate_keeps_the_inertia(self):
+        # congruence whitening keeps eigenvalue signs, so the gate rejects
+        # an indefinite Q in a weighted norm as well
+        nm = NormModel.from_weight(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        with pytest.raises(NotPositiveSemidefiniteError):
+            membership_margin(np.diag([1.0, -1e-3]), -np.eye(2), nm)
+
+    def test_one_whitened_eigensolve_per_candidate(self, monkeypatch):
+        import stabcert.lyapunov
+        import stabcert.numkernel
+        import stabcert.space
+
+        nm = NormModel.from_weight(random_psd(6, 21) + 0.5 * np.eye(6))
+        a = random_stable(6, 0.5, 9)
+        q = solve_algebraic(a, nm.w)
+        calls = []
+
+        def counting(h):
+            calls.append(h)
+            return stabcert.numkernel.hermitian_eig(h)
+
+        monkeypatch.setattr(stabcert.lyapunov, "hermitian_eig", counting)
+        monkeypatch.setattr(stabcert.space, "hermitian_eig", counting)
+        cand = membership_margin(q, a, nm)
+        monkeypatch.undo()
+        assert len(calls) == 2  # the whitened Q and the whitened residual
+        assert cand.theta == strong_positivity_theta(q, nm)
+        assert cand.q_norm == dual_map_norm(q, nm)
+        sv = np.linalg.svd(whiten_form(cand.q, nm), compute_uv=False)
+        assert cand.q_norm == pytest.approx(sv[0], rel=1e-13)
 
     def test_rejects_non_hermitian(self):
         nm = NormModel.identity(2)

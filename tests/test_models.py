@@ -16,6 +16,7 @@ from stabcert.models import (
     random_stable,
     save_matrix,
     upwind_shift,
+    write_atomic,
 )
 from stabcert.numkernel import hermitian_eig, singular_extremes
 from stabcert.semigroup import evaluate, spectral_bound
@@ -158,6 +159,21 @@ class TestMatrixJson:
         assert np.array_equal(load_matrix(path), m)
         doc = json.loads(path.read_text())
         assert set(doc) == {"rows", "cols", "data"}
+
+    def test_failed_write_leaves_target_and_no_temporary(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.json"
+        path.write_text("old contents")
+
+        def broken_replace(src, dst):
+            raise OSError("simulated failure")
+
+        monkeypatch.setattr("stabcert.models.os.replace", broken_replace)
+        with pytest.raises(OSError, match="simulated"):
+            write_atomic(path, "new contents")
+        with pytest.raises(OSError, match="simulated"):
+            save_matrix(path, np.eye(2))
+        assert path.read_text() == "old contents"
+        assert list(tmp_path.glob("*.tmp")) == []
 
     def test_vector_round_trip(self):
         v = np.array([1.0 + 2.0j, -3.0])

@@ -10,6 +10,7 @@ from stabcert.numkernel import (
     expm,
     gauss_legendre_nodes,
     hermitian_eig,
+    hermitian_gate,
     quad_integral,
     singular_extremes,
     solve_linear,
@@ -99,6 +100,20 @@ class TestHermitianEig:
     def test_rejects_plainly_nonhermitian(self):
         with pytest.raises(NonHermitianError):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestHermitianGate:
+    def test_returns_the_hermitian_part_of_round_off_drift(self):
+        h = random_hermitian(6, 5)
+        drifted = h.copy()
+        drifted[0, 1] += 1e-15
+        out = hermitian_gate(drifted)
+        assert np.array_equal(out, out.conj().T)
+        assert np.allclose(out, h, atol=1e-14)
+
+    def test_rejects_asymmetry_beyond_tolerance_and_names_the_input(self):
+        with pytest.raises(NonHermitianError, match="weight is not Hermitian"):
+            hermitian_gate(np.array([[1.0, 1e-6], [0.0, 1.0]]), "weight")
 
 
 class TestSingularExtremes:

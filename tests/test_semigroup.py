@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabcert.models import jordan_block, random_stable, random_vector, upwind_shift
+from stabcert.models import (
+    heat_dirichlet,
+    jordan_block,
+    random_stable,
+    random_vector,
+    upwind_shift,
+)
 from stabcert.numkernel import quad_integral, singular_extremes
 from stabcert.semigroup import (
     UnstableGeneratorError,
@@ -293,3 +299,32 @@ def test_certified_decay_model_bounds_the_norms():
         assert spectral_bound(a) < s_hat < 0.0
         for t in np.linspace(0.1, 30.0, 25):
             assert op_norm(evaluate(a, t), nm) <= m_hat * math.exp(s_hat * t) * (1 + 1e-9)
+
+
+def _two_pass_certified_decay(a, nm, safety=2.0):
+    """Reference: the growth-bound pass, then a second semigroup pass over
+    the final grid for the peaks."""
+    s = spectral_bound(a)
+    horizon = 20.0 / abs(s)
+    for _ in range(8):
+        grid = default_time_grid(a, horizon=horizon)
+        summary = growth_bound_estimate(a, nm, grid)
+        if summary.omega0_hat <= 0.5 * s:
+            break
+        horizon *= 2.0
+    s_hat = 0.5 * (s + summary.omega0_hat)
+    peaks = [1.0]
+    for t in grid:
+        peaks.append(op_norm(evaluate(a, t), nm) * math.exp(-s_hat * t))
+    return s_hat, safety * max(peaks)
+
+
+@pytest.mark.parametrize("a", [
+    heat_dirichlet(16),
+    upwind_shift(16),
+    jordan_block(16, -1.0),
+    random_stable(16, 0.5, 3),
+], ids=["heat", "upwind", "jordan", "random-stable"])
+def test_certified_decay_reuses_the_growth_bound_samples(a):
+    nm = NormModel.identity(a.shape[0])
+    assert certified_decay(a, nm) == _two_pass_certified_decay(a, nm)
