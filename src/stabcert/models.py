@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "MAX_N",
     "MatrixFormatError",
     "SplitMix64",
     "ModelSpec",
@@ -34,7 +35,12 @@ __all__ = [
     "random_vector",
 ]
 
+MAX_N = 256
+
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 class MatrixFormatError(ValueError):
@@ -52,16 +58,29 @@ class SplitMix64:
         self._state = int(seed) & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
+
+    def next_u64_block(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs as uint64, equal to ``count`` calls of
+        next_u64; the state of draw k is seed + k * gamma modulo 2^64."""
+        z = np.uint64(self._state) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        return z ^ (z >> np.uint64(31))
 
     def uniform_symmetric(self) -> float:
         """Uniform draw on [-1, 1): top 53 bits mapped to a double."""
         u = (self.next_u64() >> 11) * 2.0 ** -53
         return 2.0 * u - 1.0
+
+    def uniform_block(self, count: int) -> np.ndarray:
+        """``count`` uniform_symmetric draws as a float64 array."""
+        return 2.0 * ((self.next_u64_block(count) >> np.uint64(11)) * 2.0 ** -53) - 1.0
 
 
 @dataclass(frozen=True)
@@ -126,11 +145,7 @@ def random_stable(n: int, margin: float, seed: int) -> np.ndarray:
         raise ValueError(f"n must be >= 1, got {n}")
     if not margin > 0.0:
         raise ValueError(f"margin must be positive, got {margin}")
-    rng = SplitMix64(seed)
-    g = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            g[i, j] = rng.uniform_symmetric()
+    g = SplitMix64(seed).uniform_block(n * n).reshape(n, n).astype(complex)
     s = float(np.max(np.linalg.eigvals(g).real))
     return g - (s + margin) * np.eye(n, dtype=complex)
 
@@ -139,6 +154,8 @@ _FAMILIES = ("heat", "upwind", "jordan", "random-stable", "file")
 
 
 def build_model(spec: ModelSpec) -> np.ndarray:
+    if spec.n > MAX_N:
+        raise ValueError(f"n = {spec.n} exceeds the size limit n <= {MAX_N}")
     if spec.family == "heat":
         return heat_dirichlet(spec.n, spec.params.get("length", 1.0))
     if spec.family == "upwind":
@@ -162,6 +179,8 @@ def matrix_from_json_dict(doc) -> np.ndarray:
         raise MatrixFormatError(f"matrix document missing key {exc}") from exc
     if not (isinstance(rows, int) and isinstance(cols, int) and rows >= 1 and cols >= 1):
         raise MatrixFormatError(f"rows/cols must be positive integers, got {rows!r}/{cols!r}")
+    if rows > MAX_N or cols > MAX_N:
+        raise MatrixFormatError(f"rows/cols {rows}/{cols} exceed the size limit n <= {MAX_N}")
     has_data = "data" in doc
     has_real = "data_real" in doc
     if has_data == has_real:
@@ -248,14 +267,7 @@ def _resolve_rng(seed_or_rng) -> SplitMix64:
 
 def random_matrix(n: int, seed_or_rng, complex_entries: bool = True) -> np.ndarray:
     """Seeded dense test matrix, entries uniform on [-1, 1] per component."""
-    rng = _resolve_rng(seed_or_rng)
-    m = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            re = rng.uniform_symmetric()
-            im = rng.uniform_symmetric() if complex_entries else 0.0
-            m[i, j] = complex(re, im)
-    return m
+    return _random_array((n, n), seed_or_rng, complex_entries)
 
 
 def random_hermitian(n: int, seed_or_rng) -> np.ndarray:
@@ -269,10 +281,13 @@ def random_psd(n: int, seed_or_rng) -> np.ndarray:
 
 
 def random_vector(n: int, seed_or_rng, complex_entries: bool = True) -> np.ndarray:
+    return _random_array((n,), seed_or_rng, complex_entries)
+
+
+def _random_array(shape, seed_or_rng, complex_entries: bool) -> np.ndarray:
+    """Entries filled row-major, each drawing its real part and then, for
+    complex entries, its imaginary part from the stream."""
     rng = _resolve_rng(seed_or_rng)
-    v = np.empty(n, dtype=complex)
-    for i in range(n):
-        re = rng.uniform_symmetric()
-        im = rng.uniform_symmetric() if complex_entries else 0.0
-        v[i] = complex(re, im)
-    return v
+    if not complex_entries:
+        return rng.uniform_block(int(np.prod(shape))).reshape(shape).astype(complex)
+    return rng.uniform_block(2 * int(np.prod(shape))).view(complex).reshape(shape)

@@ -336,6 +336,32 @@ class TestGenAndRecheck:
         assert "invalid" in capsys.readouterr().out
 
 
+class TestDesktopScale:
+    def test_resolvent_past_the_old_solver_cap(self, tmp_path):
+        code = run(["resolvent", "--family", "upwind", "--n", "160", "--n-axis", "9",
+                    "--n-interior", "2", "--n-grid", "3", "--out-dir", tmp_path])
+        assert code == 0
+        assert run(["recheck", tmp_path / "resolvent-upwind-n160.json"]) == 0
+
+    def test_family_above_the_size_gate_is_operational_error(self, tmp_path, capsys):
+        code = run(["gen", "--family", "heat", "--n", "257", "--out-dir", tmp_path])
+        assert code == 1
+        assert "size limit n <= 256" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_oversized_matrix_file_is_rejected_before_allocation(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"rows": 100_000, "cols": 100_000, "data_real": []}))
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated before the size gate")
+
+        monkeypatch.setattr("stabcert.models.np.empty", no_allocation)
+        assert run(["certify", "--file", path, "--out-dir", tmp_path]) == 1
+        assert "size limit n <= 256" in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_reports_byte_identical_modulo_timings(self, tmp_path):
         args = ["certify", "--family", "random-stable", "--n", "12", "--seed", "7",

@@ -22,8 +22,9 @@ from stabcert.models import (
     random_psd,
     random_stable,
     random_vector,
+    upwind_shift,
 )
-from stabcert.numkernel import spectral_norm
+from stabcert.numkernel import KernelPrecisionError, spectral_norm
 from stabcert.semigroup import (
     UnstableGeneratorError,
     datko_integral,
@@ -216,6 +217,64 @@ class TestSolveAlgebraic:
         cand = membership_margin(q, a, nm)
         assert cand.is_member
         assert cand.theta > 0.0
+
+
+SIZED_FAMILIES = {
+    "heat": lambda n: heat_dirichlet(n, 1.0),
+    "upwind": lambda n: upwind_shift(n, 1.0, 1.0),
+    "jordan(-1)": lambda n: jordan_block(n, -1.0),
+    "random-stable": lambda n: random_stable(n, 0.5, 11),
+}
+
+
+def lyapunov_residual(a, q, rhs):
+    return spectral_norm(a.conj().T @ q + q @ a + rhs) / spectral_norm(rhs)
+
+
+class TestSignFunctionSolve:
+    @pytest.mark.parametrize("n", [8, 48, 150, 256])
+    @pytest.mark.parametrize("family", sorted(SIZED_FAMILIES))
+    def test_matches_bartels_stewart(self, family, n):
+        a = SIZED_FAMILIES[family](n)
+        rhs = np.eye(n)
+        q = solve_algebraic(a, rhs)
+        ref = scipy.linalg.solve_continuous_lyapunov(a.conj().T, -rhs)
+        assert spectral_norm(q - ref) <= 1e-9 * spectral_norm(ref)
+        assert lyapunov_residual(a, q, rhs) <= 1e-8
+
+    def test_weighted_rhs_matches_bartels_stewart(self):
+        a = random_stable(48, 0.5, 12)
+        nm = NormModel.from_weight(random_psd(48, 13) + 0.5 * np.eye(48))
+        q = solve_algebraic(a, nm.w)
+        ref = scipy.linalg.solve_continuous_lyapunov(a.conj().T, -nm.w)
+        assert spectral_norm(q - ref) <= 1e-9 * spectral_norm(ref)
+
+    def test_matches_kronecker_oracle_at_small_n(self):
+        for family, make in SIZED_FAMILIES.items():
+            a = make(12)
+            q = solve_algebraic(a, np.eye(12))
+            oracle = kron_lyapunov_oracle(a, np.eye(12))
+            assert spectral_norm(q - oracle) <= 1e-12 * spectral_norm(oracle), family
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**31), n=st.integers(1, 64),
+           margin=st.floats(1e-3, 10.0))
+    def test_residual_contract_on_random_stable(self, seed, n, margin):
+        a = random_stable(n, margin, seed)
+        rhs = random_psd(n, seed + 1) + np.eye(n)
+        q = solve_algebraic(a, rhs)
+        assert np.array_equal(q, q.conj().T)
+        assert lyapunov_residual(a, q, rhs) <= 1e-8
+
+    def test_heat_256_keeps_tenfold_headroom(self):
+        a = heat_dirichlet(256, 1.0)
+        q = solve_algebraic(a, np.eye(256))
+        assert lyapunov_residual(a, q, np.eye(256)) <= 1e-9
+
+    def test_step_cap_raises_precision_error(self, monkeypatch):
+        monkeypatch.setattr("stabcert.lyapunov.SIGN_MAX_STEPS", 1)
+        with pytest.raises(KernelPrecisionError, match="did not converge in 1 steps"):
+            solve_algebraic(heat_dirichlet(8, 1.0), np.eye(8))
 
 
 class TestConstructQ0:

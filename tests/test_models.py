@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stabcert.models import (
+    MAX_N,
     MatrixFormatError,
     ModelSpec,
     SplitMix64,
@@ -13,7 +14,10 @@ from stabcert.models import (
     load_matrix,
     matrix_from_json_dict,
     matrix_to_json_dict,
+    random_hermitian,
+    random_matrix,
     random_stable,
+    random_vector,
     save_matrix,
     upwind_shift,
     write_atomic,
@@ -28,6 +32,49 @@ def test_splitmix64_reference_stream():
     assert rng.next_u64() == 0xE220A8397B1DCDAF
     assert rng.next_u64() == 0x6E789E6AA1B965F4
     assert rng.next_u64() == 0x06C45D188009454F
+
+
+def test_splitmix64_block_draw_equals_the_scalar_stream():
+    scalar, block = SplitMix64(2**64 - 5), SplitMix64(2**64 - 5)
+    expected = [scalar.next_u64() for _ in range(10_000)]
+    drawn = block.next_u64_block(10_000)
+    assert drawn.dtype == np.uint64
+    assert [int(z) for z in drawn] == expected
+    assert block.next_u64() == scalar.next_u64()
+    uniforms = [scalar.uniform_symmetric() for _ in range(1000)]
+    assert block.uniform_block(1000).tolist() == uniforms
+
+
+def _scalar_fill(shape, rng, complex_entries=True):
+    # the entry-by-entry fill the block draw replaced: row-major, real part
+    # first, then the imaginary part
+    m = np.empty(shape, dtype=complex)
+    for index in np.ndindex(*shape):
+        re = rng.uniform_symmetric()
+        im = rng.uniform_symmetric() if complex_entries else 0.0
+        m[index] = complex(re, im)
+    return m
+
+
+def test_shared_rng_continues_one_stream_across_calls():
+    # perturb's random trials draw every B from one shared stream
+    shared, reference = SplitMix64(2024), SplitMix64(2024)
+    for trial in range(6):
+        complex_entries = trial % 3 != 2
+        expected = _scalar_fill((5, 5), reference, complex_entries)
+        assert random_matrix(5, shared, complex_entries).tobytes() == expected.tobytes()
+        raw = _scalar_fill((4, 4), reference)
+        assert random_hermitian(4, shared).tobytes() == (0.5 * (raw + raw.conj().T)).tobytes()
+        expected = _scalar_fill((3,), reference, complex_entries)
+        assert random_vector(3, shared, complex_entries).tobytes() == expected.tobytes()
+    assert shared.next_u64() == reference.next_u64()
+
+
+def test_random_stable_draws_the_scalar_stream_row_major():
+    g = _scalar_fill((7, 7), SplitMix64(5), complex_entries=False)
+    s = float(np.max(np.linalg.eigvals(g).real))
+    expected = g - (s + 0.5) * np.eye(7, dtype=complex)
+    assert random_stable(7, 0.5, 5).tobytes() == expected.tobytes()
 
 
 def test_splitmix64_uniform_range():
@@ -188,3 +235,29 @@ def test_build_model_families():
     assert build_model(ModelSpec("jordan", 3, {"lambda": 1.0}))[0, 0] == 1.0
     with pytest.raises(ValueError, match="unknown family"):
         build_model(ModelSpec("mystery", 2))
+
+
+class TestSizeGate:
+    def test_largest_size_builds(self):
+        assert build_model(ModelSpec("upwind", MAX_N)).shape == (MAX_N, MAX_N)
+
+    @pytest.mark.parametrize("family", ["heat", "upwind", "jordan", "random-stable"])
+    def test_build_rejects_before_the_constructor(self, family, monkeypatch):
+        def no_construction(*args, **kwargs):
+            raise AssertionError("constructor called before the size gate")
+
+        for name in ("heat_dirichlet", "upwind_shift", "jordan_block", "random_stable"):
+            monkeypatch.setattr(f"stabcert.models.{name}", no_construction)
+        with pytest.raises(ValueError, match="size limit n <= 256"):
+            build_model(ModelSpec(family, MAX_N + 1))
+
+    def test_matrix_document_rejected_before_allocation(self, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated before the size gate")
+
+        monkeypatch.setattr("stabcert.models.np.empty", no_allocation)
+        doc = {"rows": 100_000, "cols": 100_000, "data_real": []}
+        with pytest.raises(MatrixFormatError, match="size limit n <= 256"):
+            matrix_from_json_dict(doc)
+        with pytest.raises(MatrixFormatError, match="size limit"):
+            matrix_from_json_dict({"rows": 1, "cols": MAX_N + 1, "data_real": []})
