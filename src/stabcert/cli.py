@@ -42,7 +42,7 @@ from .models import (
     save_matrix,
     write_atomic,
 )
-from .numkernel import KernelPrecisionError, spectral_norm
+from .numkernel import KernelPrecisionError, expm, spectral_norm
 from .perturb import RadiusExceededError, max_alpha, verify_perturbation
 from .resolvent import (
     export_scan_csv,
@@ -64,6 +64,7 @@ __all__ = ["main", "entrypoint"]
 _WITNESS_REAL_TOL = 1e-10
 _WITNESS_RESIDUAL_TOL = 1e-6
 _RECHECK_REL_TOL = 1e-9
+_CERTIFICATE_GRID_SLACK = 1e-8  # lyapunov.certificate's default slack
 
 
 class _CliUsageError(ValueError):
@@ -291,7 +292,8 @@ def cmd_certify(args) -> int:
         "M": float(cert.overshoot),
         "grid_pass": bool(cert.grid_pass),
         "worst_ratio": float(cert.worst_ratio),
-        "grid": {"points": len(cert.t_grid), "t_max": float(cert.t_grid[-1])},
+        "grid": {"points": len(cert.t_grid), "t_max": float(cert.t_grid[-1]),
+                 "worst_t": cert.worst_t},
     }
     if not cert.grid_pass:
         report["verdict"] = "inconclusive"
@@ -391,7 +393,8 @@ def cmd_resolvent(args) -> int:
         }
 
     report["scans"] = {
-        "right": scan_block(right, right_csv),
+        "right": {**scan_block(right, right_csv), "proof_slack": right.proof_slack,
+                  "tail_ratio": right.tail_ratio if math.isfinite(right.tail_ratio) else None},
         "strip": {**scan_block(strip, strip_csv), "delta0": float(delta0)},
     }
     ok = right.passed and strip.passed
@@ -591,10 +594,16 @@ def _recheck_one(path: str) -> list:
     if verdict in ("refuted",):
         check_witness(report["witness"])
     elif command == "certify" and verdict == "certified":
-        cand = check_candidate(report["certificate"], "certificate")
+        block = report["certificate"]
+        cand = check_candidate(block, "certificate")
         if cand is not None:
-            close(1.0 / (2.0 * cand.q_norm), report["certificate"]["epsilon"], "epsilon")
-            close(math.sqrt(cand.q_norm / cand.theta), report["certificate"]["M"], "M")
+            close(1.0 / (2.0 * cand.q_norm), block["epsilon"], "epsilon")
+            close(math.sqrt(cand.q_norm / cand.theta), block["M"], "M")
+        t = block["grid"]["worst_t"]
+        ratio = op_norm(expm(a, t), nm) / (block["M"] * math.exp(-block["epsilon"] * t))
+        close(ratio, block["worst_ratio"], f"envelope ratio at t={t!r}")
+        if ratio > 1.0 + _CERTIFICATE_GRID_SLACK:
+            problems.append(f"envelope ratio {ratio!r} at t={t!r} breaks the certified bound")
     elif command == "refute" and verdict == "not_refuted":
         if refute_stability(a) is not None:
             problems.append("report says not_refuted but a witness exists")

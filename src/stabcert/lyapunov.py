@@ -99,6 +99,7 @@ class StabilityCertificate:
     grid_pass: bool
     worst_ratio: float
     t_grid: list
+    worst_t: float  # grid time of the worst ratio
 
 
 def membership_margin(
@@ -300,10 +301,11 @@ def certificate(
     grid = np.asarray(t_grid, dtype=float).reshape(-1)
     if grid.size == 0:
         raise ValueError("verification grid is empty")
-    worst = 0.0
+    worst, worst_t = 0.0, float(grid[0])
     for t in grid:
         ratio = op_norm(evaluate(aa, float(t)), nm) / (overshoot * math.exp(-epsilon * t))
-        worst = max(worst, ratio)
+        if ratio > worst:
+            worst, worst_t = ratio, float(t)
     return StabilityCertificate(
         candidate=cand,
         epsilon=epsilon,
@@ -311,6 +313,7 @@ def certificate(
         grid_pass=worst <= 1.0 + slack,
         worst_ratio=worst,
         t_grid=[float(t) for t in grid],
+        worst_t=worst_t,
     )
 
 

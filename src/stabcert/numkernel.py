@@ -26,6 +26,7 @@ __all__ = [
     "expm",
     "hermitian_eig",
     "singular_extremes",
+    "singularity_gate",
     "solve_linear",
     "gauss_legendre_nodes",
     "quad_integral",
@@ -140,33 +141,36 @@ def singular_extremes(a) -> tuple[float, float]:
     return float(sv[0]), float(sv[-1])
 
 
+def singularity_gate(m: np.ndarray) -> tuple[float, float]:
+    """(sigma_max, sigma_min) of a square matrix; SingularMatrixError when
+    sigma_min <= 16 n eps sigma_max."""
+    sigma_max, sigma_min = singular_extremes(m)
+    if sigma_min <= 16.0 * m.shape[0] * _EPS * sigma_max:
+        raise SingularMatrixError(
+            f"matrix singular to working precision (sigma_min={sigma_min:.3e}, "
+            f"sigma_max={sigma_max:.3e})"
+        )
+    return sigma_max, sigma_min
+
+
 def solve_linear(m, b, check_singularity: bool = True) -> np.ndarray:
     """Solve ``m @ x = b`` by pivoted LU.
 
-    With ``check_singularity`` the smallest singular value is gated first
-    and a :class:`SingularMatrixError` is raised when the matrix is
-    singular to working precision (the gate is how resolvent evaluations
-    detect a shift sitting on the spectrum).  The backward-stable solve is
-    post-checked against the residual contract
-    ``||m x - b|| <= 1e-10 ||m|| ||x||``.
+    With ``check_singularity`` the matrix first passes
+    :func:`singularity_gate`.  The backward-stable solve is post-checked
+    against the residual contract ``||m x - b|| <= 1e-10 ||m|| ||x||``.
     """
     mm = as_complex_matrix(m, "m")
     bb = np.asarray(b, dtype=complex)
     if bb.shape[0] != mm.shape[0]:
         raise ValueError(f"shape mismatch: {mm.shape} vs {bb.shape}")
-    if check_singularity:
-        sv = np.linalg.svd(mm, compute_uv=False)
-        if sv[-1] <= 16.0 * mm.shape[0] * _EPS * sv[0]:
-            raise SingularMatrixError(
-                f"matrix singular to working precision (sigma_min={sv[-1]:.3e}, "
-                f"sigma_max={sv[0]:.3e})"
-            )
+    scale = singularity_gate(mm)[0] if check_singularity else spectral_norm(mm)
     try:
         x = np.linalg.solve(mm, bb)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(str(exc)) from exc
     residual = np.linalg.norm(mm @ x - bb)
-    bound = SOLVER_RESIDUAL_TOL * spectral_norm(mm) * max(np.linalg.norm(x), 1e-300)
+    bound = SOLVER_RESIDUAL_TOL * scale * max(np.linalg.norm(x), 1e-300)
     if residual > max(bound, 16.0 * _EPS * np.linalg.norm(bb)):
         raise KernelPrecisionError(
             f"solve residual {residual:.3e} exceeds contract bound {bound:.3e}"

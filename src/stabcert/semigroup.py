@@ -91,17 +91,21 @@ def spectral_bound(a) -> float:
 
 
 def default_time_grid(a, points: int = 64, horizon: float | None = None) -> np.ndarray:
-    """64 log-spaced samples on [0.01, 20/|s|], resolving both the transient
-    and asymptotic regimes.  Non-decaying generators need an explicit
-    horizon; for horizons under 0.01 the start shrinks along with them."""
+    """64 log-spaced samples up to the horizon 20/|s|, starting at the least
+    of 0.01, horizon/1000 and 1/rho(A), before the fastest mode decays by e.
+    Non-decaying generators need an explicit horizon, whose grid starts at
+    min(0.01, horizon/1000)."""
+    start = 0.01
     if horizon is None:
-        s = spectral_bound(a)
+        eigs = np.linalg.eigvals(as_complex_matrix(a, "a"))
+        s = float(np.max(eigs.real))
         if s >= 0.0:
             raise ValueError("spectral bound is nonnegative; pass an explicit horizon")
         horizon = 20.0 / abs(s)
+        start = min(start, 1.0 / float(np.max(np.abs(eigs))))
     if not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    start = min(0.01, horizon / 1000.0)
+    start = min(start, horizon / 1000.0)
     return np.logspace(math.log10(start), math.log10(horizon), points)
 
 

@@ -144,6 +144,18 @@ class TestResolvent:
         err = capsys.readouterr().err
         assert "delta0 <=" in err  # suggests the admissible maximum
 
+    def test_right_scan_reports_proof_slack_and_tail_ratio(self, tmp_path):
+        assert run(["resolvent", "--family", "heat", "--n", "8", "--out-dir", tmp_path]) == 0
+        right = read_report(tmp_path / "resolvent-heat-n8.json")["scans"]["right"]
+        assert right["proof_slack"] >= -1e-9
+        assert 0.0 < right["tail_ratio"] <= 1.0
+        # a sampled disk inside |A| leaves the Neumann tail open: null, not Infinity
+        assert run(["resolvent", "--family", "heat", "--n", "8", "--omega-max", "1",
+                    "--out", "inside.json", "--out-dir", tmp_path]) == 0
+        right = read_report(tmp_path / "inside.json")["scans"]["right"]
+        assert right["tail_ratio"] is None
+        assert run(["recheck", tmp_path / "inside.json"]) == 0
+
 
 class TestPerturb:
     def test_random_trials_all_pass(self, tmp_path, capsys):
@@ -220,6 +232,12 @@ class TestLeftinv:
         env = report["envelope"]
         for t, m in env["samples"]:
             assert m >= env["c"] * math.exp(-env["alpha"] * t) * (1 - 1e-12)
+
+    def test_heat_grid_starts_before_the_fastest_mode_decays(self, tmp_path):
+        # from n = 44 the fastest heat mode had already left sigma_min under
+        # the round-off floor at the old grid start t = 0.01
+        assert run(["leftinv", "--family", "heat", "--n", "48", "--out-dir", tmp_path]) == 0
+        assert run(["recheck", tmp_path / "leftinv-heat-n48.json"]) == 0
 
 
 class TestRefute:
@@ -314,6 +332,15 @@ class TestGenAndRecheck:
         path = tmp_path / "resolvent-heat-n6.json"
         report = read_report(path)
         report["scans"]["strip"]["worst_ratio"] *= 0.5
+        path.write_text(json.dumps(report))
+        assert run(["recheck", path]) == 2
+
+    def test_recheck_catches_halved_certificate_worst_ratio(self, tmp_path):
+        assert run(["certify", "--family", "upwind", "--n", "8", "--out-dir", tmp_path]) == 0
+        path = tmp_path / "certify-upwind-n8.json"
+        report = read_report(path)
+        assert run(["recheck", path]) == 0
+        report["certificate"]["worst_ratio"] *= 0.5
         path.write_text(json.dumps(report))
         assert run(["recheck", path]) == 2
 

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
+import stabcert.numkernel
+import stabcert.resolvent
+import stabcert.space
 from stabcert.lyapunov import membership_margin, scale_member, solve_algebraic
-from stabcert.models import heat_dirichlet, jordan_block, random_stable
+from stabcert.models import heat_dirichlet, jordan_block, random_psd, random_stable
 from stabcert.numkernel import solve_linear, spectral_norm
 from stabcert.resolvent import (
     ResolventSingularError,
@@ -43,6 +48,19 @@ class TestResolventNorm:
         with pytest.raises(ResolventSingularError) as excinfo:
             resolvent_norm(np.diag([-1.0, -2.0]), -1.0, nm)
         assert excinfo.value.nearest_eigenvalue == pytest.approx(-1.0)
+
+    def test_weighted_norm_matches_the_inverse(self):
+        from scipy.linalg import eigh
+
+        n = 24
+        a = random_stable(n, 0.5, 13)
+        w = random_psd(n, 14) + np.eye(n)
+        for lam in (0.0, 0.3 + 1.7j, -0.2 - 5.0j):
+            r = np.linalg.inv(lam * np.eye(n) - a)
+            # |R|_W^2 is the top eigenvalue of the pencil (R* W R, W)
+            expected = math.sqrt(eigh(r.conj().T @ w @ r, w, eigvals_only=True)[-1])
+            got = resolvent_norm(a, lam, NormModel.from_weight(w))
+            assert got == pytest.approx(expected, rel=1e-12)
 
 
 class TestVerifyBoundRight:
@@ -247,6 +265,54 @@ class TestAbscissaProfile:
         nm = NormModel.identity(2)
         with pytest.raises(ValueError):
             abscissa_profile(-np.eye(2), nm, [-1.0], n=9)
+
+    def test_shift_on_the_spectrum_raises(self):
+        # one ulp right of the eigenvalue -1 passes the abscissa check, and
+        # the odd grid puts a shift on the real axis next to the eigenvalue
+        nm = NormModel.identity(2)
+        with pytest.raises(ResolventSingularError) as excinfo:
+            abscissa_profile(np.diag([-1.0, -2.0]), nm, [np.nextafter(-1.0, 0.0)], n=5)
+        assert excinfo.value.nearest_eigenvalue == pytest.approx(-1.0)
+
+
+class TestPerPointWork:
+    """Each scan point costs one SVD; the right scan adds one solve for its
+    proof vectors.  The one further SVD per scan is |A|."""
+
+    def counted(self, monkeypatch, scan):
+        counts = {"svd": 0, "solve": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        svd = counting("svd", stabcert.numkernel.singular_extremes)
+        monkeypatch.setattr(stabcert.numkernel, "singular_extremes", svd)
+        monkeypatch.setattr(stabcert.space, "singular_extremes", svd)
+        monkeypatch.setattr(stabcert.resolvent, "solve_linear",
+                            counting("solve", stabcert.numkernel.solve_linear))
+        report = scan()
+        monkeypatch.undo()
+        return report, counts
+
+    def test_strip_points_make_one_svd_and_no_solve(self, monkeypatch):
+        a = random_stable(6, 0.5, 5)
+        nm = NormModel.from_weight(random_psd(6, 6) + np.eye(6))
+        cand = member_for(a, nm)
+        delta0 = 0.25 * min(abs(spectral_bound(a)), 1.0 / (2.0 * cand.q_norm))
+        report, counts = self.counted(
+            monkeypatch, lambda: verify_bound_left_strip(a, nm, cand, delta0, n_grid=6))
+        assert counts == {"svd": len(report.grid) + 1, "solve": 0}
+
+    def test_right_points_make_one_svd_and_one_solve(self, monkeypatch):
+        a = random_stable(6, 0.5, 5)
+        nm = NormModel.from_weight(random_psd(6, 6) + np.eye(6))
+        cand = member_for(a, nm)
+        report, counts = self.counted(
+            monkeypatch, lambda: verify_bound_right(a, nm, [cand], n_axis=17, n_interior=4))
+        assert counts == {"svd": len(report.grid) + 1, "solve": len(report.grid)}
 
 
 class TestCsvExport:
