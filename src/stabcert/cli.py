@@ -2,11 +2,11 @@
 machine-readable reports.
 
 Exit codes are a contract: 0 means certified / pass, 2 means refuted or
-failed by mathematics, 1 means an operational error (I/O, dimensions,
-bad flags, precision).  Every report embeds the matrices it talks about
-(generator, candidate, witnesses) so ``recheck`` can re-validate the
-verdict from the report alone, and all flags are echoed with their
-defaults so a report fully determines its own reproduction.
+failed by mathematics, 1 means inconclusive or an operational error (I/O,
+dimensions, bad flags, precision).  Every report embeds the matrices it
+talks about (generator, candidate, witnesses) so ``recheck`` can
+re-validate the verdict from the report alone, and all flags are echoed
+with their defaults so a report fully determines its own reproduction.
 """
 
 from __future__ import annotations
@@ -54,10 +54,11 @@ from .semigroup import (
     UnstableGeneratorError,
     default_time_grid,
     envelope_witness_search,
+    left_invertibility_witness,
     lower_envelope,
     spectral_bound,
 )
-from .space import NormModel, RieszMap, dual_map_norm, op_norm
+from .space import NormModel, RieszMap, op_norm
 
 __all__ = ["main", "entrypoint"]
 
@@ -65,6 +66,14 @@ _WITNESS_REAL_TOL = 1e-10
 _WITNESS_RESIDUAL_TOL = 1e-6
 _RECHECK_REL_TOL = 1e-9
 _CERTIFICATE_GRID_SLACK = 1e-8  # lyapunov.certificate's default slack
+
+# The exit code of every verdict a report can carry.  Operational errors
+# never reach a report: ``main`` turns them into exit 1.
+_EXIT_CODES = {
+    "certified": 0, "not_refuted": 0, "pass": 0,
+    "inconclusive": 1,
+    "refuted": 2, "fail": 2, "rejected": 2,
+}
 
 
 class _CliUsageError(ValueError):
@@ -189,30 +198,6 @@ def _input_block(spec: ModelSpec) -> dict:
             "params": params, "seed": spec.seed}
 
 
-def _norm_model(args, n: int):
-    if args.norm_file:
-        w = load_matrix(args.norm_file)
-        nm = NormModel.from_weight(w)
-        descriptor = {"kind": "file", "path": args.norm_file, "w": matrix_to_json_dict(nm.w)}
-    else:
-        nm = NormModel.identity(n)
-        descriptor = {"kind": "identity", "n": n}
-    if nm.n != n:
-        raise ValueError(f"norm weight is {nm.n}x{nm.n} but the generator is {n}x{n}")
-    return nm, descriptor
-
-
-def _config_echo(args, extra: dict | None = None) -> dict:
-    config = {
-        "tol": args.tol,
-        "out_dir": args.out_dir,
-        "norm_file": args.norm_file,
-    }
-    if extra:
-        config.update(extra)
-    return config
-
-
 def _candidate_block(cand: LyapunovCandidate) -> dict:
     return {
         "q": matrix_to_json_dict(cand.q),
@@ -235,58 +220,71 @@ def _witness_block(witness, a: np.ndarray) -> dict:
     }
 
 
-def _finish(report: dict, args, spec: ModelSpec, started: float, code: int) -> int:
-    report["timings"] = {"total_s": time.perf_counter() - started}
-    os.makedirs(args.out_dir, exist_ok=True)
-    name = args.out or f"{report['command']}-{_tag(spec)}.json"
-    path = os.path.join(args.out_dir, name)
-    write_atomic(path, json.dumps(report, indent=2) + "\n")
-    print(f"{report['verdict']}: report written to {path}")
-    return code
+class _Job:
+    """The frame of one math subcommand: the generator, the norm model, the
+    report skeleton with the flag echo, and the one way out (``finish``)."""
 
+    def __init__(self, args, command: str, **config):
+        self.started = time.perf_counter()
+        self.args = args
+        self.spec = _spec_from_args(args)
+        self.a = build_model(self.spec)
+        n = self.a.shape[0]
+        if args.norm_file:
+            w = load_matrix(args.norm_file)
+            self.nm = NormModel.from_weight(w)
+            descriptor = {"kind": "file", "path": args.norm_file,
+                          "w": matrix_to_json_dict(self.nm.w)}
+        else:
+            self.nm = NormModel.identity(n)
+            descriptor = {"kind": "identity", "n": n}
+        if self.nm.n != n:
+            raise ValueError(f"norm weight is {self.nm.n}x{self.nm.n} but the generator is {n}x{n}")
+        self.config = {"tol": args.tol, "out_dir": args.out_dir,
+                       "norm_file": args.norm_file, **config}
+        self.report = {
+            "tool": {"name": "stabcert", "version": __version__},
+            "command": command,
+            "input": _input_block(self.spec),
+            "norm_model": descriptor,
+            "config": self.config,
+            "generator": matrix_to_json_dict(self.a),
+        }
 
-def _refuted(report: dict, a: np.ndarray, args, spec: ModelSpec,
-             started: float) -> int | None:
-    """Finish a ``refuted`` report and return exit code 2 when A has an
-    eigenvalue with nonnegative real part; None when no witness exists."""
-    witness = refute_stability(a)
-    if witness is None:
-        return None
-    report["verdict"] = "refuted"
-    report["witness"] = _witness_block(witness, a)
-    return _finish(report, args, spec, started, 2)
+    def refuted(self) -> int | None:
+        """Finish a ``refuted`` report when A has an eigenvalue with
+        nonnegative real part; None when no witness exists."""
+        witness = refute_stability(self.a)
+        if witness is None:
+            return None
+        return self.finish("refuted", witness=_witness_block(witness, self.a))
 
+    def candidate(self) -> LyapunovCandidate:
+        """The algebraic solution of A* Q + Q A = -W with its membership margin."""
+        q = solve_algebraic(self.a, self.nm.w)
+        return membership_margin(q, self.a, self.nm, tol=self.args.tol)
 
-def _base_report(command: str, spec: ModelSpec, descriptor: dict, config: dict,
-                 a: np.ndarray) -> dict:
-    return {
-        "tool": {"name": "stabcert", "version": __version__},
-        "command": command,
-        "input": _input_block(spec),
-        "norm_model": descriptor,
-        "config": config,
-        "generator": matrix_to_json_dict(a),
-    }
+    def finish(self, verdict: str, **blocks) -> int:
+        """Write the report atomically; the verdict alone fixes the exit code."""
+        report = {**self.report, **blocks, "verdict": verdict,
+                  "timings": {"total_s": time.perf_counter() - self.started}}
+        os.makedirs(self.args.out_dir, exist_ok=True)
+        name = self.args.out or f"{report['command']}-{_tag(self.spec)}.json"
+        path = os.path.join(self.args.out_dir, name)
+        write_atomic(path, json.dumps(report, indent=2) + "\n")
+        print(f"{verdict}: report written to {path}")
+        return _EXIT_CODES[verdict]
 
 
 def cmd_certify(args) -> int:
-    started = time.perf_counter()
-    spec = _spec_from_args(args)
-    a = build_model(spec)
-    nm, descriptor = _norm_model(args, a.shape[0])
-    report = _base_report("certify", spec, descriptor, _config_echo(args), a)
-
-    if (code := _refuted(report, a, args, spec, started)) is not None:
+    job = _Job(args, "certify")
+    if (code := job.refuted()) is not None:
         return code
-
-    q = solve_algebraic(a, nm.w)
-    cand = membership_margin(q, a, nm, tol=args.tol)
+    cand = job.candidate()
     if not cand.is_member:
-        report["verdict"] = "inconclusive"
-        report["candidate"] = _candidate_block(cand)
-        return _finish(report, args, spec, started, 1)
-    cert = certificate(cand, a, nm)
-    report["certificate"] = {
+        return job.finish("inconclusive", candidate=_candidate_block(cand))
+    cert = certificate(cand, job.a, job.nm)
+    block = {
         **_candidate_block(cand),
         "epsilon": float(cert.epsilon),
         "M": float(cert.overshoot),
@@ -296,91 +294,58 @@ def cmd_certify(args) -> int:
                  "worst_t": cert.worst_t},
     }
     if not cert.grid_pass:
-        report["verdict"] = "inconclusive"
-        return _finish(report, args, spec, started, 1)
-    report["verdict"] = "certified"
+        return job.finish("inconclusive", certificate=block)
     print(f"epsilon={cert.epsilon:.6e} M={cert.overshoot:.6e} "
           f"|Q|={cand.q_norm:.6e} theta={cand.theta:.6e}")
-    return _finish(report, args, spec, started, 0)
+    return job.finish("certified", certificate=block)
 
 
 def cmd_refute(args) -> int:
-    started = time.perf_counter()
-    spec = _spec_from_args(args)
-    a = build_model(spec)
-    nm, descriptor = _norm_model(args, a.shape[0])
-    report = _base_report("refute", spec, descriptor, _config_echo(args), a)
-    if (code := _refuted(report, a, args, spec, started)) is not None:
+    job = _Job(args, "refute")
+    if (code := job.refuted()) is not None:
         return code
-    report["verdict"] = "not_refuted"
-    report["spectral_bound"] = float(spectral_bound(a))
-    return _finish(report, args, spec, started, 0)
+    return job.finish("not_refuted", spectral_bound=float(spectral_bound(job.a)))
 
 
 def cmd_q0(args) -> int:
-    started = time.perf_counter()
-    spec = _spec_from_args(args)
-    a = build_model(spec)
-    nm, descriptor = _norm_model(args, a.shape[0])
-    config = _config_echo(args, {"riesz": args.riesz, "tmax": args.tmax,
-                                 "panels": args.panels})
-    report = _base_report("q0", spec, descriptor, config, a)
-
-    if (code := _refuted(report, a, args, spec, started)) is not None:
+    job = _Job(args, "q0", riesz=args.riesz, tmax=args.tmax, panels=args.panels)
+    if (code := job.refuted()) is not None:
         return code
-
-    if args.riesz:
-        riesz = RieszMap.from_matrix(load_matrix(args.riesz), nm)
-    else:
-        riesz = RieszMap.from_matrix(nm.w, nm)
+    a, nm = job.a, job.nm
+    riesz = RieszMap.from_matrix(load_matrix(args.riesz) if args.riesz else nm.w, nm)
     cand = construct_q0(a, riesz, nm, t_max=args.tmax, panels=args.panels, tol=args.tol)
-    report["q0"] = _candidate_block(cand)
-    report["q0"]["theta_riesz"] = float(riesz.theta)
+    block = {**_candidate_block(cand), "theta_riesz": float(riesz.theta)}
     if not args.riesz:
         q_alg = solve_algebraic(a, nm.w)
         gap = float(
             np.linalg.norm(cand.q - q_alg, "fro") / np.linalg.norm(q_alg, "fro")
         )
-        report["q0"]["algebraic_gap"] = gap
+        block["algebraic_gap"] = gap
         print(f"relative Frobenius gap against the algebraic solve: {gap:.3e}")
-    report["verdict"] = "pass" if cand.is_member else "inconclusive"
-    return _finish(report, args, spec, started,
-                   0 if cand.is_member else 1)
+    return job.finish("pass" if cand.is_member else "inconclusive", q0=block)
 
 
 def cmd_resolvent(args) -> int:
-    started = time.perf_counter()
-    spec = _spec_from_args(args)
-    a = build_model(spec)
-    nm, descriptor = _norm_model(args, a.shape[0])
-    config = _config_echo(args, {
-        "delta0": args.delta0, "omega_max": args.omega_max,
-        "n_axis": args.n_axis, "n_interior": args.n_interior, "n_grid": args.n_grid,
-    })
-    report = _base_report("resolvent", spec, descriptor, config, a)
-    if (code := _refuted(report, a, args, spec, started)) is not None:
+    job = _Job(args, "resolvent", delta0=args.delta0, omega_max=args.omega_max,
+               n_axis=args.n_axis, n_interior=args.n_interior, n_grid=args.n_grid)
+    if (code := job.refuted()) is not None:
         return code
-
-    q = solve_algebraic(a, nm.w)
-    cand = membership_margin(q, a, nm, tol=args.tol)
+    a, nm = job.a, job.nm
+    cand = job.candidate()
     if args.delta0 == "auto":
         delta0 = 0.5 * min(abs(spectral_bound(a)), 1.0 / (2.0 * cand.q_norm))
     else:
         delta0 = float(args.delta0)
-    config["delta0"] = delta0
-    report["candidate"] = _candidate_block(cand)
+    job.config["delta0"] = delta0
 
     right = verify_bound_right(a, nm, [cand], omega_max=args.omega_max,
                                n_axis=args.n_axis, n_interior=args.n_interior)
     strip = verify_bound_left_strip(a, nm, cand, delta0, n_grid=args.n_grid)
     os.makedirs(args.out_dir, exist_ok=True)
-    tag = _tag(spec)
-    right_csv = f"resolvent-{tag}-right.csv"
-    strip_csv = f"resolvent-{tag}-strip.csv"
-    export_scan_csv(right, os.path.join(args.out_dir, right_csv))
-    export_scan_csv(strip, os.path.join(args.out_dir, strip_csv))
 
-    def scan_block(scan, csv_name):
+    def scan_block(scan, region):
+        csv_name = f"resolvent-{_tag(job.spec)}-{region}.csv"
+        export_scan_csv(scan, os.path.join(args.out_dir, csv_name))
         return {
             "kind": scan.kind,
             "bound": float(scan.bound),
@@ -392,39 +357,31 @@ def cmd_resolvent(args) -> int:
             "csv": csv_name,
         }
 
-    report["scans"] = {
-        "right": {**scan_block(right, right_csv), "proof_slack": right.proof_slack,
+    scans = {
+        "right": {**scan_block(right, "right"), "proof_slack": right.proof_slack,
                   "tail_ratio": right.tail_ratio if math.isfinite(right.tail_ratio) else None},
-        "strip": {**scan_block(strip, strip_csv), "delta0": float(delta0)},
+        "strip": {**scan_block(strip, "strip"), "delta0": float(delta0)},
     }
-    ok = right.passed and strip.passed
-    report["verdict"] = "pass" if ok else "fail"
     print(f"right worst_ratio={right.worst_ratio:.9f} "
           f"strip worst_ratio={strip.worst_ratio:.9f}")
-    return _finish(report, args, spec, started, 0 if ok else 2)
+    return job.finish("pass" if right.passed and strip.passed else "fail",
+                      candidate=_candidate_block(cand), scans=scans)
 
 
 def cmd_perturb(args) -> int:
-    started = time.perf_counter()
-    spec = _spec_from_args(args)
-    a = build_model(spec)
-    nm, descriptor = _norm_model(args, a.shape[0])
     if args.b_file and args.random_trials:
         raise _CliUsageError("--b-file and --random-trials are mutually exclusive")
     if not args.b_file and not args.random_trials:
         raise _CliUsageError("one of --b-file or --random-trials is required")
     if args.alpha is not None and not args.alpha > 1.0:
         raise ValueError(f"alpha must exceed 1, got {args.alpha}")
-
-    config = _config_echo(args, {"alpha": args.alpha, "b_file": args.b_file,
-                                 "random_trials": args.random_trials})
-    report = _base_report("perturb", spec, descriptor, config, a)
-    if (code := _refuted(report, a, args, spec, started)) is not None:
+    job = _Job(args, "perturb", alpha=args.alpha, b_file=args.b_file,
+               random_trials=args.random_trials)
+    if (code := job.refuted()) is not None:
         return code
-
-    q = solve_algebraic(a, nm.w)
-    cand = membership_margin(q, a, nm, tol=args.tol)
-    report["candidate"] = _candidate_block(cand)
+    a, nm = job.a, job.nm
+    cand = job.candidate()
+    job.report["candidate"] = _candidate_block(cand)
 
     if args.b_file:
         b = load_matrix(args.b_file)
@@ -433,20 +390,18 @@ def cmd_perturb(args) -> int:
         else:
             best = max_alpha(a, b, cand, nm)
             alpha = best.alpha
-            report["max_alpha"] = {"alpha": float(best.alpha), "decay": float(best.decay)}
+            job.report["max_alpha"] = {"alpha": float(best.alpha), "decay": float(best.decay)}
         try:
             rep = verify_perturbation(a, b, cand, alpha, nm)
         except RadiusExceededError as exc:
-            report["verdict"] = "rejected"
-            report["perturbation"] = {
+            return job.finish("rejected", perturbation={
                 "alpha": float(alpha),
                 "b": matrix_to_json_dict(b),
                 "excess": float(exc.excess),
                 "detail": str(exc),
-            }
-            return _finish(report, args, spec, started, 2)
+            })
         ok = rep.margin_after <= args.tol and rep.rescaled_member
-        report["perturbation"] = {
+        return job.finish("pass" if ok else "fail", perturbation={
             "alpha": float(alpha),
             "b": matrix_to_json_dict(b),
             "radius": float(rep.radius),
@@ -454,9 +409,7 @@ def cmd_perturb(args) -> int:
             "margin_after": float(rep.margin_after),
             "rescaled_member": bool(rep.rescaled_member),
             "rescaled_margin": float(rep.rescaled_margin),
-        }
-        report["verdict"] = "pass" if ok else "fail"
-        return _finish(report, args, spec, started, 0 if ok else 2)
+        })
 
     alpha = args.alpha if args.alpha is not None else 2.0
     trials = args.random_trials
@@ -474,7 +427,8 @@ def cmd_perturb(args) -> int:
         if worst is None or rep.margin_after > worst[1].margin_after:
             worst = (i, rep, b)
     index, rep, b = worst
-    report["perturbation"] = {
+    print(f"perturbation trials passed: {passes}/{trials}")
+    return job.finish("pass" if passes == trials else "fail", perturbation={
         "alpha": float(alpha),
         "trials": trials,
         "passes": passes,
@@ -483,18 +437,10 @@ def cmd_perturb(args) -> int:
         "worst_margin_after": float(rep.margin_after),
         "worst_b": matrix_to_json_dict(b),
         "worst_rescaled_member": bool(rep.rescaled_member),
-    }
-    report["verdict"] = "pass" if passes == trials else "fail"
-    print(f"perturbation trials passed: {passes}/{trials}")
-    return _finish(report, args, spec, started,
-                   0 if passes == trials else 2)
+    })
 
 
 def cmd_leftinv(args) -> int:
-    started = time.perf_counter()
-    spec = _spec_from_args(args)
-    a = build_model(spec)
-    nm, descriptor = _norm_model(args, a.shape[0])
     t_grid = None
     if args.t_grid:
         try:
@@ -503,39 +449,38 @@ def cmd_leftinv(args) -> int:
                                  int(count))
         except ValueError as exc:
             raise _CliUsageError(f"--t-grid expects start,stop,count: {exc}") from exc
-    config = _config_echo(args, {"t_grid": args.t_grid})
-    report = _base_report("leftinv", spec, descriptor, config, a)
-    if (code := _refuted(report, a, args, spec, started)) is not None:
+    job = _Job(args, "leftinv", t_grid=args.t_grid)
+    if (code := job.refuted()) is not None:
         return code
-
+    a, nm = job.a, job.nm
     if t_grid is None:
         t_grid = default_time_grid(a)
 
-    q = solve_algebraic(a, nm.w)
-    cand = membership_margin(q, a, nm, tol=args.tol)
+    cand = job.candidate()
     fit = lower_envelope(a, nm, t_grid)
     bound = fit.c ** 2 / (2.0 * fit.alpha) if fit.alpha > 0.0 else 0.0
     ok = cand.theta >= bound - 1e-8
-    rate = dual_map_norm(nm.w, nm) / (2.0 * cand.theta)
-    t0 = envelope_witness_search(a, nm, rate, t_grid)
-    report["candidate"] = _candidate_block(cand)
-    report["envelope"] = {
-        "c": float(fit.c),
-        "alpha": float(fit.alpha),
-        "samples": [[float(t), float(m)] for t, m in fit.grid],
-    }
-    report["strong_positivity"] = {
-        "theta": float(cand.theta),
-        "envelope_bound": float(bound),
-        "inequality_ok": bool(ok),
-        "witness_rate": float(rate),
-        "witness": None if t0 is None else {"t0": float(t0[0]), "m0": float(t0[1])},
-    }
-    report["verdict"] = "pass" if ok and t0 is not None else "fail"
+    # |W| / (2 theta), and |W| = 1 as a map X -> X*: the whitened W is I
+    rate = 1.0 / (2.0 * cand.theta)
+    t0 = envelope_witness_search(fit, rate)
     print(f"c={fit.c:.6e} alpha={fit.alpha:.6e} theta={cand.theta:.6e} "
           f"c^2/(2 alpha)={bound:.6e}")
-    return _finish(report, args, spec, started,
-                   0 if report["verdict"] == "pass" else 2)
+    return job.finish(
+        "pass" if ok and t0 is not None else "fail",
+        candidate=_candidate_block(cand),
+        envelope={
+            "c": float(fit.c),
+            "alpha": float(fit.alpha),
+            "samples": [[float(t), float(m)] for t, m in fit.grid],
+        },
+        strong_positivity={
+            "theta": float(cand.theta),
+            "envelope_bound": float(bound),
+            "inequality_ok": bool(ok),
+            "witness_rate": float(rate),
+            "witness": None if t0 is None else {"t0": float(t0[0]), "m0": float(t0[1])},
+        },
+    )
 
 
 def cmd_gen(args) -> int:
@@ -650,6 +595,7 @@ def _recheck_one(path: str) -> list:
                 problems.append("strong positivity inequality fails on recheck")
         if sp.get("witness"):
             t0, m0 = sp["witness"]["t0"], sp["witness"]["m0"]
+            close(left_invertibility_witness(a, nm, t0), m0, f"witness m0 at t0={t0!r}")
             if m0 < math.exp(-sp["witness_rate"] * t0) * (1.0 - 1e-6) * (1.0 - 1e-12):
                 problems.append("left-invertibility witness fails its inequality")
     return problems

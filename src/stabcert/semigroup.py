@@ -269,16 +269,16 @@ def left_invertibility_witness(a, nm: NormModel, t0: float) -> float:
     return singular_extremes(tw)[1]
 
 
-def envelope_witness_search(a, nm: NormModel, rate: float, t_grid, slack: float = 1e-6):
-    """First grid time t0 with m(t0) >= e^{-rate t0} (1 - slack), or None.
+def envelope_witness_search(fit: EnvelopeFit, rate: float, slack: float = 1e-6):
+    """First sample (t0, m0) of ``fit.grid`` with m0 >= e^{-rate t0} (1 - slack),
+    or None.
 
     This is the grid replacement for the existence argument that turns a
     strongly positive certificate into a single-time left-invertibility
-    witness.
+    witness.  It reads the sigma_min samples ``lower_envelope`` took, so
+    the witness costs no second pass over the grid.
     """
-    m = as_complex_matrix(a, "a")
-    for t in _validated_grid(t_grid):
-        m0 = left_invertibility_witness(m, nm, float(t))
-        if m0 >= math.exp(-rate * t) * (1.0 - slack):
-            return float(t), float(m0)
+    for t, m in fit.grid:
+        if m >= math.exp(-rate * t) * (1.0 - slack):
+            return t, m
     return None

@@ -91,6 +91,37 @@ class TestQ0:
         assert report["verdict"] == "refuted"
 
 
+B_BEYOND_RADIUS = "b-beyond-radius.json"
+
+
+class TestExitCodeTable:
+    @pytest.mark.parametrize("argv, report, verdict, code", [
+        (["certify", "--family", "heat", "--n", "4"], "certify-heat-n4",
+         "certified", 0),
+        (["refute", "--family", "heat", "--n", "4"], "refute-heat-n4",
+         "not_refuted", 0),
+        (["certify", "--family", "heat", "--n", "4", "--tol", "-1"], "certify-heat-n4",
+         "inconclusive", 1),
+        (["q0", "--family", "heat", "--n", "4", "--panels", "1"], "q0-heat-n4",
+         "inconclusive", 1),
+        (["certify", "--family", "jordan", "--n", "3", "--lambda", "1"], "certify-jordan-n3",
+         "refuted", 2),
+        (["leftinv", "--family", "upwind", "--n", "8", "--t-grid", "0.001,0.002,8"],
+         "leftinv-upwind-n8", "fail", 2),
+        (["perturb", "--family", "heat", "--n", "8", "--b-file", B_BEYOND_RADIUS,
+          "--alpha", "2"], "perturb-heat-n8", "rejected", 2),
+    ], ids=["certified", "not_refuted", "inconclusive-certify", "inconclusive-q0",
+            "refuted", "fail", "rejected"])
+    def test_each_verdict_exits_with_its_code_and_rechecks(self, tmp_path, monkeypatch,
+                                                           argv, report, verdict, code):
+        monkeypatch.chdir(tmp_path)
+        save_matrix(B_BEYOND_RADIUS, 50.0 * np.eye(8, dtype=complex))
+        assert run([*argv, "--out-dir", tmp_path]) == code
+        path = tmp_path / f"{report}.json"
+        assert read_report(path)["verdict"] == verdict
+        assert run(["recheck", path]) == 0
+
+
 class TestRefutationContract:
     @pytest.mark.parametrize("command", ["resolvent", "perturb", "leftinv"])
     def test_unstable_input_is_refuted_with_exit_two(self, tmp_path, command):
@@ -341,6 +372,16 @@ class TestGenAndRecheck:
         report = read_report(path)
         assert run(["recheck", path]) == 0
         report["certificate"]["worst_ratio"] *= 0.5
+        path.write_text(json.dumps(report))
+        assert run(["recheck", path]) == 2
+
+    def test_recheck_rederives_the_leftinv_witness(self, tmp_path):
+        assert run(["leftinv", "--family", "upwind", "--n", "8", "--out-dir", tmp_path]) == 0
+        path = tmp_path / "leftinv-upwind-n8.json"
+        report = read_report(path)
+        # a larger m0 still satisfies the witness inequality; only
+        # recomputing sigma_min at t0 exposes it
+        report["strong_positivity"]["witness"]["m0"] *= 2.0
         path.write_text(json.dumps(report))
         assert run(["recheck", path]) == 2
 

@@ -19,6 +19,7 @@ from stabcert.lyapunov import (
 from stabcert.models import (
     heat_dirichlet,
     jordan_block,
+    random_matrix,
     random_psd,
     random_stable,
     random_vector,
@@ -32,6 +33,7 @@ from stabcert.semigroup import (
     envelope_witness_search,
     evaluate,
     lower_envelope,
+    spectral_bound,
 )
 from stabcert.space import (
     NormModel,
@@ -158,6 +160,19 @@ class TestRefuteStability:
         assert witness is not None
         assert witness.eigenvalue.real == pytest.approx(0.0, abs=1e-12)
         assert abs(witness.eigenvalue.imag) == pytest.approx(1.0, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31), n=st.integers(1, 12),
+           gap=st.floats(1e-6, 2.0), below=st.booleans())
+    def test_none_iff_spectral_bound_below_threshold(self, seed, n, gap, below):
+        # a dense seeded matrix shifted so its spectral bound sits `gap`
+        # below or above the -1e-10 refutation threshold
+        g = random_matrix(n, seed)
+        target = -1e-10 - gap if below else -1e-10 + gap
+        a = g + (target - spectral_bound(g)) * np.eye(n)
+        stable = spectral_bound(a) < -1e-10
+        assert stable == below
+        assert (refute_stability(a) is None) == stable
 
     def test_witness_is_an_eigenpair(self):
         a = jordan_block(3, 0.5)
@@ -471,7 +486,7 @@ class TestPaperChainInvariants:
             cand = construct_q0(a, RieszMap.from_matrix(nm.w, nm), nm)
             assert cand.theta > 0.0
             rate = dual_map_norm(nm.w, nm) / (2.0 * cand.theta)
-            hit = envelope_witness_search(a, nm, rate, default_time_grid(a))
+            hit = envelope_witness_search(lower_envelope(a, nm, default_time_grid(a)), rate)
             assert hit is not None
 
 

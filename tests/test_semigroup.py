@@ -279,7 +279,7 @@ class TestEnvelopeWitnessSearch:
     def test_scalar_equality_case(self):
         nm = NormModel.identity(2)
         grid = default_time_grid(-np.eye(2))
-        hit = envelope_witness_search(-np.eye(2), nm, 1.0, grid)
+        hit = envelope_witness_search(lower_envelope(-np.eye(2), nm, grid), 1.0)
         assert hit is not None
         t0, m0 = hit
         assert t0 == pytest.approx(grid[0])
@@ -288,7 +288,7 @@ class TestEnvelopeWitnessSearch:
     def test_unreachable_rate_returns_none(self):
         nm = NormModel.identity(2)
         grid = np.linspace(1.0, 5.0, 8)
-        assert envelope_witness_search(-np.eye(2), nm, 0.25, grid) is None
+        assert envelope_witness_search(lower_envelope(-np.eye(2), nm, grid), 0.25) is None
 
 
 def test_certified_decay_model_bounds_the_norms():
