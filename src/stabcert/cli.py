@@ -271,7 +271,7 @@ class _Job:
         os.makedirs(self.args.out_dir, exist_ok=True)
         name = self.args.out or f"{report['command']}-{_tag(self.spec)}.json"
         path = os.path.join(self.args.out_dir, name)
-        write_atomic(path, json.dumps(report, indent=2) + "\n")
+        write_atomic(path, json.dumps(report, separators=(",", ":")) + "\n")
         print(f"{verdict}: report written to {path}")
         return _EXIT_CODES[verdict]
 

@@ -21,6 +21,7 @@ from .numkernel import (
     as_complex_matrix,
     expm,
     gauss_legendre_nodes,
+    hermitian_part,
     singular_extremes,
 )
 from .space import NormModel, op_norm, vec_norm, whiten_operator
@@ -34,6 +35,7 @@ __all__ = [
     "default_time_grid",
     "growth_bound_estimate",
     "certified_decay",
+    "gramian_quadrature",
     "datko_integral",
     "lower_envelope",
     "left_invertibility_witness",
@@ -122,7 +124,8 @@ def growth_bound_estimate(a, nm: NormModel, t_grid) -> SpectralSummary:
     """Estimate the growth bound as min over the grid of log|T(t)| / t.
 
     The estimate upper-bounds the true growth bound and converges to the
-    spectral bound as the grid horizon grows.
+    spectral bound as the grid horizon grows; samples where |T(t)| has
+    underflowed to 0.0 are skipped.
     """
     m = as_complex_matrix(a, "a")
     grid = _validated_grid(t_grid)
@@ -130,10 +133,12 @@ def growth_bound_estimate(a, nm: NormModel, t_grid) -> SpectralSummary:
         raise ValueError(f"time grid needs >= 8 points, got {grid.size}")
     eigs = np.linalg.eigvals(m)
     order = sorted(range(len(eigs)), key=lambda i: (-eigs[i].real, -eigs[i].imag))
+    # whitening each T(t), not A once: exp(t A_w) loses the structure that
+    # keeps exp(t A) accurate deep into the decay for triangular generators
     norms = [op_norm(evaluate(m, t), nm) for t in grid]
     return SpectralSummary(
         s=float(np.max(eigs.real)),
-        omega0_hat=float(min(math.log(v) / t for v, t in zip(norms, grid))),
+        omega0_hat=float(min(math.log(v) / t for v, t in zip(norms, grid) if v > 0.0)),
         eigenvalues=[complex(eigs[i]) for i in order],
         norms=norms,
     )
@@ -153,30 +158,59 @@ def certified_decay(a, nm: NormModel, safety: float = 2.0) -> tuple[float, float
     if s >= 0.0:
         raise UnstableGeneratorError(f"spectral bound {s:.6e} is nonnegative")
     horizon = 20.0 / abs(s)
-    summary = None
     for _ in range(8):
         grid = default_time_grid(m, horizon=horizon)
         summary = growth_bound_estimate(m, nm, grid)
         if summary.omega0_hat <= 0.5 * s:
             break
         horizon *= 2.0
-    if summary is None or summary.omega0_hat >= 0.0:
+    if summary.omega0_hat >= 0.0:
         raise KernelPrecisionError(
             "could not certify a decaying growth-bound estimate; transient growth "
             "exceeds the searched horizons"
         )
     s_hat = 0.5 * (s + summary.omega0_hat)
-    peaks = [v * math.exp(-s_hat * t) for v, t in zip(summary.norms, grid)]
-    return s_hat, safety * max([1.0] + peaks)
+    peaks = [1.0]
+    for v, t in zip(summary.norms, grid):
+        try:
+            peaks.append(v * math.exp(-s_hat * t))
+        except OverflowError:  # only far into the decay, where v is tiny or 0.0
+            peaks.append(math.exp(math.log(v) - s_hat * t) if v > 0.0 else 0.0)
+    return s_hat, safety * max(peaks)
+
+
+def gramian_quadrature(a, weight, t_max: float, panels: int) -> np.ndarray:
+    """Composite 5-point Gauss-Legendre value of int_0^t_max T(t)* W T(t) dt:
+    the sum over k < panels of (S^k)* Wp S^k, with S = T(t_max / panels)
+    and Wp the node-weighted sandwich of one panel.  Squared Smith doubling
+    (Smith, SIAM J. Appl. Math. 16, 1968) takes O(log panels) matmuls:
+    X_2m = X_m + (S^m)* X_m S^m with S^2m = (S^m)^2, and X_m is folded in
+    at every 1 bit of ``panels`` by X_(m+r) = X_m + (S^m)* X_r S^m."""
+    if panels < 1:
+        raise ValueError(f"panels must be >= 1, got {panels}")
+    nodes, weights = gauss_legendre_nodes(t_max / panels, 1)
+    x = 0.0
+    for t, w in zip(nodes, weights):
+        e = evaluate(a, float(t))
+        x = x + w * (e.conj().T @ weight @ e)
+    x, power, total = hermitian_part(x), evaluate(a, t_max / panels), None
+    while True:
+        if panels & 1:
+            total = x if total is None else x + power.conj().T @ total @ power
+        panels >>= 1
+        if not panels:
+            return hermitian_part(total)
+        x = x + power.conj().T @ x @ power
+        power = power @ power
 
 
 def datko_integral(a, nm: NormModel, x, tail_tol: float = 1e-9) -> float:
     """Integral over [0, inf) of |T(t) x|^2 in the weighted norm.
 
-    Quadrature runs to a horizon T* chosen so the certified tail bound
-    m_hat^2 |x|^2 e^{2 s_hat T*} / (2 |s_hat|) falls below ``tail_tol``;
-    panel count tracks the stiffness 2 |A| so the composite rule resolves
-    the fastest mode.
+    x* G x for the ``gramian_quadrature`` G with weight W, run to a horizon
+    T* where the certified tail m_hat^2 |x|^2 e^{2 s_hat T*} / (2 |s_hat|)
+    falls below ``tail_tol``; panel count tracks the stiffness 2 |A| so the
+    composite rule resolves the fastest mode.
     """
     m = as_complex_matrix(a, "a")
     if not (0.0 < tail_tol <= 1e-4):
@@ -195,26 +229,13 @@ def datko_integral(a, nm: NormModel, x, tail_tol: float = 1e-9) -> float:
 
     s_hat, m_hat = certified_decay(m, nm)
     rate = 2.0 * abs(s_hat)
-    t_star = math.log(m_hat ** 2 * x2 / (rate * tail_tol)) / rate
+    t_star = (2.0 * math.log(m_hat) + math.log(x2 / (rate * tail_tol))) / rate
     t_star = max(t_star, 1.0 / abs(s_hat))
 
     stiffness = max(op_norm(m, nm), abs(s_hat))
     panels = max(64, int(math.ceil(t_star * 2.0 * stiffness / 3.0)))
-    delta = t_star / panels
-    nodes, weights = gauss_legendre_nodes(delta, 1)
-    # one exponential per node offset plus one panel-step exponential;
-    # the state vector is propagated panel by panel
-    step = expm(m, delta)
-    samplers = [nm.sqrt_w @ expm(m, float(t)) for t in nodes]
-
-    y = xv.copy()
-    total = 0.0
-    for _ in range(panels):
-        for w, sampler in zip(weights, samplers):
-            v = sampler @ y
-            total += w * float(np.real(np.vdot(v, v)))
-        y = step @ y
-    return total
+    g = gramian_quadrature(m, nm.w, t_star, panels)
+    return float(np.real(np.vdot(xv, g @ xv)))
 
 
 def lower_envelope(a, nm: NormModel, t_grid=None) -> EnvelopeFit:
@@ -231,11 +252,11 @@ def lower_envelope(a, nm: NormModel, t_grid=None) -> EnvelopeFit:
     """
     m = as_complex_matrix(a, "a")
     grid = _validated_grid(t_grid if t_grid is not None else default_time_grid(m))
-    nrm_a = op_norm(m, nm)
+    a_w = whiten_operator(m, nm)  # exp(t A_w) is accurate above the sqrt(eps) stop
+    nrm_a = singular_extremes(a_w)[0]
     samples = []
     for t in grid:
-        tw = whiten_operator(evaluate(m, t), nm)
-        sigma_max, sigma_min = singular_extremes(tw)
+        sigma_max, sigma_min = singular_extremes(evaluate(a_w, t))
         if sigma_min <= math.sqrt(_EPS) * sigma_max:
             break
         noise = 64.0 * _EPS * sigma_max

@@ -411,6 +411,16 @@ class TestDesktopScale:
         assert code == 0
         assert run(["recheck", tmp_path / "resolvent-upwind-n160.json"]) == 0
 
+    @pytest.mark.parametrize("family,n", [("upwind", 128), ("heat", 150)])
+    def test_q0_at_desk_scale(self, tmp_path, family, n):
+        # upwind n=128 passes the horizon where |T(t)| underflows to 0.0;
+        # heat n=150 sums about 136 000 quadrature panels
+        code = run(["q0", "--family", family, "--n", n, "--out-dir", tmp_path])
+        assert code == 0
+        report = read_report(tmp_path / f"q0-{family}-n{n}.json")
+        assert report["verdict"] == "pass"
+        assert run(["recheck", tmp_path / f"q0-{family}-n{n}.json"]) == 0
+
     def test_family_above_the_size_gate_is_operational_error(self, tmp_path, capsys):
         code = run(["gen", "--family", "heat", "--n", "257", "--out-dir", tmp_path])
         assert code == 1
