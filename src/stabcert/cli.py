@@ -12,6 +12,7 @@ with their defaults so a report fully determines its own reproduction.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -73,6 +74,16 @@ _EXIT_CODES = {
     "certified": 0, "not_refuted": 0, "pass": 0,
     "inconclusive": 1,
     "refuted": 2, "fail": 2, "rejected": 2,
+}
+# The verdicts each command can write; ``recheck`` fails a report carrying
+# any other.
+_VERDICTS = {
+    "certify": {"certified", "inconclusive", "refuted"},
+    "refute": {"not_refuted", "refuted"},
+    "q0": {"pass", "inconclusive", "refuted"},
+    "resolvent": {"pass", "fail", "refuted"},
+    "perturb": {"pass", "fail", "rejected", "refuted"},
+    "leftinv": {"pass", "fail", "refuted"},
 }
 
 
@@ -150,6 +161,13 @@ def build_parser() -> _Parser:
     p.add_argument("reports", nargs="+")
     p.set_defaults(func=cmd_recheck)
     return parser
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The parser ``main`` reuses: building one costs milliseconds, parsing
+    leaves it unchanged."""
+    return build_parser()
 
 
 def _parse_complex(text: str) -> complex:
@@ -508,6 +526,8 @@ def _recheck_one(path: str) -> list:
         nm = NormModel.identity(a.shape[0])
     tol = float(report.get("config", {}).get("tol", DEFAULT_MEMBERSHIP_TOL))
     verdict = report.get("verdict")
+    if verdict not in _VERDICTS.get(command, ()):
+        return [f"verdict {verdict!r} is not one that {command!r} writes"]
 
     def close(x, y, what):
         if abs(x - y) > _RECHECK_REL_TOL * max(abs(x), abs(y), 1.0):
@@ -624,9 +644,8 @@ def cmd_recheck(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except _CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -7,6 +7,7 @@ identical (n, margin, seed) yields identical matrices on any platform.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
@@ -169,6 +170,20 @@ def build_model(spec: ModelSpec) -> np.ndarray:
     raise ValueError(f"unknown family {spec.family!r}, expected one of {_FAMILIES}")
 
 
+def _number_pairs(data: list) -> np.ndarray | None:
+    """``data`` as complex entries when every one is a two-element list of
+    exact ints and floats; None sends the caller to its per-entry checks."""
+    if set(map(type, data)) != {list} or set(map(len, data)) != {2}:
+        return None
+    flat = list(itertools.chain.from_iterable(data))
+    if not set(map(type, flat)) <= {int, float}:
+        return None
+    try:
+        return np.array(flat, dtype=float).view(complex)
+    except OverflowError:  # an int beyond the float range
+        return None
+
+
 def matrix_from_json_dict(doc) -> np.ndarray:
     if not isinstance(doc, dict):
         raise MatrixFormatError(f"matrix document must be an object, got {type(doc).__name__}")
@@ -201,14 +216,20 @@ def matrix_from_json_dict(doc) -> np.ndarray:
         if not isinstance(data, list) or len(data) != total:
             got = len(data) if isinstance(data, list) else type(data).__name__
             raise MatrixFormatError(f"data has {got} entries, expected rows*cols = {total}")
-        for k, pair in enumerate(data):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in pair)
-            ):
-                raise MatrixFormatError(f"data[{k}] must be a [re, im] number pair, got {pair!r}")
-            m[k // cols, k % cols] = complex(float(pair[0]), float(pair[1]))
+        pairs = _number_pairs(data)
+        if pairs is not None:
+            m[:] = pairs.reshape(rows, cols)
+        else:
+            for k, pair in enumerate(data):
+                if (
+                    not isinstance(pair, list)
+                    or len(pair) != 2
+                    or not all(isinstance(p, (int, float)) and not isinstance(p, bool)
+                               for p in pair)
+                ):
+                    raise MatrixFormatError(
+                        f"data[{k}] must be a [re, im] number pair, got {pair!r}")
+                m[k // cols, k % cols] = complex(float(pair[0]), float(pair[1]))
     if not np.all(np.isfinite(m.view(np.float64))):
         bad = int(np.flatnonzero(~np.isfinite(m.reshape(-1).view(np.float64)))[0] // 2)
         raise MatrixFormatError(f"non-finite entry at offset {bad}")

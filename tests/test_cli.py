@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from stabcert.cli import main
+from stabcert.cli import _EXIT_CODES, _VERDICTS, main
 from stabcert.models import (
     heat_dirichlet,
     matrix_from_json_dict,
@@ -384,6 +384,19 @@ class TestGenAndRecheck:
         report["strong_positivity"]["witness"]["m0"] *= 2.0
         path.write_text(json.dumps(report))
         assert run(["recheck", path]) == 2
+
+    def test_recheck_fails_a_verdict_the_command_cannot_write(self, tmp_path, capsys):
+        assert run(["leftinv", "--family", "upwind", "--n", "8", "--out-dir", tmp_path]) == 0
+        path = tmp_path / "leftinv-upwind-n8.json"
+        report = read_report(path)
+        report["verdict"] = "certified"
+        path.write_text(json.dumps(report))
+        assert run(["recheck", path]) == 2
+        assert "'certified' is not one that 'leftinv' writes" in capsys.readouterr().out
+
+    def test_verdict_table_covers_exactly_the_exit_code_table(self):
+        assert set().union(*_VERDICTS.values()) == set(_EXIT_CODES)
+        assert all("refuted" in verdicts for verdicts in _VERDICTS.values())
 
     def test_recheck_rejects_non_reports(self, tmp_path):
         path = tmp_path / "nonsense.json"

@@ -193,6 +193,24 @@ class TestMatrixJson:
         with pytest.raises(MatrixFormatError, match="pair"):
             matrix_from_json_dict({"rows": 1, "cols": 1, "data": [[1, 0, 3]]})
 
+    @pytest.mark.parametrize("bad", [[True, 0.0], ["1", 0.0], [None, 0.0], [1.0, 2.0, 3.0],
+                                     [[1.0], 0.0], True, "1", None])
+    def test_irregular_pair_keeps_its_message(self, bad):
+        doc = {"rows": 2, "cols": 2, "data": [[1.0, 0.0], [0, 2], bad, [3.5, -1.0]]}
+        message = f"data[2] must be a [re, im] number pair, got {bad!r}"
+        with pytest.raises(MatrixFormatError) as excinfo:
+            matrix_from_json_dict(doc)
+        assert str(excinfo.value) == message
+
+    def test_decoding_matches_entry_by_entry_conversion(self):
+        pairs = [[1, -0.0], [2**60 + 1, 0.1], [-3, 7], [1e-310, -2.5e300]]
+        expected = np.array([complex(float(re), float(im)) for re, im in pairs]).reshape(2, 2)
+        got = matrix_from_json_dict({"rows": 2, "cols": 2, "data": pairs})
+        assert got.tobytes() == expected.tobytes()
+        # float subclasses take the per-entry path and are still accepted
+        doc = {"rows": 1, "cols": 2, "data": [[np.float64(1.5), 0], [2, 1]]}
+        assert np.array_equal(matrix_from_json_dict(doc), [[1.5, 2 + 1j]])
+
     def test_malformed_file_diagnostics(self, tmp_path):
         bad = tmp_path / "notamatrix.json"
         bad.write_text("this is not json")

@@ -1,9 +1,13 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabcert import numkernel
 from stabcert.numkernel import (
     NonHermitianError,
     SingularMatrixError,
@@ -16,7 +20,14 @@ from stabcert.numkernel import (
     solve_linear,
     spectral_norm,
 )
-from stabcert.models import random_hermitian, random_matrix, random_stable
+from stabcert.models import (
+    heat_dirichlet,
+    jordan_block,
+    random_hermitian,
+    random_matrix,
+    random_stable,
+    upwind_shift,
+)
 
 
 class TestExpm:
@@ -72,6 +83,66 @@ class TestExpm:
             spectral_norm(ts) * spectral_norm(tt) + spectral_norm(tst) + 1.0
         )
         assert spectral_norm(ts @ tt - tst) <= slack
+
+
+_FAMILIES = {
+    "heat": heat_dirichlet,
+    "upwind": upwind_shift,
+    "jordan": lambda n: jordan_block(n, -1.0),
+    "random-stable": lambda n: random_stable(n, 0.5, 3),
+}
+_U = float(np.finfo(np.float64).eps)
+
+
+class TestPadeKernel:
+    @pytest.mark.parametrize("n", [8, 48, 150, 256])
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_against_scipy_over_six_decades_of_t(self, family, n):
+        # Both kernels are backward stable, and the relative condition
+        # number of exp at tA is about t|A| (exactly t|A|_2 for normal A),
+        # so either may be off by a few u max(1, t|A|_1) relative; allow
+        # 100 of them in the 2-norm.  Where e^{tA} underflows to 0 (heat at
+        # large t) the floor is the smallest normal double.
+        a = _FAMILIES[family](n)
+        a_norm = np.linalg.norm(a, 1)
+        for t in np.logspace(-3.0, 3.0, 7):
+            ref = scipy.linalg.expm(a * t)
+            bound = 100.0 * _U * max(1.0, t * a_norm) * spectral_norm(ref)
+            assert spectral_norm(expm(a, t) - ref) <= max(bound, np.finfo(np.float64).tiny), t
+
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_upwind_against_the_analytic_semigroup(self, n):
+        # A = S - I with S the lower shift: T(t) = e^{-t} sum_k t^k S^k / k!,
+        # whose k-th subdiagonal is e^{-t + k log t - lgamma(k + 1)}.  Both
+        # sides are scaled by the same power of two before the norm so the
+        # SVD never sees values near the underflow threshold.
+        a = upwind_shift(n)
+        for t in (0.5, 10.0, 100.0, 200.0, 400.0, 800.0):
+            diagonals = [math.exp(-t + k * math.log(t) - math.lgamma(k + 1)) for k in range(n)]
+            exact = sum(np.diag(np.full(n - k, d), -k) for k, d in enumerate(diagonals))
+            shift = -math.frexp(max(diagonals))[1]
+            ref = spectral_norm(exact * 2.0 ** shift)
+            ours = spectral_norm(expm(a, t) * 2.0 ** shift)
+            assert abs(ours - ref) <= 1e-12 * ref, (t, ours, ref)
+
+    @pytest.mark.parametrize("degree", [3, 5, 7, 9, 13])
+    def test_each_pade_degree_at_the_edge_of_its_range(self, degree):
+        # |X|_1 just inside theta_m selects degree m unscaled, where the
+        # approximant must already be exact to the unit roundoff; one
+        # degree lower would be off by far more than the bounds here.
+        theta = numkernel._PADE_THETA[degree]
+        for x in (0.999 * theta, -0.999 * theta, 0.999j * theta):
+            got = expm(np.array([[x]]), 1.0)[0, 0]
+            # exp's relative condition number at x is |x|
+            assert abs(got - cmath.exp(x)) <= 4.0 * _U * max(1.0, abs(x)) * abs(cmath.exp(x)), x
+        b = random_matrix(6, degree)
+        b *= 0.999 * theta / np.linalg.norm(b, 1)
+        ref = scipy.linalg.expm(b)
+        assert spectral_norm(expm(b, 1.0) - ref) <= 50.0 * _U * spectral_norm(ref)
+
+    @pytest.mark.parametrize("t", [1e-3, 1.0, 1e3])
+    def test_zero_matrix_gives_the_exact_identity(self, t):
+        assert np.array_equal(expm(np.zeros((5, 5)), t), np.eye(5, dtype=complex))
 
 
 class TestHermitianEig:
