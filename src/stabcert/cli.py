@@ -23,7 +23,9 @@ import numpy as np
 
 from . import __version__
 from .lyapunov import (
+    CERTIFICATE_SLACK,
     DEFAULT_MEMBERSHIP_TOL,
+    REFUTE_REAL_PART_TOL,
     LyapunovCandidate,
     certificate,
     construct_q0,
@@ -46,12 +48,15 @@ from .models import (
 from .numkernel import KernelPrecisionError, expm, spectral_norm
 from .perturb import RadiusExceededError, max_alpha, verify_perturbation
 from .resolvent import (
+    DEFAULT_SCAN_TOL,
     export_scan_csv,
     resolvent_norm,
     verify_bound_left_strip,
     verify_bound_right,
 )
 from .semigroup import (
+    WITNESS_SLACK,
+    EnvelopeFit,
     UnstableGeneratorError,
     default_time_grid,
     envelope_witness_search,
@@ -63,10 +68,9 @@ from .space import NormModel, RieszMap, op_norm
 
 __all__ = ["main", "entrypoint"]
 
-_WITNESS_REAL_TOL = 1e-10
 _WITNESS_RESIDUAL_TOL = 1e-6
 _RECHECK_REL_TOL = 1e-9
-_CERTIFICATE_GRID_SLACK = 1e-8  # lyapunov.certificate's default slack
+_STRONG_POSITIVITY_SLACK = 1e-8
 
 # The exit code of every verdict a report can carry.  Operational errors
 # never reach a report: ``main`` turns them into exit 1.
@@ -458,6 +462,12 @@ def cmd_perturb(args) -> int:
     })
 
 
+def _strong_positivity(theta: float, fit: EnvelopeFit) -> tuple[float, bool, float]:
+    bound = fit.c ** 2 / (2.0 * fit.alpha) if fit.alpha > 0.0 else 0.0
+    # the witness rate |W| / (2 theta), and |W| = 1 as a map X -> X*: the whitened W is I
+    return bound, theta >= bound - _STRONG_POSITIVITY_SLACK, 1.0 / (2.0 * theta)
+
+
 def cmd_leftinv(args) -> int:
     t_grid = None
     if args.t_grid:
@@ -476,10 +486,7 @@ def cmd_leftinv(args) -> int:
 
     cand = job.candidate()
     fit = lower_envelope(a, nm, t_grid)
-    bound = fit.c ** 2 / (2.0 * fit.alpha) if fit.alpha > 0.0 else 0.0
-    ok = cand.theta >= bound - 1e-8
-    # |W| / (2 theta), and |W| = 1 as a map X -> X*: the whitened W is I
-    rate = 1.0 / (2.0 * cand.theta)
+    bound, ok, rate = _strong_positivity(cand.theta, fit)
     t0 = envelope_witness_search(fit, rate)
     print(f"c={fit.c:.6e} alpha={fit.alpha:.6e} theta={cand.theta:.6e} "
           f"c^2/(2 alpha)={bound:.6e}")
@@ -512,8 +519,8 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _recheck_one(path: str) -> list:
-    """Re-validate one report from its embedded data; returns problems."""
+def _recheck_one(path: str) -> tuple[str | None, list]:
+    """Re-derive one report's verdict from its embedded data: (verdict, problems)."""
     problems = []
     with open(path, "r", encoding="utf-8") as fh:
         report = json.load(fh)
@@ -527,98 +534,95 @@ def _recheck_one(path: str) -> list:
     tol = float(report.get("config", {}).get("tol", DEFAULT_MEMBERSHIP_TOL))
     verdict = report.get("verdict")
     if verdict not in _VERDICTS.get(command, ()):
-        return [f"verdict {verdict!r} is not one that {command!r} writes"]
+        return None, [f"verdict {verdict!r} is not one that {command!r} writes"]
 
     def close(x, y, what):
         if abs(x - y) > _RECHECK_REL_TOL * max(abs(x), abs(y), 1.0):
             problems.append(f"{what}: recomputed {x!r} vs reported {y!r}")
 
-    def check_witness(block):
-        lam = complex(block["eigenvalue"][0], block["eigenvalue"][1])
-        v = matrix_from_json_dict(block["vector"]).reshape(-1)
-        if lam.real < -_WITNESS_REAL_TOL:
-            problems.append(f"witness real part {lam.real!r} below -1e-10")
-        residual = np.linalg.norm(a @ v - lam * v)
-        scale = _WITNESS_RESIDUAL_TOL * (1.0 + spectral_norm(a)) * np.linalg.norm(v)
-        if residual > scale:
-            problems.append(f"witness residual {residual!r} exceeds {scale!r}")
-
-    def check_candidate(block, what):
+    if verdict != "refuted" and command != "refute":
+        block = report.get("certificate") or report.get("q0") or report["candidate"]
         try:
             cand = membership_margin(matrix_from_json_dict(block["q"]), a, nm, tol=tol)
         except ValueError as exc:
-            problems.append(f"{what}: embedded candidate invalid ({exc})")
-            return None
-        close(cand.margin, block["margin"], f"{what} margin")
-        close(cand.q_norm, block["q_norm"], f"{what} |Q|")
-        close(cand.theta, block["theta"], f"{what} theta")
-        if block.get("member") and not cand.margin <= tol:
-            problems.append(f"{what}: reported member but margin {cand.margin!r} > {tol!r}")
-        return cand
+            return None, [f"embedded candidate invalid ({exc})"]
+        for key, value in (("margin", cand.margin), ("q_norm", cand.q_norm),
+                           ("theta", cand.theta), ("member", cand.is_member)):
+            close(value, block[key], f"candidate {key}")
 
-    if verdict in ("refuted",):
-        check_witness(report["witness"])
-    elif command == "certify" and verdict == "certified":
-        block = report["certificate"]
-        cand = check_candidate(block, "certificate")
-        if cand is not None:
-            close(1.0 / (2.0 * cand.q_norm), block["epsilon"], "epsilon")
-            close(math.sqrt(cand.q_norm / cand.theta), block["M"], "M")
-        t = block["grid"]["worst_t"]
-        ratio = op_norm(expm(a, t), nm) / (block["M"] * math.exp(-block["epsilon"] * t))
-        close(ratio, block["worst_ratio"], f"envelope ratio at t={t!r}")
-        if ratio > 1.0 + _CERTIFICATE_GRID_SLACK:
-            problems.append(f"envelope ratio {ratio!r} at t={t!r} breaks the certified bound")
-    elif command == "refute" and verdict == "not_refuted":
-        if refute_stability(a) is not None:
-            problems.append("report says not_refuted but a witness exists")
+    if verdict == "refuted":
+        block = report["witness"]
+        lam = complex(block["eigenvalue"][0], block["eigenvalue"][1])
+        v = matrix_from_json_dict(block["vector"]).reshape(-1)
+        residual = np.linalg.norm(a @ v - lam * v)
+        scale = _WITNESS_RESIDUAL_TOL * (1.0 + spectral_norm(a)) * np.linalg.norm(v)
+        if lam.real < -REFUTE_REAL_PART_TOL or residual > scale:
+            problems.append(f"witness fails: real part {lam.real!r}, residual {residual!r} "
+                            f"(at most {scale!r})")
+        derived = "refuted"
+    elif command == "refute":
+        derived = "not_refuted" if refute_stability(a) is None else "refuted"
     elif command == "q0":
-        check_candidate(report["q0"], "q0")
+        derived = "pass" if cand.is_member else "inconclusive"
+    elif command == "certify":
+        derived = "inconclusive"
+        if cand.is_member:
+            block = report["certificate"]
+            epsilon, m = 1.0 / (2.0 * cand.q_norm), math.sqrt(cand.q_norm / cand.theta)
+            close(epsilon, block["epsilon"], "epsilon")
+            close(m, block["M"], "M")
+            t = block["grid"]["worst_t"]
+            ratio = op_norm(expm(a, t), nm) / (m * math.exp(-epsilon * t))
+            close(ratio, block["worst_ratio"], f"envelope ratio at t={t!r}")
+            close(ratio <= 1.0 + CERTIFICATE_SLACK, block["grid_pass"], "grid_pass")
+            if ratio <= 1.0 + CERTIFICATE_SLACK:
+                derived = "certified"
     elif command == "resolvent":
-        cand = check_candidate(report["candidate"], "candidate")
-        if cand is None:
-            return problems
+        derived = "pass"
         for kind, scan in report["scans"].items():
             lam = complex(scan["argmax"][0], scan["argmax"][1])
-            bound = scan["bound"] if kind == "right" else (
-                2.0 * cand.q_norm / (1.0 + 2.0 * cand.q_norm * lam.real))
+            # the right scan's bound 2|Q| is the strip's at Re lambda = 0
+            bound = 2.0 * cand.q_norm / (1.0 + 2.0 * cand.q_norm * min(lam.real, 0.0))
             ratio = resolvent_norm(a, lam, nm) / bound
-            if ratio > scan["worst_ratio"] * (1.0 + _RECHECK_REL_TOL) + _RECHECK_REL_TOL:
-                problems.append(f"{kind} scan: argmax ratio {ratio!r} above reported worst")
-            if scan["pass"] and ratio > 1.0 + scan["tol"]:
-                problems.append(f"{kind} scan: reported pass but argmax ratio breaks the bound")
-    elif command == "perturb" and verdict in ("pass", "fail"):
-        cand = check_candidate(report["candidate"], "candidate")
-        if cand is None:
-            return problems
+            close(ratio, scan["worst_ratio"], f"{kind} scan argmax ratio")
+            close(ratio <= 1.0 + DEFAULT_SCAN_TOL, scan["pass"], f"{kind} scan pass")
+            if ratio > 1.0 + DEFAULT_SCAN_TOL:
+                derived = "fail"
+    elif command == "perturb":
         block = report["perturbation"]
-        b_doc = block.get("b") or block.get("worst_b")
-        b = matrix_from_json_dict(b_doc)
-        rep = verify_perturbation(a, b, cand, block["alpha"], nm)
-        reported = block.get("margin_after", block.get("worst_margin_after"))
-        close(rep.margin_after, reported, "perturbed margin")
-        if verdict == "pass" and not rep.margin_after <= tol:
-            problems.append(f"perturbed margin {rep.margin_after!r} exceeds {tol!r}")
-        if verdict == "pass" and not rep.rescaled_member:
-            problems.append("rescaled candidate is not a member on recheck")
-    elif command == "leftinv" and verdict in ("pass", "fail"):
-        cand = check_candidate(report["candidate"], "candidate")
-        env = report["envelope"]
-        c, alpha = env["c"], env["alpha"]
-        for t, m in env["samples"]:
-            if m < c * math.exp(-alpha * t) * (1.0 - 1e-12):
-                problems.append(f"envelope violated at t={t!r}: m={m!r}")
-                break
-        sp = report["strong_positivity"]
-        if cand is not None and alpha > 0.0 and verdict == "pass":
-            if cand.theta < c * c / (2.0 * alpha) - 1e-8:
-                problems.append("strong positivity inequality fails on recheck")
-        if sp.get("witness"):
+        b = matrix_from_json_dict(block["b"] if "b" in block else block["worst_b"])
+        try:
+            rep = verify_perturbation(a, b, cand, block["alpha"], nm)
+        except RadiusExceededError as exc:
+            close(exc.excess, block["excess"], "excess over the radius")
+            derived = "rejected"
+        else:
+            margin = block["margin_after"] if "b" in block else block["worst_margin_after"]
+            close(rep.margin_after, margin, "perturbed margin")
+            # the worst trial decides all: each rescaled margin is k margin_after
+            all_pass = block.get("passes") == block.get("trials")  # None == None for a B
+            ok = rep.margin_after <= tol and rep.rescaled_member and all_pass
+            derived = "pass" if ok else "fail"
+    else:  # leftinv
+        env, sp = report["envelope"], report["strong_positivity"]
+        fit = EnvelopeFit(c=env["c"], alpha=env["alpha"], grid=env["samples"])
+        low = [(t, m) for t, m in fit.grid if m < fit.c * math.exp(-fit.alpha * t) * (1 - 1e-12)]
+        if low:
+            problems.append(f"envelope violated at t={low[0][0]!r}: m={low[0][1]!r}")
+        bound, ok, rate = _strong_positivity(cand.theta, fit)
+        close(bound, sp["envelope_bound"], "envelope bound")
+        close(ok, sp["inequality_ok"], "inequality_ok")
+        close(rate, sp["witness_rate"], "witness rate")
+        if sp["witness"] is None:  # none reported: search the samples for one
+            witnessed = envelope_witness_search(fit, rate) is not None
+        else:
             t0, m0 = sp["witness"]["t0"], sp["witness"]["m0"]
             close(left_invertibility_witness(a, nm, t0), m0, f"witness m0 at t0={t0!r}")
-            if m0 < math.exp(-sp["witness_rate"] * t0) * (1.0 - 1e-6) * (1.0 - 1e-12):
-                problems.append("left-invertibility witness fails its inequality")
-    return problems
+            witnessed = m0 >= math.exp(-rate * t0) * (1.0 - WITNESS_SLACK)
+        derived = "pass" if ok and witnessed else "fail"
+    if derived != verdict:
+        problems.append(f"verdict {verdict!r}, but the embedded data give {derived!r}")
+    return derived, problems
 
 
 def cmd_recheck(args) -> int:
@@ -626,7 +630,7 @@ def cmd_recheck(args) -> int:
     broken = 0
     for path in args.reports:
         try:
-            problems = _recheck_one(path)
+            derived, problems = _recheck_one(path)
         except (KeyError, TypeError, ValueError, json.JSONDecodeError, OSError) as exc:
             broken += 1
             print(f"{path}: not a readable report ({exc})")
@@ -637,7 +641,7 @@ def cmd_recheck(args) -> int:
             for problem in problems:
                 print(f"  - {problem}")
         else:
-            print(f"{path}: ok")
+            print(f"{path}: ok ({derived})")
     if failures:
         return 2
     return 1 if broken else 0

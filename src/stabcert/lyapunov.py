@@ -41,9 +41,9 @@ __all__ = [
 ]
 
 DEFAULT_MEMBERSHIP_TOL = 1e-8
+CERTIFICATE_SLACK = 1e-8  # envelope ratio the certificate grid may reach above 1
 SIGN_MAX_STEPS = 50
-
-_REFUTE_REAL_PART_TOL = 1e-10
+REFUTE_REAL_PART_TOL = 1e-10
 
 
 class NotPositiveSemidefiniteError(ValueError):
@@ -139,7 +139,7 @@ def refute_stability(a) -> Optional[Witness]:
     """
     aa = as_complex_matrix(a, "a")
     vals, vecs = np.linalg.eig(aa)
-    hits = [i for i in range(len(vals)) if vals[i].real >= -_REFUTE_REAL_PART_TOL]
+    hits = [i for i in range(len(vals)) if vals[i].real >= -REFUTE_REAL_PART_TOL]
     if not hits:
         return None
     best = max(hits, key=lambda i: (vals[i].real, vals[i].imag))
@@ -245,12 +245,7 @@ def construct_q0(
     return membership_margin(q0, aa, nm, tol=tol)
 
 
-def certificate(
-    cand: LyapunovCandidate,
-    a,
-    nm: NormModel,
-    slack: float = 1e-8,
-) -> StabilityCertificate:
+def certificate(cand: LyapunovCandidate, a, nm: NormModel) -> StabilityCertificate:
     """Explicit decay envelope from a member, verified on a grid.
 
     Differentiating <Q T(t)x, T(t)x> along the semigroup and feeding the
@@ -286,7 +281,7 @@ def certificate(
         candidate=cand,
         epsilon=epsilon,
         overshoot=overshoot,
-        grid_pass=ratios[worst] <= 1.0 + slack,
+        grid_pass=ratios[worst] <= 1.0 + CERTIFICATE_SLACK,
         worst_ratio=ratios[worst],
         t_grid=grid.tolist(),
         worst_t=float(grid[worst]),

@@ -184,6 +184,13 @@ def _number_pairs(data: list) -> np.ndarray | None:
         return None
 
 
+def _entry_float(value, k: int) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the float range
+        raise MatrixFormatError(f"entry at offset {k} is beyond the float range") from None
+
+
 def matrix_from_json_dict(doc) -> np.ndarray:
     if not isinstance(doc, dict):
         raise MatrixFormatError(f"matrix document must be an object, got {type(doc).__name__}")
@@ -210,7 +217,7 @@ def matrix_from_json_dict(doc) -> np.ndarray:
         for k, value in enumerate(data):
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise MatrixFormatError(f"data_real[{k}] is not a number: {value!r}")
-            m[k // cols, k % cols] = float(value)
+            m[k // cols, k % cols] = _entry_float(value, k)
     else:
         data = doc["data"]
         if not isinstance(data, list) or len(data) != total:
@@ -229,7 +236,7 @@ def matrix_from_json_dict(doc) -> np.ndarray:
                 ):
                     raise MatrixFormatError(
                         f"data[{k}] must be a [re, im] number pair, got {pair!r}")
-                m[k // cols, k % cols] = complex(float(pair[0]), float(pair[1]))
+                m[k // cols, k % cols] = complex(_entry_float(pair[0], k), _entry_float(pair[1], k))
     if not np.all(np.isfinite(m.view(np.float64))):
         bad = int(np.flatnonzero(~np.isfinite(m.reshape(-1).view(np.float64)))[0] // 2)
         raise MatrixFormatError(f"non-finite entry at offset {bad}")

@@ -206,10 +206,10 @@ def solve_linear(m, b, check_singularity: bool = True) -> np.ndarray:
     return x
 
 
-def gauss_legendre_nodes(upper: float, panels: int, order: int = 5):
+def gauss_legendre_nodes(upper: float, panels: int):
     """Composite Gauss-Legendre nodes and weights on [0, upper].
 
-    Returns flat arrays of ``panels * order`` nodes (increasing) and the
+    Returns flat arrays of ``5 * panels`` nodes (increasing) and the
     matching weights.  The 5-point rule is exact for polynomials of
     degree 9 on each panel.
     """
@@ -217,7 +217,7 @@ def gauss_legendre_nodes(upper: float, panels: int, order: int = 5):
         raise ValueError(f"upper limit must be positive, got {upper}")
     if panels < 1:
         raise ValueError(f"panels must be >= 1, got {panels}")
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = np.polynomial.legendre.leggauss(5)
     width = upper / panels
     starts = width * np.arange(panels)
     nodes = (starts[:, None] + 0.5 * width * (x[None, :] + 1.0)).ravel()

@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 DEFAULT_SCAN_TOL = 1e-9
+_PROOF_SAMPLES = 3
+_PROFILE_STABLE_REL = 1e-6
+_PROFILE_MAX_REFINEMENTS = 12
 
 
 class ResolventSingularError(SingularMatrixError):
@@ -82,13 +85,13 @@ def resolvent_norm(a, lam: complex, nm: NormModel) -> float:
     return _shifted(whiten_operator(as_complex_matrix(a, "a"), nm), complex(lam))[1]
 
 
-def _scan_report(kind, grid, norms, pointwise, bound, tol, **diagnostics) -> ScanReport:
+def _scan_report(kind, grid, norms, pointwise, bound, **diagnostics) -> ScanReport:
     ratios = [nrm / b for nrm, b in zip(norms, pointwise)]
     worst = max(ratios)
     ties = [lam for lam, r in zip(grid, ratios) if r == worst]
     return ScanReport(kind=kind, grid=grid, norms=norms, pointwise_bounds=pointwise,
-                      bound=bound, worst_ratio=worst, passed=worst <= 1.0 + tol,
-                      argmax=min(ties, key=lambda z: (z.real, z.imag)), tol=tol, **diagnostics)
+                      bound=bound, worst_ratio=worst, passed=worst <= 1.0 + DEFAULT_SCAN_TOL,
+                      argmax=min(ties, key=lambda z: (z.real, z.imag)), **diagnostics)
 
 
 def verify_bound_right(
@@ -98,8 +101,6 @@ def verify_bound_right(
     omega_max: float | None = None,
     n_axis: int = 129,
     n_interior: int = 16,
-    tol: float = DEFAULT_SCAN_TOL,
-    proof_samples: int = 3,
 ) -> ScanReport:
     """Check sup over the right half-plane of |R(lambda)| against
     2 min |Q| over the supplied members.
@@ -141,8 +142,8 @@ def verify_bound_right(
     n = aa.shape[0]
     aw = whiten_operator(aa, nm)
     rng = SplitMix64(0x5EED)
-    samples = np.array([random_vector(n, rng) for _ in range(proof_samples)], dtype=complex)
-    wy = nm.sqrt_w @ samples.reshape(proof_samples, n).T
+    samples = np.array([random_vector(n, rng) for _ in range(_PROOF_SAMPLES)], dtype=complex)
+    wy = nm.sqrt_w @ samples.reshape(_PROOF_SAMPLES, n).T
     y_norms = np.linalg.norm(wy, axis=0)
     norms, slack = [], math.inf
     for lam in grid:
@@ -161,7 +162,7 @@ def verify_bound_right(
         tail_ratio = (1.0 / (omega_max - nrm_a)) / bound
 
     return _scan_report(
-        "right-half-plane", grid, norms, [bound] * len(grid), bound, tol,
+        "right-half-plane", grid, norms, [bound] * len(grid), bound,
         proof_slack=float(slack),
         tail_ratio=float(tail_ratio),
     )
@@ -173,7 +174,6 @@ def verify_bound_left_strip(
     cand: LyapunovCandidate,
     delta0: float,
     n_grid: int = 24,
-    tol: float = DEFAULT_SCAN_TOL,
 ) -> ScanReport:
     """Check the pointwise strip bound |R| <= 2|Q| / (1 + 2|Q| Re lambda)
     on a grid over (max(s(A), -1/(2|Q|)), -delta0] x [-10|A|, 10|A|] i.
@@ -211,7 +211,7 @@ def verify_bound_left_strip(
     norms = [_shifted(aw, lam)[1] for lam in grid]
     pointwise = [2.0 * qn / (1.0 + 2.0 * qn * lam.real) for lam in grid]
     return _scan_report("left-strip", grid, norms, pointwise,
-                        2.0 * qn / (1.0 - 2.0 * delta0 * qn), tol)
+                        2.0 * qn / (1.0 - 2.0 * delta0 * qn))
 
 
 def abscissa_profile(
@@ -220,14 +220,12 @@ def abscissa_profile(
     a_values,
     omega_max: float | None = None,
     n: int = 64,
-    stable_rel: float = 1e-6,
-    max_refinements: int = 12,
 ):
     """Vertical-line sup profile: for each abscissa the sup over
     omega in [-omega_max, omega_max] of |R(a + i omega)|.
 
-    Each line is refined by doubling the sample count until the sup is
-    stable to ``stable_rel`` relative change.  Finite for every abscissa
+    Each line is refined by doubling the sample count, at most 12 times,
+    until the sup is stable to 1e-6 relative change.  Finite for every abscissa
     to the right of the spectral bound, and blowing up as the abscissa
     approaches it.
     """
@@ -245,10 +243,10 @@ def abscissa_profile(
             )
         count = max(int(n) | 1, 5)
         sup = None
-        for _ in range(max_refinements):
+        for _ in range(_PROFILE_MAX_REFINEMENTS):
             previous, sup = sup, max(_shifted(aw, complex(abscissa, w))[1]
                                      for w in np.linspace(-omega_max, omega_max, count))
-            if previous is not None and abs(sup - previous) <= stable_rel * sup:
+            if previous is not None and abs(sup - previous) <= _PROFILE_STABLE_REL * sup:
                 break
             count = 2 * count - 1
         profile.append((abscissa, float(sup)))

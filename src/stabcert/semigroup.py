@@ -42,7 +42,10 @@ __all__ = [
     "envelope_witness_search",
 ]
 
+WITNESS_SLACK = 1e-6  # relative room below e^{-rate t0} a witness m0 may take
 _EPS = float(np.finfo(np.float64).eps)
+_GRID_POINTS = 64
+_DECAY_SAFETY = 2.0
 
 
 class UnstableGeneratorError(RuntimeError):
@@ -92,7 +95,7 @@ def spectral_bound(a) -> float:
     return float(np.max(np.linalg.eigvals(m).real))
 
 
-def default_time_grid(a, points: int = 64, horizon: float | None = None) -> np.ndarray:
+def default_time_grid(a, horizon: float | None = None) -> np.ndarray:
     """64 log-spaced samples up to the horizon 20/|s|, starting at the least
     of 0.01, horizon/1000 and 1/rho(A), before the fastest mode decays by e.
     Non-decaying generators need an explicit horizon, whose grid starts at
@@ -108,7 +111,7 @@ def default_time_grid(a, points: int = 64, horizon: float | None = None) -> np.n
     if not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     start = min(start, horizon / 1000.0)
-    return np.logspace(math.log10(start), math.log10(horizon), points)
+    return np.logspace(math.log10(start), math.log10(horizon), _GRID_POINTS)
 
 
 def _validated_grid(t_grid) -> np.ndarray:
@@ -144,13 +147,13 @@ def growth_bound_estimate(a, nm: NormModel, t_grid) -> SpectralSummary:
     )
 
 
-def certified_decay(a, nm: NormModel, safety: float = 2.0) -> tuple[float, float]:
+def certified_decay(a, nm: NormModel) -> tuple[float, float]:
     """Decay model (s_hat, m_hat) with |T(t)| <= m_hat e^{s_hat t}.
 
     s_hat is the midpoint of the spectral bound and the grid growth-bound
     estimate (the spectral bound alone ignores transient growth of
     nonnormal generators); m_hat is the grid supremum of |T(t)| e^{-s_hat t}
-    padded by a safety factor.  The grid horizon doubles until the
+    padded by a safety factor of 2.  The grid horizon doubles until the
     estimate is well inside the decaying regime.
     """
     m = as_complex_matrix(a, "a")
@@ -176,7 +179,7 @@ def certified_decay(a, nm: NormModel, safety: float = 2.0) -> tuple[float, float
             peaks.append(v * math.exp(-s_hat * t))
         except OverflowError:  # only far into the decay, where v is tiny or 0.0
             peaks.append(math.exp(math.log(v) - s_hat * t) if v > 0.0 else 0.0)
-    return s_hat, safety * max(peaks)
+    return s_hat, _DECAY_SAFETY * max(peaks)
 
 
 def gramian_quadrature(a, weight, t_max: float, panels: int) -> np.ndarray:
@@ -290,9 +293,8 @@ def left_invertibility_witness(a, nm: NormModel, t0: float) -> float:
     return singular_extremes(tw)[1]
 
 
-def envelope_witness_search(fit: EnvelopeFit, rate: float, slack: float = 1e-6):
-    """First sample (t0, m0) of ``fit.grid`` with m0 >= e^{-rate t0} (1 - slack),
-    or None.
+def envelope_witness_search(fit: EnvelopeFit, rate: float):
+    """First grid sample (t0, m0) with m0 >= e^{-rate t0} (1 - WITNESS_SLACK), or None.
 
     This is the grid replacement for the existence argument that turns a
     strongly positive certificate into a single-time left-invertibility
@@ -300,6 +302,6 @@ def envelope_witness_search(fit: EnvelopeFit, rate: float, slack: float = 1e-6):
     the witness costs no second pass over the grid.
     """
     for t, m in fit.grid:
-        if m >= math.exp(-rate * t) * (1.0 - slack):
+        if m >= math.exp(-rate * t) * (1.0 - WITNESS_SLACK):
             return t, m
     return None

@@ -62,6 +62,12 @@ class TestCertify:
         assert code == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_integer_beyond_the_float_range_is_operational_error(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text('{"rows": 1, "cols": 1, "data": [[1%s, 0]]}' % ("0" * 400))
+        assert run(["certify", "--file", path, "--out-dir", tmp_path]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_family_and_file_conflict(self, capsys):
         code = run(["certify", "--family", "heat", "--file", "x.json"])
         assert code == 1
@@ -403,6 +409,16 @@ class TestGenAndRecheck:
         path.write_text(json.dumps({"hello": 1}))
         assert run(["recheck", path]) == 1
 
+    def test_recheck_of_a_generator_beyond_the_float_range_is_unreadable(self, tmp_path,
+                                                                         capsys):
+        assert run(["certify", "--family", "heat", "--n", "2", "--out-dir", tmp_path]) == 0
+        path = tmp_path / "certify-heat-n2.json"
+        report = read_report(path)
+        report["generator"]["data"][0][0] = 10 ** 400
+        path.write_text(json.dumps(report))
+        assert run(["recheck", path]) == 1
+        assert "not a readable report" in capsys.readouterr().out
+
     def test_recheck_flags_invalid_embedded_candidate(self, tmp_path, capsys):
         assert run(["certify", "--family", "heat", "--n", "4", "--out-dir", tmp_path]) == 0
         path = tmp_path / "certify-heat-n4.json"
@@ -415,6 +431,51 @@ class TestGenAndRecheck:
         path.write_text(json.dumps(report))
         assert run(["recheck", path]) == 2
         assert "invalid" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, stem, edits", [
+    (["certify", "--family", "heat", "--n", "4", "--tol", "-1"], "certify-heat-n4",
+     {"candidate.margin": 123.0, "candidate.theta": -7.0}),
+    (["certify", "--family", "heat", "--n", "4"], "certify-heat-n4",
+     {"verdict": "inconclusive"}),
+    (["leftinv", "--family", "upwind", "--n", "8"], "leftinv-upwind-n8",
+     {"verdict": "fail"}),
+    (["leftinv", "--family", "upwind", "--n", "8", "--t-grid", "0.001,0.002,8"],
+     "leftinv-upwind-n8", {"verdict": "pass"}),
+    (["resolvent", "--family", "heat", "--n", "6"], "resolvent-heat-n6",
+     {"verdict": "fail", "scans.right.pass": False}),
+    (["perturb", "--family", "heat", "--n", "8", "--b-file", B_BEYOND_RADIUS,
+      "--alpha", "2"], "perturb-heat-n8",
+     {"perturbation.excess": -5.0, "candidate.margin": 9.0}),
+    (["perturb", "--family", "heat", "--n", "8", "--b-file", B_BEYOND_RADIUS,
+      "--alpha", "2"], "perturb-heat-n8", {"perturbation.excess": -5.0}),
+    (["perturb", "--family", "heat", "--n", "6", "--random-trials", "5", "--alpha", "2"],
+     "perturb-heat-n6", {"verdict": "fail"}),
+    (["q0", "--family", "heat", "--n", "6"], "q0-heat-n6", {"verdict": "inconclusive"}),
+    (["q0", "--family", "heat", "--n", "4", "--panels", "1"], "q0-heat-n4",
+     {"verdict": "pass"}),
+], ids=["certify-tol-margin-theta", "certified-as-inconclusive", "leftinv-pass-as-fail",
+        "leftinv-fail-as-pass", "resolvent-pass-as-fail", "rejected-excess-margin",
+        "rejected-excess", "perturb-pass-as-fail", "q0-pass-as-inconclusive",
+        "q0-inconclusive-as-pass"])
+def test_recheck_rederives_the_verdict_of_a_forged_report(tmp_path, monkeypatch, capsys,
+                                                          argv, stem, edits):
+    monkeypatch.chdir(tmp_path)
+    save_matrix(B_BEYOND_RADIUS, 50.0 * np.eye(8, dtype=complex))
+    run([*argv, "--out-dir", tmp_path])
+    path = tmp_path / f"{stem}.json"
+    assert run(["recheck", path]) == 0
+    report = read_report(path)
+    for dotted, value in edits.items():
+        *parents, key = dotted.split(".")
+        block = report
+        for name in parents:
+            block = block[name]
+        assert key in block
+        block[key] = value
+    path.write_text(json.dumps(report))
+    assert run(["recheck", path]) == 2
+    assert f"{path}: FAIL" in capsys.readouterr().out
 
 
 class TestDesktopScale:

@@ -183,6 +183,15 @@ class TestMatrixJson:
         with pytest.raises(MatrixFormatError, match="offset"):
             matrix_from_json_dict(doc)
 
+    @pytest.mark.parametrize("doc", [
+        {"rows": 1, "cols": 2, "data": [[0, 0], [10 ** 400, 0]]},
+        {"rows": 1, "cols": 2, "data": [[0, 0], [0, -10 ** 400]]},
+        {"rows": 1, "cols": 2, "data_real": [0, 10 ** 400]},
+    ], ids=["data-re", "data-im", "data_real"])
+    def test_integer_beyond_the_float_range_names_the_offset(self, doc):
+        with pytest.raises(MatrixFormatError, match="offset 1 is beyond the float range"):
+            matrix_from_json_dict(doc)
+
     def test_requires_exactly_one_payload(self):
         with pytest.raises(MatrixFormatError, match="exactly one"):
             matrix_from_json_dict({"rows": 1, "cols": 1, "data": [[1, 0]], "data_real": [1]})
