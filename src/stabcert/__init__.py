@@ -22,7 +22,6 @@ from .semigroup import (
     EnvelopeFit,
     SpectralSummary,
     datko_integral,
-    evaluate,
     growth_bound_estimate,
     left_invertibility_witness,
     lower_envelope,
@@ -47,7 +46,6 @@ __all__ = [
     "op_norm",
     "dual_map_norm",
     "strong_positivity_theta",
-    "evaluate",
     "spectral_bound",
     "growth_bound_estimate",
     "datko_integral",

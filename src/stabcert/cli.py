@@ -23,6 +23,8 @@ import numpy as np
 
 from . import __version__
 from .lyapunov import (
+    CERTIFICATE_HORIZON,
+    CERTIFICATE_POINTS,
     CERTIFICATE_SLACK,
     DEFAULT_MEMBERSHIP_TOL,
     REFUTE_REAL_PART_TOL,
@@ -88,6 +90,50 @@ _VERDICTS = {
     "resolvent": {"pass", "fail", "refuted"},
     "perturb": {"pass", "fail", "rejected", "refuted"},
     "leftinv": {"pass", "fail", "refuted"},
+}
+
+
+def _perturbation_holds(margin_after: float, rescaled_member: bool, tol: float) -> bool:
+    """The guarantee for one B: the perturbed margin and the rescaled member both hold."""
+    return margin_after <= tol and rescaled_member
+
+
+def _perturbation_passes(report: dict) -> bool:
+    """The one B, or every random trial, keeps the guarantee.  The worst
+    trial decides all: each rescaled margin is k margin_after."""
+    p = report["perturbation"]
+    w = "worst_" if "trials" in p else ""
+    return (_perturbation_holds(p[w + "margin_after"], p[w + "rescaled_member"],
+                                report["config"]["tol"])
+            and p.get("passes") == p.get("trials"))  # None == None for one B
+
+
+def _left_invertible(report: dict) -> bool:
+    """theta >= c^2 / (2 alpha) holds and the witness meets e^{-rate t0}."""
+    sp = report["strong_positivity"]
+    w = sp["witness"]
+    return sp["inequality_ok"] and w is not None and (
+        w["m0"] >= math.exp(-sp["witness_rate"] * w["t0"]) * (1.0 - WITNESS_SLACK))
+
+
+# The one verdict rule of each command, read off the report blocks.  The
+# command applies it to the blocks it writes and ``recheck`` to the blocks it
+# has recomputed, so the two agree by construction.  A ``witness`` block (an
+# eigenvalue with nonnegative real part) refutes every command.
+_RULES = {
+    command: lambda report, decide=decide: (
+        "refuted" if "witness" in report else decide(report))
+    for command, decide in {
+        "certify": lambda r: ("certified" if "certificate" in r and r["certificate"]["member"]
+                              and r["certificate"]["grid_pass"] else "inconclusive"),
+        "refute": lambda r: "not_refuted",
+        "q0": lambda r: "pass" if r["q0"]["member"] else "inconclusive",
+        "resolvent": lambda r: ("pass" if r["scans"]["right"]["pass"]
+                                and r["scans"]["strip"]["pass"] else "fail"),
+        "perturb": lambda r: ("rejected" if "excess" in r["perturbation"]
+                              else "pass" if _perturbation_passes(r) else "fail"),
+        "leftinv": lambda r: "pass" if _left_invertible(r) else "fail",
+    }.items()
 }
 
 
@@ -279,17 +325,19 @@ class _Job:
         witness = refute_stability(self.a)
         if witness is None:
             return None
-        return self.finish("refuted", witness=_witness_block(witness, self.a))
+        return self.finish(witness=_witness_block(witness, self.a))
 
     def candidate(self) -> LyapunovCandidate:
         """The algebraic solution of A* Q + Q A = -W with its membership margin."""
         q = solve_algebraic(self.a, self.nm.w)
         return membership_margin(q, self.a, self.nm, tol=self.args.tol)
 
-    def finish(self, verdict: str, **blocks) -> int:
-        """Write the report atomically; the verdict alone fixes the exit code."""
-        report = {**self.report, **blocks, "verdict": verdict,
-                  "timings": {"total_s": time.perf_counter() - self.started}}
+    def finish(self, **blocks) -> int:
+        """Write the report atomically under the verdict its command's rule
+        gives the blocks; the verdict alone fixes the exit code."""
+        report = {**self.report, **blocks}
+        verdict = report["verdict"] = _RULES[report["command"]](report)
+        report["timings"] = {"total_s": time.perf_counter() - self.started}
         os.makedirs(self.args.out_dir, exist_ok=True)
         name = self.args.out or f"{report['command']}-{_tag(self.spec)}.json"
         path = os.path.join(self.args.out_dir, name)
@@ -304,7 +352,7 @@ def cmd_certify(args) -> int:
         return code
     cand = job.candidate()
     if not cand.is_member:
-        return job.finish("inconclusive", candidate=_candidate_block(cand))
+        return job.finish(candidate=_candidate_block(cand))
     cert = certificate(cand, job.a, job.nm)
     block = {
         **_candidate_block(cand),
@@ -315,18 +363,17 @@ def cmd_certify(args) -> int:
         "grid": {"points": len(cert.t_grid), "t_max": float(cert.t_grid[-1]),
                  "worst_t": cert.worst_t},
     }
-    if not cert.grid_pass:
-        return job.finish("inconclusive", certificate=block)
-    print(f"epsilon={cert.epsilon:.6e} M={cert.overshoot:.6e} "
-          f"|Q|={cand.q_norm:.6e} theta={cand.theta:.6e}")
-    return job.finish("certified", certificate=block)
+    if cert.grid_pass:
+        print(f"epsilon={cert.epsilon:.6e} M={cert.overshoot:.6e} "
+              f"|Q|={cand.q_norm:.6e} theta={cand.theta:.6e}")
+    return job.finish(certificate=block)
 
 
 def cmd_refute(args) -> int:
     job = _Job(args, "refute")
     if (code := job.refuted()) is not None:
         return code
-    return job.finish("not_refuted", spectral_bound=float(spectral_bound(job.a)))
+    return job.finish(spectral_bound=float(spectral_bound(job.a)))
 
 
 def cmd_q0(args) -> int:
@@ -344,7 +391,7 @@ def cmd_q0(args) -> int:
         )
         block["algebraic_gap"] = gap
         print(f"relative Frobenius gap against the algebraic solve: {gap:.3e}")
-    return job.finish("pass" if cand.is_member else "inconclusive", q0=block)
+    return job.finish(q0=block)
 
 
 def cmd_resolvent(args) -> int:
@@ -386,8 +433,7 @@ def cmd_resolvent(args) -> int:
     }
     print(f"right worst_ratio={right.worst_ratio:.9f} "
           f"strip worst_ratio={strip.worst_ratio:.9f}")
-    return job.finish("pass" if right.passed and strip.passed else "fail",
-                      candidate=_candidate_block(cand), scans=scans)
+    return job.finish(candidate=_candidate_block(cand), scans=scans)
 
 
 def cmd_perturb(args) -> int:
@@ -413,19 +459,14 @@ def cmd_perturb(args) -> int:
             best = max_alpha(a, b, cand, nm)
             alpha = best.alpha
             job.report["max_alpha"] = {"alpha": float(best.alpha), "decay": float(best.decay)}
+        block = {"alpha": float(alpha), "b": matrix_to_json_dict(b)}
         try:
             rep = verify_perturbation(a, b, cand, alpha, nm)
         except RadiusExceededError as exc:
-            return job.finish("rejected", perturbation={
-                "alpha": float(alpha),
-                "b": matrix_to_json_dict(b),
-                "excess": float(exc.excess),
-                "detail": str(exc),
-            })
-        ok = rep.margin_after <= args.tol and rep.rescaled_member
-        return job.finish("pass" if ok else "fail", perturbation={
-            "alpha": float(alpha),
-            "b": matrix_to_json_dict(b),
+            return job.finish(perturbation={**block, "excess": float(exc.excess),
+                                            "detail": str(exc)})
+        return job.finish(perturbation={
+            **block,
             "radius": float(rep.radius),
             "b_norm": float(rep.b_norm),
             "margin_after": float(rep.margin_after),
@@ -444,13 +485,12 @@ def cmd_perturb(args) -> int:
         radius = 1.0 / (2.0 * alpha * cand.q_norm)
         b = raw * (radius / op_norm(raw, nm))
         rep = verify_perturbation(a, b, cand, alpha, nm)
-        ok = rep.margin_after <= args.tol and rep.rescaled_member
-        passes += ok
+        passes += _perturbation_holds(rep.margin_after, rep.rescaled_member, args.tol)
         if worst is None or rep.margin_after > worst[1].margin_after:
             worst = (i, rep, b)
     index, rep, b = worst
     print(f"perturbation trials passed: {passes}/{trials}")
-    return job.finish("pass" if passes == trials else "fail", perturbation={
+    return job.finish(perturbation={
         "alpha": float(alpha),
         "trials": trials,
         "passes": passes,
@@ -491,7 +531,6 @@ def cmd_leftinv(args) -> int:
     print(f"c={fit.c:.6e} alpha={fit.alpha:.6e} theta={cand.theta:.6e} "
           f"c^2/(2 alpha)={bound:.6e}")
     return job.finish(
-        "pass" if ok and t0 is not None else "fail",
         candidate=_candidate_block(cand),
         envelope={
             "c": float(fit.c),
@@ -519,9 +558,17 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _recheck_one(path: str) -> tuple[str | None, list]:
-    """Re-derive one report's verdict from its embedded data: (verdict, problems)."""
-    problems = []
+def _agrees(recomputed, reported) -> bool:
+    """Booleans and absent fields (None) exactly, numbers within _RECHECK_REL_TOL."""
+    if recomputed is None or reported is None or isinstance(recomputed, (bool, np.bool_)):
+        return recomputed == reported
+    return abs(recomputed - reported) <= _RECHECK_REL_TOL * max(
+        abs(recomputed), abs(reported), 1.0)
+
+
+def _recheck_one(path: str) -> tuple[str | None, list, list]:
+    """Recompute one report's fields from its embedded data, compare them by
+    name and apply its command's rule: (verdict, compared names, problems)."""
     with open(path, "r", encoding="utf-8") as fh:
         report = json.load(fh)
     command = report.get("command")
@@ -534,95 +581,97 @@ def _recheck_one(path: str) -> tuple[str | None, list]:
     tol = float(report.get("config", {}).get("tol", DEFAULT_MEMBERSHIP_TOL))
     verdict = report.get("verdict")
     if verdict not in _VERDICTS.get(command, ()):
-        return None, [f"verdict {verdict!r} is not one that {command!r} writes"]
+        return None, [], [f"verdict {verdict!r} is not one that {command!r} writes"]
+    problems, fields = [], {}
 
-    def close(x, y, what):
-        if abs(x - y) > _RECHECK_REL_TOL * max(abs(x), abs(y), 1.0):
-            problems.append(f"{what}: recomputed {x!r} vs reported {y!r}")
-
-    if verdict != "refuted" and command != "refute":
-        block = report.get("certificate") or report.get("q0") or report["candidate"]
-        try:
-            cand = membership_margin(matrix_from_json_dict(block["q"]), a, nm, tol=tol)
-        except ValueError as exc:
-            return None, [f"embedded candidate invalid ({exc})"]
-        for key, value in (("margin", cand.margin), ("q_norm", cand.q_norm),
-                           ("theta", cand.theta), ("member", cand.is_member)):
-            close(value, block[key], f"candidate {key}")
-
-    if verdict == "refuted":
+    if "witness" in report:
         block = report["witness"]
         lam = complex(block["eigenvalue"][0], block["eigenvalue"][1])
         v = matrix_from_json_dict(block["vector"]).reshape(-1)
-        residual = np.linalg.norm(a @ v - lam * v)
+        residual = fields["witness.residual"] = np.linalg.norm(a @ v - lam * v)
         scale = _WITNESS_RESIDUAL_TOL * (1.0 + spectral_norm(a)) * np.linalg.norm(v)
         if lam.real < -REFUTE_REAL_PART_TOL or residual > scale:
             problems.append(f"witness fails: real part {lam.real!r}, residual {residual!r} "
                             f"(at most {scale!r})")
-        derived = "refuted"
     elif command == "refute":
-        derived = "not_refuted" if refute_stability(a) is None else "refuted"
-    elif command == "q0":
-        derived = "pass" if cand.is_member else "inconclusive"
-    elif command == "certify":
-        derived = "inconclusive"
-        if cand.is_member:
-            block = report["certificate"]
-            epsilon, m = 1.0 / (2.0 * cand.q_norm), math.sqrt(cand.q_norm / cand.theta)
-            close(epsilon, block["epsilon"], "epsilon")
-            close(m, block["M"], "M")
-            t = block["grid"]["worst_t"]
-            ratio = op_norm(expm(a, t), nm) / (m * math.exp(-epsilon * t))
-            close(ratio, block["worst_ratio"], f"envelope ratio at t={t!r}")
-            close(ratio <= 1.0 + CERTIFICATE_SLACK, block["grid_pass"], "grid_pass")
-            if ratio <= 1.0 + CERTIFICATE_SLACK:
-                derived = "certified"
-    elif command == "resolvent":
-        derived = "pass"
-        for kind, scan in report["scans"].items():
-            lam = complex(scan["argmax"][0], scan["argmax"][1])
-            # the right scan's bound 2|Q| is the strip's at Re lambda = 0
-            bound = 2.0 * cand.q_norm / (1.0 + 2.0 * cand.q_norm * min(lam.real, 0.0))
-            ratio = resolvent_norm(a, lam, nm) / bound
-            close(ratio, scan["worst_ratio"], f"{kind} scan argmax ratio")
-            close(ratio <= 1.0 + DEFAULT_SCAN_TOL, scan["pass"], f"{kind} scan pass")
-            if ratio > 1.0 + DEFAULT_SCAN_TOL:
-                derived = "fail"
-    elif command == "perturb":
-        block = report["perturbation"]
-        b = matrix_from_json_dict(block["b"] if "b" in block else block["worst_b"])
+        witness = refute_stability(a)
+        fields["witness"] = None if witness is None else witness.eigenvalue
+    else:
+        name = next((key for key in ("certificate", "q0") if key in report), "candidate")
         try:
-            rep = verify_perturbation(a, b, cand, block["alpha"], nm)
-        except RadiusExceededError as exc:
-            close(exc.excess, block["excess"], "excess over the radius")
-            derived = "rejected"
-        else:
-            margin = block["margin_after"] if "b" in block else block["worst_margin_after"]
-            close(rep.margin_after, margin, "perturbed margin")
-            # the worst trial decides all: each rescaled margin is k margin_after
-            all_pass = block.get("passes") == block.get("trials")  # None == None for a B
-            ok = rep.margin_after <= tol and rep.rescaled_member and all_pass
-            derived = "pass" if ok else "fail"
-    else:  # leftinv
-        env, sp = report["envelope"], report["strong_positivity"]
-        fit = EnvelopeFit(c=env["c"], alpha=env["alpha"], grid=env["samples"])
-        low = [(t, m) for t, m in fit.grid if m < fit.c * math.exp(-fit.alpha * t) * (1 - 1e-12)]
-        if low:
-            problems.append(f"envelope violated at t={low[0][0]!r}: m={low[0][1]!r}")
-        bound, ok, rate = _strong_positivity(cand.theta, fit)
-        close(bound, sp["envelope_bound"], "envelope bound")
-        close(ok, sp["inequality_ok"], "inequality_ok")
-        close(rate, sp["witness_rate"], "witness rate")
-        if sp["witness"] is None:  # none reported: search the samples for one
-            witnessed = envelope_witness_search(fit, rate) is not None
-        else:
-            t0, m0 = sp["witness"]["t0"], sp["witness"]["m0"]
-            close(left_invertibility_witness(a, nm, t0), m0, f"witness m0 at t0={t0!r}")
-            witnessed = m0 >= math.exp(-rate * t0) * (1.0 - WITNESS_SLACK)
-        derived = "pass" if ok and witnessed else "fail"
+            cand = membership_margin(matrix_from_json_dict(report[name]["q"]), a, nm, tol=tol)
+        except ValueError as exc:
+            return None, [], [f"embedded candidate invalid ({exc})"]
+        q = cand.q_norm
+        fields.update({f"{name}.margin": cand.margin, f"{name}.q_norm": q,
+                       f"{name}.theta": cand.theta, f"{name}.member": cand.is_member})
+        if command == "certify" and name == "certificate" and cand.is_member:
+            epsilon, m = 1.0 / (2.0 * q), math.sqrt(q / cand.theta)
+            t = report["certificate"]["grid"]["worst_t"]
+            ratio = op_norm(expm(a, t), nm) / (m * math.exp(-epsilon * t))
+            fields.update({
+                "certificate.epsilon": epsilon, "certificate.M": m,
+                "certificate.worst_ratio": ratio,
+                "certificate.grid_pass": ratio <= 1.0 + CERTIFICATE_SLACK,
+                "certificate.grid.t_max": CERTIFICATE_HORIZON / epsilon,
+                "certificate.grid.points": CERTIFICATE_POINTS,
+            })
+        elif command == "resolvent":
+            scans = report["scans"]
+            delta0 = scans["strip"]["delta0"]
+            for kind, bound in (("right", 2.0 * q),
+                                ("strip", 2.0 * q / (1.0 - 2.0 * delta0 * q))):
+                lam = complex(scans[kind]["argmax"][0], scans[kind]["argmax"][1])
+                # the pointwise bound at the argmax; the right scan's 2|Q| is
+                # the strip's at Re lambda = 0
+                ratio = resolvent_norm(a, lam, nm) / (
+                    2.0 * q / (1.0 + 2.0 * q * min(lam.real, 0.0)))
+                fields.update({f"scans.{kind}.bound": bound,
+                               f"scans.{kind}.worst_ratio": ratio,
+                               f"scans.{kind}.pass": ratio <= 1.0 + DEFAULT_SCAN_TOL})
+        elif command == "perturb":
+            block = report["perturbation"]
+            w = "worst_" if "trials" in block else ""
+            b = matrix_from_json_dict(block[w + "b"])
+            try:
+                rep = verify_perturbation(a, b, cand, block["alpha"], nm)
+            except RadiusExceededError as exc:
+                fields["perturbation.excess"] = exc.excess
+            else:
+                fields.update({"perturbation.excess": None, "perturbation.radius": rep.radius,
+                               f"perturbation.{w}margin_after": rep.margin_after,
+                               f"perturbation.{w}rescaled_member": rep.rescaled_member})
+                if not w:
+                    fields.update({"perturbation.b_norm": rep.b_norm,
+                                   "perturbation.rescaled_margin": rep.rescaled_margin})
+        elif command == "leftinv":
+            env, sp = report["envelope"], report["strong_positivity"]
+            fit = EnvelopeFit(c=env["c"], alpha=env["alpha"], grid=env["samples"])
+            low = [(t, m) for t, m in fit.grid
+                   if m < fit.c * math.exp(-fit.alpha * t) * (1 - 1e-12)]
+            if low:
+                problems.append(f"envelope violated at t={low[0][0]!r}: m={low[0][1]!r}")
+            bound, ok, rate = _strong_positivity(cand.theta, fit)
+            fields.update({"strong_positivity.theta": cand.theta,
+                           "strong_positivity.envelope_bound": bound,
+                           "strong_positivity.inequality_ok": ok,
+                           "strong_positivity.witness_rate": rate})
+            if sp["witness"] is None:  # none reported: search the samples for one
+                fields["strong_positivity.witness"] = envelope_witness_search(fit, rate)
+            else:
+                fields["strong_positivity.witness.m0"] = left_invertibility_witness(
+                    a, nm, sp["witness"]["t0"])
+
+    for name, value in fields.items():
+        reported = report
+        for key in name.split("."):  # an absent field reads as None
+            reported = reported.get(key) if isinstance(reported, dict) else None
+        if not _agrees(value, reported):
+            problems.append(f"{name}: recomputed {value!r} vs reported {reported!r}")
+    derived = _RULES[command](report)
     if derived != verdict:
         problems.append(f"verdict {verdict!r}, but the embedded data give {derived!r}")
-    return derived, problems
+    return derived, list(fields), problems
 
 
 def cmd_recheck(args) -> int:
@@ -630,8 +679,9 @@ def cmd_recheck(args) -> int:
     broken = 0
     for path in args.reports:
         try:
-            derived, problems = _recheck_one(path)
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError, OSError) as exc:
+            derived, compared, problems = _recheck_one(path)
+        except (LookupError, AttributeError, TypeError, ValueError, ArithmeticError,
+                OSError) as exc:
             broken += 1
             print(f"{path}: not a readable report ({exc})")
             continue
@@ -641,7 +691,7 @@ def cmd_recheck(args) -> int:
             for problem in problems:
                 print(f"  - {problem}")
         else:
-            print(f"{path}: ok ({derived})")
+            print(f"{path}: ok ({derived}): {' '.join(compared)}")
     if failures:
         return 2
     return 1 if broken else 0

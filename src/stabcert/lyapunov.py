@@ -42,6 +42,8 @@ __all__ = [
 
 DEFAULT_MEMBERSHIP_TOL = 1e-8
 CERTIFICATE_SLACK = 1e-8  # envelope ratio the certificate grid may reach above 1
+CERTIFICATE_HORIZON = 10.0  # the certificate grid spans [0, CERTIFICATE_HORIZON / epsilon]
+CERTIFICATE_POINTS = 200
 SIGN_MAX_STEPS = 50
 REFUTE_REAL_PART_TOL = 1e-10
 
@@ -270,7 +272,7 @@ def certificate(cand: LyapunovCandidate, a, nm: NormModel) -> StabilityCertifica
         )
     epsilon = 1.0 / (2.0 * cand.q_norm)
     overshoot = math.sqrt(cand.q_norm / cand.theta)
-    grid = np.linspace(0.0, 10.0 / epsilon, 200)
+    grid = np.linspace(0.0, CERTIFICATE_HORIZON / epsilon, CERTIFICATE_POINTS)
     step = expm(whiten_operator(aa, nm), float(grid[1]))
     tw, ratios = np.eye(nm.n, dtype=complex), []
     for t in grid:

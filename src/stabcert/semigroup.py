@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkernel import (
-    DEFAULT_EXPM_TOL,
     KernelPrecisionError,
     as_complex_matrix,
     expm,
@@ -30,7 +29,6 @@ __all__ = [
     "UnstableGeneratorError",
     "SpectralSummary",
     "EnvelopeFit",
-    "evaluate",
     "spectral_bound",
     "default_time_grid",
     "growth_bound_estimate",
@@ -84,11 +82,6 @@ class EnvelopeFit:
     grid: list  # (t, m(t)) samples
 
 
-def evaluate(a, t: float) -> np.ndarray:
-    """T(t) = exp(t a) at the default kernel tolerance."""
-    return expm(a, t, tol=DEFAULT_EXPM_TOL)
-
-
 def spectral_bound(a) -> float:
     """Largest real part of the spectrum."""
     m = as_complex_matrix(a, "a")
@@ -138,7 +131,7 @@ def growth_bound_estimate(a, nm: NormModel, t_grid) -> SpectralSummary:
     order = sorted(range(len(eigs)), key=lambda i: (-eigs[i].real, -eigs[i].imag))
     # whitening each T(t), not A once: exp(t A_w) loses the structure that
     # keeps exp(t A) accurate deep into the decay for triangular generators
-    norms = [op_norm(evaluate(m, t), nm) for t in grid]
+    norms = [op_norm(expm(m, t), nm) for t in grid]
     return SpectralSummary(
         s=float(np.max(eigs.real)),
         omega0_hat=float(min(math.log(v) / t for v, t in zip(norms, grid) if v > 0.0)),
@@ -194,9 +187,9 @@ def gramian_quadrature(a, weight, t_max: float, panels: int) -> np.ndarray:
     nodes, weights = gauss_legendre_nodes(t_max / panels, 1)
     x = 0.0
     for t, w in zip(nodes, weights):
-        e = evaluate(a, float(t))
+        e = expm(a, float(t))
         x = x + w * (e.conj().T @ weight @ e)
-    x, power, total = hermitian_part(x), evaluate(a, t_max / panels), None
+    x, power, total = hermitian_part(x), expm(a, t_max / panels), None
     while True:
         if panels & 1:
             total = x if total is None else x + power.conj().T @ total @ power
@@ -259,7 +252,7 @@ def lower_envelope(a, nm: NormModel, t_grid=None) -> EnvelopeFit:
     nrm_a = singular_extremes(a_w)[0]
     samples = []
     for t in grid:
-        sigma_max, sigma_min = singular_extremes(evaluate(a_w, t))
+        sigma_max, sigma_min = singular_extremes(expm(a_w, t))
         if sigma_min <= math.sqrt(_EPS) * sigma_max:
             break
         noise = 64.0 * _EPS * sigma_max
@@ -289,7 +282,7 @@ def left_invertibility_witness(a, nm: NormModel, t0: float) -> float:
     the pair (t0, m0) certifies |T(t0) x| >= m0 |x| for every x."""
     if not t0 > 0.0:
         raise ValueError(f"t0 must be positive, got {t0}")
-    tw = whiten_operator(evaluate(as_complex_matrix(a, "a"), t0), nm)
+    tw = whiten_operator(expm(as_complex_matrix(a, "a"), t0), nm)
     return singular_extremes(tw)[1]
 
 

@@ -5,14 +5,14 @@ import os
 import numpy as np
 import pytest
 
-from stabcert.cli import _EXIT_CODES, _VERDICTS, main
+from stabcert.cli import _EXIT_CODES, _RULES, _VERDICTS, _recheck_one, main
 from stabcert.models import (
     heat_dirichlet,
     matrix_from_json_dict,
     random_stable,
     save_matrix,
 )
-from stabcert.semigroup import evaluate
+from stabcert.numkernel import expm
 from stabcert.space import NormModel, op_norm
 
 
@@ -39,7 +39,7 @@ class TestCertify:
         nm = NormModel.identity(16)
         for t in np.linspace(0.0, 10.0 / cert["epsilon"], 40):
             bound = cert["M"] * math.exp(-cert["epsilon"] * t)
-            assert op_norm(evaluate(a, t), nm) <= bound * (1.0 + 1e-8)
+            assert op_norm(expm(a, t), nm) <= bound * (1.0 + 1e-8)
 
     def test_jordan_unstable_refuted(self, tmp_path):
         code = run(["certify", "--family", "jordan", "--n", "3", "--lambda", "1",
@@ -125,6 +125,7 @@ class TestExitCodeTable:
         assert run([*argv, "--out-dir", tmp_path]) == code
         path = tmp_path / f"{report}.json"
         assert read_report(path)["verdict"] == verdict
+        assert _RULES[argv[0]](read_report(path)) == verdict
         assert run(["recheck", path]) == 0
 
 
@@ -402,12 +403,28 @@ class TestGenAndRecheck:
 
     def test_verdict_table_covers_exactly_the_exit_code_table(self):
         assert set().union(*_VERDICTS.values()) == set(_EXIT_CODES)
+        assert set(_RULES) == set(_VERDICTS)
         assert all("refuted" in verdicts for verdicts in _VERDICTS.values())
 
     def test_recheck_rejects_non_reports(self, tmp_path):
         path = tmp_path / "nonsense.json"
         path.write_text(json.dumps({"hello": 1}))
         assert run(["recheck", path]) == 1
+
+    @pytest.mark.parametrize("block, key, value", [
+        (None, "config", None),
+        (None, "norm_model", "x"),
+        ("certificate", "grid", {"worst_t": 1e300}),
+    ])
+    def test_recheck_of_a_malformed_report_is_unreadable(self, tmp_path, capsys,
+                                                         block, key, value):
+        assert run(["certify", "--family", "heat", "--n", "4", "--out-dir", tmp_path]) == 0
+        path = tmp_path / "certify-heat-n4.json"
+        report = read_report(path)
+        (report[block] if block else report)[key] = value
+        path.write_text(json.dumps(report))
+        assert run(["recheck", path]) == 1
+        assert "not a readable report" in capsys.readouterr().out
 
     def test_recheck_of_a_generator_beyond_the_float_range_is_unreadable(self, tmp_path,
                                                                          capsys):
@@ -454,10 +471,19 @@ class TestGenAndRecheck:
     (["q0", "--family", "heat", "--n", "6"], "q0-heat-n6", {"verdict": "inconclusive"}),
     (["q0", "--family", "heat", "--n", "4", "--panels", "1"], "q0-heat-n4",
      {"verdict": "pass"}),
+    (["leftinv", "--family", "upwind", "--n", "8"], "leftinv-upwind-n8",
+     {"strong_positivity.witness": None}),
+    (["resolvent", "--family", "heat", "--n", "6"], "resolvent-heat-n6",
+     {"scans.right.bound": 1e9}),
+    (["perturb", "--family", "heat", "--n", "6", "--random-trials", "5", "--alpha", "2"],
+     "perturb-heat-n6", {"perturbation.radius": 1e3}),
+    (["certify", "--family", "heat", "--n", "4"], "certify-heat-n4",
+     {"certificate.grid.t_max": 1.0}),
 ], ids=["certify-tol-margin-theta", "certified-as-inconclusive", "leftinv-pass-as-fail",
         "leftinv-fail-as-pass", "resolvent-pass-as-fail", "rejected-excess-margin",
         "rejected-excess", "perturb-pass-as-fail", "q0-pass-as-inconclusive",
-        "q0-inconclusive-as-pass"])
+        "q0-inconclusive-as-pass", "leftinv-witness-dropped", "resolvent-right-bound",
+        "perturb-radius", "certify-grid-t-max"])
 def test_recheck_rederives_the_verdict_of_a_forged_report(tmp_path, monkeypatch, capsys,
                                                           argv, stem, edits):
     monkeypatch.chdir(tmp_path)
@@ -476,6 +502,34 @@ def test_recheck_rederives_the_verdict_of_a_forged_report(tmp_path, monkeypatch,
     path.write_text(json.dumps(report))
     assert run(["recheck", path]) == 2
     assert f"{path}: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, stem, names", [
+    (["certify", "--family", "heat", "--n", "4"], "certify-heat-n4",
+     ["certificate.margin", "certificate.epsilon", "certificate.M", "certificate.worst_ratio",
+      "certificate.grid_pass", "certificate.grid.t_max", "certificate.grid.points"]),
+    (["refute", "--family", "heat", "--n", "4"], "refute-heat-n4", ["witness"]),
+    (["q0", "--family", "heat", "--n", "4"], "q0-heat-n4",
+     ["q0.margin", "q0.q_norm", "q0.theta", "q0.member"]),
+    (["resolvent", "--family", "heat", "--n", "6"], "resolvent-heat-n6",
+     ["candidate.margin", "scans.right.bound", "scans.right.worst_ratio", "scans.right.pass",
+      "scans.strip.bound", "scans.strip.worst_ratio", "scans.strip.pass"]),
+    (["perturb", "--family", "heat", "--n", "6", "--random-trials", "5", "--alpha", "2"],
+     "perturb-heat-n6", ["candidate.margin", "perturbation.radius",
+                         "perturbation.worst_margin_after", "perturbation.worst_rescaled_member"]),
+    (["leftinv", "--family", "upwind", "--n", "8"], "leftinv-upwind-n8",
+     ["candidate.theta", "strong_positivity.envelope_bound", "strong_positivity.inequality_ok",
+      "strong_positivity.witness_rate", "strong_positivity.witness.m0"]),
+], ids=["certify", "refute", "q0", "resolvent", "perturb", "leftinv"])
+def test_recheck_ok_line_names_the_fields_it_compared(tmp_path, capsys, argv, stem, names):
+    assert run([*argv, "--out-dir", tmp_path]) == 0
+    path = tmp_path / f"{stem}.json"
+    capsys.readouterr()
+    assert run(["recheck", path]) == 0
+    head, listed = capsys.readouterr().out.strip().split("): ")
+    assert head == f"{path}: ok ({read_report(path)['verdict']}"
+    assert listed.split() == _recheck_one(str(path))[1]
+    assert set(names) <= set(listed.split())
 
 
 class TestDesktopScale:

@@ -25,13 +25,12 @@ from stabcert.models import (
     random_vector,
     upwind_shift,
 )
-from stabcert.numkernel import KernelPrecisionError, singular_extremes, spectral_norm
+from stabcert.numkernel import KernelPrecisionError, expm, singular_extremes, spectral_norm
 from stabcert.semigroup import (
     UnstableGeneratorError,
     datko_integral,
     default_time_grid,
     envelope_witness_search,
-    evaluate,
     lower_envelope,
     spectral_bound,
 )
@@ -357,7 +356,7 @@ class TestCertificate:
         assert cert.grid_pass
         assert cert.worst_ratio <= 1.0 + 1e-10
         for t in cert.t_grid[:: len(cert.t_grid) // 20]:
-            direct = op_norm(evaluate(a, t), nm)
+            direct = op_norm(expm(a, t), nm)
             assert direct <= cert.overshoot * math.exp(-cert.epsilon * t) * (1 + 1e-8)
 
     def test_rejects_non_member(self):
@@ -389,7 +388,7 @@ class TestCertificate:
         ratios = []
         for t, norm in zip(cert.t_grid, seen):
             envelope = cert.overshoot * math.exp(-cert.epsilon * t)
-            direct = op_norm(evaluate(a, t), nm) / envelope
+            direct = op_norm(expm(a, t), nm) / envelope
             assert abs(norm / envelope - direct) <= 1e-11, t
             ratios.append(norm / envelope)
         assert cert.worst_ratio == max(ratios)
@@ -537,7 +536,7 @@ class TestWeightedNorm:
         cert = certificate(cand, a, nm)
         assert cert.grid_pass
         for t in cert.t_grid[::40]:
-            direct = op_norm(evaluate(a, t), nm)
+            direct = op_norm(expm(a, t), nm)
             assert direct <= cert.overshoot * math.exp(-cert.epsilon * t) * (1 + 1e-8)
 
     def test_datko_identity_in_weighted_norm(self):

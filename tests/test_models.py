@@ -22,8 +22,8 @@ from stabcert.models import (
     upwind_shift,
     write_atomic,
 )
-from stabcert.numkernel import hermitian_eig, singular_extremes
-from stabcert.semigroup import evaluate, spectral_bound
+from stabcert.numkernel import expm, hermitian_eig, singular_extremes
+from stabcert.semigroup import spectral_bound
 
 
 def test_splitmix64_reference_stream():
@@ -118,7 +118,7 @@ class TestUpwind:
     def test_sigma_min_decreasing_in_dimension(self):
         values = []
         for n in (4, 8, 16):
-            t1 = evaluate(upwind_shift(n, 1.0, 1.0), 1.0)
+            t1 = expm(upwind_shift(n, 1.0, 1.0), 1.0)
             values.append(singular_extremes(t1)[1])
         assert values[0] > values[1] > values[2]
 
@@ -138,7 +138,7 @@ class TestJordan:
 
     def test_semigroup_entries(self):
         t = 1.7
-        tt = evaluate(jordan_block(3, -1.0), t)
+        tt = expm(jordan_block(3, -1.0), t)
         assert tt[0, 0] == pytest.approx(np.exp(-t), rel=1e-12)
         assert tt[0, 2] == pytest.approx(t**2 * np.exp(-t) / 2.0, rel=1e-12)
 

@@ -54,14 +54,9 @@ class TestExpm:
                 ref = scipy.linalg.expm(a * t)
                 assert spectral_norm(ours - ref) <= 1e-11 * spectral_norm(ref)
 
-    def test_rejects_negative_time_and_bad_tol(self):
-        a = np.eye(2)
+    def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
-            expm(a, -1.0)
-        with pytest.raises(ValueError):
-            expm(a, 1.0, tol=1e-2)
-        with pytest.raises(ValueError):
-            expm(a, 1.0, tol=0.0)
+            expm(np.eye(2), -1.0)
 
     def test_rejects_nonsquare_and_nonfinite(self):
         with pytest.raises(ValueError):

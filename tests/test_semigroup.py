@@ -26,7 +26,6 @@ from stabcert.semigroup import (
     datko_integral,
     default_time_grid,
     envelope_witness_search,
-    evaluate,
     gramian_quadrature,
     growth_bound_estimate,
     left_invertibility_witness,
@@ -51,18 +50,18 @@ def kron_lyapunov_oracle(a: np.ndarray) -> np.ndarray:
 class TestEvaluate:
     def test_time_zero(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(evaluate(a, 0.0), np.eye(2, dtype=complex))
+        assert np.array_equal(expm(a, 0.0), np.eye(2, dtype=complex))
 
     def test_scalar_decay(self):
         t = 1.3
-        assert np.allclose(evaluate(-np.eye(3), t), np.exp(-t) * np.eye(3), rtol=1e-12)
+        assert np.allclose(expm(-np.eye(3), t), np.exp(-t) * np.eye(3), rtol=1e-12)
 
     def test_rotation(self):
         t = 0.7
         expected = np.array(
             [[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]], dtype=complex
         )
-        assert np.allclose(evaluate(ROTATION, t), expected, atol=1e-13)
+        assert np.allclose(expm(ROTATION, t), expected, atol=1e-13)
 
 
 class TestGrowthBound:
@@ -72,7 +71,7 @@ class TestGrowthBound:
         summary = growth_bound_estimate(-np.eye(2), nm, grid)
         assert summary.s == pytest.approx(-1.0, abs=1e-12)
         for t in grid:
-            rate = math.log(op_norm(evaluate(-np.eye(2), t), nm)) / t
+            rate = math.log(op_norm(expm(-np.eye(2), t), nm)) / t
             assert rate == pytest.approx(-1.0, abs=1e-10)
         assert summary.omega0_hat == pytest.approx(-1.0, abs=1e-10)
 
@@ -95,7 +94,7 @@ class TestGrowthBound:
         rates = []
         for t in grid:
             sigma = math.sqrt((t * t + 2.0 + t * math.sqrt(t * t + 4.0)) / 2.0)
-            assert op_norm(evaluate(a, t), nm) == pytest.approx(sigma, rel=1e-10)
+            assert op_norm(expm(a, t), nm) == pytest.approx(sigma, rel=1e-10)
             rates.append(math.log(sigma) / t)
         assert summary.omega0_hat == pytest.approx(min(rates), rel=1e-10)
         assert all(x > y for x, y in zip(rates, rates[1:]))
@@ -169,9 +168,9 @@ class TestDatkoIntegral:
         x = random_vector(4, seed + 1)
         whole = datko_integral(a, nm, x)
         head = quad_integral(
-            lambda t: vec_norm(evaluate(a, t) @ x, nm) ** 2, s, 64
+            lambda t: vec_norm(expm(a, t) @ x, nm) ** 2, s, 64
         )
-        tail = datko_integral(a, nm, evaluate(a, s) @ x)
+        tail = datko_integral(a, nm, expm(a, s) @ x)
         assert whole == pytest.approx(head + tail, rel=1e-6, abs=1e-10)
 
 
@@ -193,7 +192,7 @@ class TestLowerEnvelope:
         nm = NormModel.identity(8)
         fit = lower_envelope(a, nm)
         for t, m in fit.grid:
-            assert m == pytest.approx(singular_extremes(evaluate(a, t))[1], rel=1e-9)
+            assert m == pytest.approx(singular_extremes(expm(a, t))[1], rel=1e-9)
             assert m >= fit.c * math.exp(-fit.alpha * t) * (1.0 - 1e-12)
         ms = [m for _, m in fit.grid]
         assert all(x > y for x, y in zip(ms, ms[1:]))
@@ -257,7 +256,7 @@ class TestRefinementBehavior:
         # lower-bound function strictly degrades as cells are added
         for t in (0.5, 1.0, 3.0):
             values = [
-                singular_extremes(evaluate(upwind_shift(n, 1.0, 1.0), t))[1]
+                singular_extremes(expm(upwind_shift(n, 1.0, 1.0), t))[1]
                 for n in (4, 8, 16)
             ]
             assert values[0] > values[1] > values[2]
@@ -315,7 +314,7 @@ def test_certified_decay_model_bounds_the_norms():
         s_hat, m_hat = certified_decay(a, nm)
         assert spectral_bound(a) < s_hat < 0.0
         for t in np.linspace(0.1, 30.0, 25):
-            assert op_norm(evaluate(a, t), nm) <= m_hat * math.exp(s_hat * t) * (1 + 1e-9)
+            assert op_norm(expm(a, t), nm) <= m_hat * math.exp(s_hat * t) * (1 + 1e-9)
 
 
 def _two_pass_certified_decay(a, nm, safety=2.0):
@@ -332,7 +331,7 @@ def _two_pass_certified_decay(a, nm, safety=2.0):
     s_hat = 0.5 * (s + summary.omega0_hat)
     peaks = [1.0]
     for t in grid:
-        peaks.append(op_norm(evaluate(a, t), nm) * math.exp(-s_hat * t))
+        peaks.append(op_norm(expm(a, t), nm) * math.exp(-s_hat * t))
     return s_hat, safety * max(peaks)
 
 
@@ -356,7 +355,7 @@ def test_certified_decay_past_underflow():
     assert spectral_bound(a) < s_hat < 0.0
     assert math.isfinite(m_hat)
     for t in (1.0, 100.0, 400.0):
-        assert op_norm(evaluate(a, t), nm) <= m_hat * math.exp(s_hat * t)
+        assert op_norm(expm(a, t), nm) <= m_hat * math.exp(s_hat * t)
 
 
 def test_certified_decay_in_a_weighted_norm_bounds_the_norms():
@@ -369,7 +368,7 @@ def test_certified_decay_in_a_weighted_norm_bounds_the_norms():
     assert spectral_bound(a) < s_hat < 0.0
     assert m_hat < 1e60
     for t in (1.0, 30.0, 200.0):
-        assert op_norm(evaluate(a, t), nm) <= m_hat * math.exp(s_hat * t)
+        assert op_norm(expm(a, t), nm) <= m_hat * math.exp(s_hat * t)
 
 
 def _panel_loop_gramian(a, weight, t_max, panels):
