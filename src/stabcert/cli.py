@@ -48,7 +48,7 @@ from .models import (
     write_atomic,
 )
 from .numkernel import KernelPrecisionError, expm, spectral_norm
-from .perturb import RadiusExceededError, max_alpha, verify_perturbation
+from .perturb import RadiusExceededError, admissible_radius, max_alpha, verify_perturbation
 from .resolvent import (
     DEFAULT_SCAN_TOL,
     export_scan_csv,
@@ -407,7 +407,7 @@ def cmd_resolvent(args) -> int:
         delta0 = float(args.delta0)
     job.config["delta0"] = delta0
 
-    right = verify_bound_right(a, nm, [cand], omega_max=args.omega_max,
+    right = verify_bound_right(a, nm, cand, omega_max=args.omega_max,
                                n_axis=args.n_axis, n_interior=args.n_interior)
     strip = verify_bound_left_strip(a, nm, cand, delta0, n_grid=args.n_grid)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -478,11 +478,11 @@ def cmd_perturb(args) -> int:
     trials = args.random_trials
     rng = SplitMix64(args.seed)
     n = a.shape[0]
+    radius = admissible_radius(cand, alpha)
     passes = 0
     worst = None
     for i in range(trials):
         raw = random_hermitian(n, rng) if i % 2 == 0 else random_matrix(n, rng)
-        radius = 1.0 / (2.0 * alpha * cand.q_norm)
         b = raw * (radius / op_norm(raw, nm))
         rep = verify_perturbation(a, b, cand, alpha, nm)
         passes += _perturbation_holds(rep.margin_after, rep.rescaled_member, args.tol)

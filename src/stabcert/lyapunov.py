@@ -14,18 +14,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .numkernel import (KernelPrecisionError, as_complex_matrix, expm, hermitian_eig, hermitian_part,
                         singular_extremes, spectral_norm)
-from .semigroup import UnstableGeneratorError, certified_decay, gramian_quadrature, spectral_bound
+from .semigroup import (REFUTE_REAL_PART_TOL, Witness, certified_decay, gramian_quadrature,
+                        refute_stability, stability_gate)
 from .space import (NormModel, RieszMap, dual_map_norm, form_eigenvalues, op_norm, whiten_form,
                     whiten_operator)
 
 __all__ = [
     "DEFAULT_MEMBERSHIP_TOL",
+    "REFUTE_REAL_PART_TOL",
     "NotPositiveSemidefiniteError",
     "NotAMemberError",
     "NotStronglyPositiveError",
@@ -45,7 +46,6 @@ CERTIFICATE_SLACK = 1e-8  # envelope ratio the certificate grid may reach above 
 CERTIFICATE_HORIZON = 10.0  # the certificate grid spans [0, CERTIFICATE_HORIZON / epsilon]
 CERTIFICATE_POINTS = 200
 SIGN_MAX_STEPS = 50
-REFUTE_REAL_PART_TOL = 1e-10
 
 
 class NotPositiveSemidefiniteError(ValueError):
@@ -59,13 +59,6 @@ class NotAMemberError(ValueError):
 class NotStronglyPositiveError(RuntimeError):
     """Member lacks a positive theta: stability still follows from the
     square-integral route, but no explicit envelope constants exist."""
-
-
-class Witness(NamedTuple):
-    """Eigenpair with Re lambda >= 0 refuting every candidate at once."""
-
-    eigenvalue: complex
-    vector: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -82,6 +75,11 @@ class LyapunovCandidate:
     @property
     def is_member(self) -> bool:
         return self.margin <= self.tol
+
+    def require_member(self) -> None:
+        """The membership precondition of every operation on a member."""
+        if not self.is_member:
+            raise NotAMemberError(f"margin {self.margin:.6e} exceeds {self.tol:.1e}")
 
 
 @dataclass(frozen=True)
@@ -131,24 +129,6 @@ def membership_margin(
     )
 
 
-def refute_stability(a) -> Optional[Witness]:
-    """Return an eigenpair with Re lambda >= 0 when one exists, else None.
-
-    Such a pair refutes every PSD candidate at once: along the
-    eigenvector the Lyapunov form equals 2 Re(lambda) <Qv, v> >= 0, which
-    can never reach -|v|^2.  The real-part test allows -1e-10 of slack for
-    eigensolver round-off.
-    """
-    aa = as_complex_matrix(a, "a")
-    vals, vecs = np.linalg.eig(aa)
-    hits = [i for i in range(len(vals)) if vals[i].real >= -REFUTE_REAL_PART_TOL]
-    if not hits:
-        return None
-    best = max(hits, key=lambda i: (vals[i].real, vals[i].imag))
-    v = vecs[:, best]
-    return Witness(eigenvalue=complex(vals[best]), vector=v / np.linalg.norm(v))
-
-
 def solve_algebraic(a, rhs) -> np.ndarray:
     """Unique Hermitian PD solution of A* Q + Q A = -RHS for a stable A.
 
@@ -171,13 +151,7 @@ def solve_algebraic(a, rhs) -> np.ndarray:
         raise ValueError(
             f"right-hand side must be positive definite, min eigenvalue {lam_r[0]:.6e}"
         )
-    witness = refute_stability(aa)
-    if witness is not None:
-        raise UnstableGeneratorError(
-            f"no Lyapunov solution: eigenvalue {witness.eigenvalue:.6e} has "
-            "nonnegative real part",
-            witness=witness,
-        )
+    stability_gate(aa)
     n = aa.shape[0]
     e, steps, prev, err = aa, [], math.inf, math.inf
     while err > 1e-13 * n and not prev <= err < 1e-6:
@@ -223,15 +197,9 @@ def construct_q0(
     aa = as_complex_matrix(a, "a")
     if riesz.theta <= 0.0:
         raise ValueError(f"Riesz map must have positive theta, got {riesz.theta:.3e}")
-    s = spectral_bound(aa)
-    if s >= 0.0:
-        raise UnstableGeneratorError(
-            f"cannot build the quadrature member: spectral bound {s:.6e} >= 0",
-            witness=refute_stability(aa),
-        )
+    s_hat, m_hat = certified_decay(aa, nm)  # gates the stability of A
     p = as_complex_matrix(riesz.p, "p")
     p_norm = dual_map_norm(p, nm)
-    s_hat, m_hat = certified_decay(aa, nm)
     if t_max is None:
         rate = 2.0 * abs(s_hat)
         t_max = (2.0 * math.log(m_hat) + math.log(p_norm / (riesz.theta * 1e-9))) / rate
@@ -261,10 +229,7 @@ def certificate(cand: LyapunovCandidate, a, nm: NormModel) -> StabilityCertifica
     envelope by O(margin * t), which the grid check reports honestly.
     """
     aa = as_complex_matrix(a, "a")
-    if not cand.is_member:
-        raise NotAMemberError(
-            f"margin {cand.margin:.6e} exceeds tolerance {cand.tol:.1e}"
-        )
+    cand.require_member()
     if cand.theta <= 0.0:
         raise NotStronglyPositiveError(
             "member is not strongly positive: exponential stability holds via the "
@@ -298,10 +263,7 @@ def scale_member(cand: LyapunovCandidate, c: float) -> LyapunovCandidate:
     scalar generator -I the member I/2 scaled by 0.5 already has margin
     +1/2), so no sound margin transform exists there.
     """
-    if not cand.is_member:
-        raise NotAMemberError(
-            f"margin {cand.margin:.6e} exceeds tolerance {cand.tol:.1e}"
-        )
+    cand.require_member()
     if c < 1.0:
         raise ValueError(
             f"scale factor must be >= 1 (got {c}): scaling down leaves the cone"

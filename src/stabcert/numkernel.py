@@ -176,18 +176,19 @@ def singularity_gate(m: np.ndarray) -> tuple[float, float]:
     return sigma_max, sigma_min
 
 
-def solve_linear(m, b, check_singularity: bool = True) -> np.ndarray:
+def solve_linear(m, b, sigma_max: float | None = None) -> np.ndarray:
     """Solve ``m @ x = b`` by pivoted LU.
 
-    With ``check_singularity`` the matrix first passes
-    :func:`singularity_gate`.  The backward-stable solve is post-checked
-    against the residual contract ``||m x - b|| <= 1e-10 ||m|| ||x||``.
+    The matrix first passes :func:`singularity_gate`, unless the caller's
+    own gate has passed it and hands over the ``sigma_max`` it measured.
+    The backward-stable solve is post-checked against the residual
+    contract ``||m x - b|| <= 1e-10 sigma_max ||x||``.
     """
     mm = as_complex_matrix(m, "m")
     bb = np.asarray(b, dtype=complex)
     if bb.shape[0] != mm.shape[0]:
         raise ValueError(f"shape mismatch: {mm.shape} vs {bb.shape}")
-    scale = singularity_gate(mm)[0] if check_singularity else spectral_norm(mm)
+    scale = singularity_gate(mm)[0] if sigma_max is None else sigma_max
     try:
         x = np.linalg.solve(mm, bb)
     except np.linalg.LinAlgError as exc:

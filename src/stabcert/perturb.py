@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .lyapunov import LyapunovCandidate, NotAMemberError, membership_margin
+from .lyapunov import LyapunovCandidate, membership_margin
 from .numkernel import as_complex_matrix
 from .space import NormModel, op_norm
 
@@ -51,8 +51,7 @@ def admissible_radius(cand: LyapunovCandidate, alpha: float) -> float:
     """Largest perturbation norm covered by the guarantee: 1/(2 alpha |Q|)."""
     if not alpha > 1.0:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
-    if not cand.is_member:
-        raise NotAMemberError(f"margin {cand.margin:.6e} exceeds {cand.tol:.1e}")
+    cand.require_member()
     return 1.0 / (2.0 * alpha * cand.q_norm)
 
 
@@ -99,8 +98,7 @@ def max_alpha(a, b, cand: LyapunovCandidate, nm: NormModel) -> MaxAlpha:
     infinite alpha with full decay constant 1.
     """
     bb = as_complex_matrix(b, "b")
-    if not cand.is_member:
-        raise NotAMemberError(f"margin {cand.margin:.6e} exceeds {cand.tol:.1e}")
+    cand.require_member()
     b_norm = op_norm(bb, nm)
     limit = 1.0 / (2.0 * cand.q_norm)
     if b_norm >= limit:

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lyapunov import LyapunovCandidate, NotAMemberError
+from .lyapunov import LyapunovCandidate
 from .models import SplitMix64, random_vector, write_atomic
 from .numkernel import SingularMatrixError, as_complex_matrix, singularity_gate, solve_linear
-from .semigroup import UnstableGeneratorError, spectral_bound
+from .semigroup import spectral_bound, stability_gate
 from .space import NormModel, op_norm, whiten_operator
 
 __all__ = [
@@ -63,12 +63,13 @@ class ScanReport:
     tail_ratio: float | None = None
 
 
-def _shifted(aw: np.ndarray, lam: complex) -> tuple[np.ndarray, float]:
-    """lambda I - A_w for A_w = W^{1/2} A W^{-1/2}, and |R(lambda)|_W = 1/sigma_min of it
-    (Trefethen & Embree, *Spectra and Pseudospectra*, 2005), gated by that one SVD."""
+def _shifted(aw: np.ndarray, lam: complex) -> tuple[np.ndarray, float, float]:
+    """lambda I - A_w for A_w = W^{1/2} A W^{-1/2}, |R(lambda)|_W = 1/sigma_min of it
+    (Trefethen & Embree, *Spectra and Pseudospectra*, 2005) and its sigma_max,
+    all from the one SVD that gates it."""
     shifted = lam * np.eye(aw.shape[0], dtype=complex) - aw
     try:
-        return shifted, 1.0 / singularity_gate(shifted)[1]
+        sigma_max, sigma_min = singularity_gate(shifted)
     except SingularMatrixError as exc:
         # A_w is similar to A, so its eigenvalues are A's
         eigs = np.linalg.eigvals(aw)
@@ -78,6 +79,7 @@ def _shifted(aw: np.ndarray, lam: complex) -> tuple[np.ndarray, float]:
             f"(nearest eigenvalue {nearest:.6e})",
             nearest_eigenvalue=nearest,
         ) from exc
+    return shifted, 1.0 / sigma_min, sigma_max
 
 
 def resolvent_norm(a, lam: complex, nm: NormModel) -> float:
@@ -97,13 +99,13 @@ def _scan_report(kind, grid, norms, pointwise, bound, **diagnostics) -> ScanRepo
 def verify_bound_right(
     a,
     nm: NormModel,
-    members,
+    cand: LyapunovCandidate,
     omega_max: float | None = None,
     n_axis: int = 129,
     n_interior: int = 16,
 ) -> ScanReport:
-    """Check sup over the right half-plane of |R(lambda)| against
-    2 min |Q| over the supplied members.
+    """Check sup over the right half-plane of |R(lambda)| against 2 |Q|
+    for the member Q.
 
     The grid takes ``n_axis`` imaginary-axis shifts clustered
     log-symmetrically around 0 plus ``n_interior`` coarse interior points
@@ -115,14 +117,9 @@ def verify_bound_right(
     sample vectors and its worst normalized slack reported.
     """
     aa = as_complex_matrix(a, "a")
-    if not members:
-        raise ValueError("need at least one cone member")
-    for cand in members:
-        if not cand.is_member:
-            raise NotAMemberError(f"margin {cand.margin:.6e} exceeds {cand.tol:.1e}")
-    if spectral_bound(aa) >= 0.0:
-        raise UnstableGeneratorError("right half-plane scan requires a stable generator")
-    bound = 2.0 * min(cand.q_norm for cand in members)
+    cand.require_member()
+    stability_gate(aa)
+    bound = 2.0 * cand.q_norm
     nrm_a = op_norm(aa, nm)
     if omega_max is None:
         omega_max = 10.0 * max(nrm_a, 1.0)
@@ -147,9 +144,10 @@ def verify_bound_right(
     y_norms = np.linalg.norm(wy, axis=0)
     norms, slack = [], math.inf
     for lam in grid:
-        # W^{1/2} R y solves (lambda I - A_w) x = W^{1/2} y; _shifted has gated that matrix
-        shifted, nrm = _shifted(aw, lam)
-        ry_norms = np.linalg.norm(solve_linear(shifted, wy, check_singularity=False), axis=0)
+        # W^{1/2} R y solves (lambda I - A_w) x = W^{1/2} y; _shifted has gated that
+        # matrix, and its sigma_max scales the solve's residual contract
+        shifted, nrm, sigma_max = _shifted(aw, lam)
+        ry_norms = np.linalg.norm(solve_linear(shifted, wy, sigma_max), axis=0)
         rhs = bound * ry_norms * y_norms
         slack = min([slack, *((rhs - ry_norms ** 2) / np.maximum(rhs, 1e-300))])
         norms.append(nrm)
@@ -185,8 +183,7 @@ def verify_bound_left_strip(
     delta0 for this member.
     """
     aa = as_complex_matrix(a, "a")
-    if not cand.is_member:
-        raise NotAMemberError(f"margin {cand.margin:.6e} exceeds {cand.tol:.1e}")
+    cand.require_member()
     qn = cand.q_norm
     if not delta0 > 0.0:
         raise ValueError(f"delta0 must be positive, got {delta0}")

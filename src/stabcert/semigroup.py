@@ -1,5 +1,5 @@
-"""Semigroup evaluation, growth quantities, square-integrals, and
-left-invertibility measurements.
+"""Semigroup evaluation, the stability refutation and its gate, growth
+quantities, square-integrals, and left-invertibility measurements.
 
 The semigroup is always the matrix exponential family T(t) = exp(t A).
 Grid-based estimates here (growth bound, decay envelopes) are the
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -26,10 +27,14 @@ from .numkernel import (
 from .space import NormModel, op_norm, vec_norm, whiten_operator
 
 __all__ = [
+    "REFUTE_REAL_PART_TOL",
     "UnstableGeneratorError",
+    "Witness",
     "SpectralSummary",
     "EnvelopeFit",
     "spectral_bound",
+    "refute_stability",
+    "stability_gate",
     "default_time_grid",
     "growth_bound_estimate",
     "certified_decay",
@@ -41,35 +46,37 @@ __all__ = [
 ]
 
 WITNESS_SLACK = 1e-6  # relative room below e^{-rate t0} a witness m0 may take
+REFUTE_REAL_PART_TOL = 1e-10
 _EPS = float(np.finfo(np.float64).eps)
 _GRID_POINTS = 64
 _DECAY_SAFETY = 2.0
 
 
+class Witness(NamedTuple):
+    """Eigenpair with Re lambda >= 0 refuting every candidate at once."""
+
+    eigenvalue: complex
+    vector: np.ndarray
+
+
 class UnstableGeneratorError(RuntimeError):
-    """Raised when an operation requires a negative spectral bound.
+    """The generator has an eigenvalue with Re lambda >= -REFUTE_REAL_PART_TOL,
+    so no Lyapunov member exists; carries that refuting eigenpair."""
 
-    Carries the refuting eigenpair when the caller computed one.
-    """
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
+    def __init__(self, witness: Witness):
+        super().__init__(f"eigenvalue {witness.eigenvalue:.6e} has real part >= "
+                         f"-{REFUTE_REAL_PART_TOL:.0e}: no Lyapunov member exists")
         self.witness = witness
 
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Spectral bound, grid growth-bound estimate, the eigenvalues, and the
-    sampled |T(t)| the estimate was taken from."""
+    """Spectral bound, grid growth-bound estimate, and the sampled |T(t)|
+    the estimate was taken from."""
 
     s: float
     omega0_hat: float
-    eigenvalues: list
     norms: list
-
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", list(self.eigenvalues))
-        object.__setattr__(self, "norms", list(self.norms))
 
 
 @dataclass(frozen=True)
@@ -86,6 +93,33 @@ def spectral_bound(a) -> float:
     """Largest real part of the spectrum."""
     m = as_complex_matrix(a, "a")
     return float(np.max(np.linalg.eigvals(m).real))
+
+
+def refute_stability(a) -> Optional[Witness]:
+    """Return an eigenpair with Re lambda >= 0 when one exists, else None.
+
+    Such a pair refutes every PSD candidate at once: along the
+    eigenvector the Lyapunov form equals 2 Re(lambda) <Qv, v> >= 0, which
+    can never reach -|v|^2.  The real-part test allows -1e-10 of slack for
+    eigensolver round-off.
+    """
+    aa = as_complex_matrix(a, "a")
+    vals, vecs = np.linalg.eig(aa)
+    hits = [i for i in range(len(vals)) if vals[i].real >= -REFUTE_REAL_PART_TOL]
+    if not hits:
+        return None
+    best = max(hits, key=lambda i: (vals[i].real, vals[i].imag))
+    v = vecs[:, best]
+    return Witness(eigenvalue=complex(vals[best]), vector=v / np.linalg.norm(v))
+
+
+def stability_gate(a) -> None:
+    """The stability precondition of every operation that needs a stable
+    generator: UnstableGeneratorError exactly when :func:`refute_stability`
+    finds a witness."""
+    witness = refute_stability(a)
+    if witness is not None:
+        raise UnstableGeneratorError(witness)
 
 
 def default_time_grid(a, horizon: float | None = None) -> np.ndarray:
@@ -127,15 +161,12 @@ def growth_bound_estimate(a, nm: NormModel, t_grid) -> SpectralSummary:
     grid = _validated_grid(t_grid)
     if grid.size < 8:
         raise ValueError(f"time grid needs >= 8 points, got {grid.size}")
-    eigs = np.linalg.eigvals(m)
-    order = sorted(range(len(eigs)), key=lambda i: (-eigs[i].real, -eigs[i].imag))
     # whitening each T(t), not A once: exp(t A_w) loses the structure that
     # keeps exp(t A) accurate deep into the decay for triangular generators
     norms = [op_norm(expm(m, t), nm) for t in grid]
     return SpectralSummary(
-        s=float(np.max(eigs.real)),
+        s=spectral_bound(m),
         omega0_hat=float(min(math.log(v) / t for v, t in zip(norms, grid) if v > 0.0)),
-        eigenvalues=[complex(eigs[i]) for i in order],
         norms=norms,
     )
 
@@ -150,9 +181,8 @@ def certified_decay(a, nm: NormModel) -> tuple[float, float]:
     estimate is well inside the decaying regime.
     """
     m = as_complex_matrix(a, "a")
+    stability_gate(m)
     s = spectral_bound(m)
-    if s >= 0.0:
-        raise UnstableGeneratorError(f"spectral bound {s:.6e} is nonnegative")
     horizon = 20.0 / abs(s)
     for _ in range(8):
         grid = default_time_grid(m, horizon=horizon)
@@ -211,11 +241,7 @@ def datko_integral(a, nm: NormModel, x, tail_tol: float = 1e-9) -> float:
     m = as_complex_matrix(a, "a")
     if not (0.0 < tail_tol <= 1e-4):
         raise ValueError(f"tail_tol must be in (0, 1e-4], got {tail_tol}")
-    s = spectral_bound(m)
-    if s >= 0.0:
-        raise UnstableGeneratorError(
-            f"integral diverges: spectral bound {s:.6e} is nonnegative"
-        )
+    stability_gate(m)
     xv = np.asarray(x, dtype=complex).reshape(-1)
     if xv.shape[0] != m.shape[0]:
         raise ValueError(f"vector has length {xv.shape[0]}, expected {m.shape[0]}")

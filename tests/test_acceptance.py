@@ -59,7 +59,7 @@ def test_criterion_01_tight_scalar_family():
             assert np.max(np.abs(q - np.eye(2) / (2.0 * a_coef))) <= 1e-10
             cand = membership_margin(q, a, nm)
 
-            right = verify_bound_right(a, nm, [cand])
+            right = verify_bound_right(a, nm, cand)
             assert 1.0 - 1e-6 <= right.worst_ratio <= 1.0
 
             for factor in (0.5, 0.9):

@@ -26,8 +26,10 @@ from stabcert.models import (
     upwind_shift,
 )
 from stabcert.numkernel import KernelPrecisionError, expm, singular_extremes, spectral_norm
+from stabcert.resolvent import verify_bound_right
 from stabcert.semigroup import (
     UnstableGeneratorError,
+    certified_decay,
     datko_integral,
     default_time_grid,
     envelope_witness_search,
@@ -189,6 +191,24 @@ class TestRefuteStability:
         q = random_psd(3, seed)
         cand = membership_margin(q, a, nm)
         assert cand.margin > 0.0
+
+    @pytest.mark.parametrize("operation", [
+        pytest.param(lambda a, nm: solve_algebraic(a, nm.w), id="solve_algebraic"),
+        pytest.param(lambda a, nm: construct_q0(a, RieszMap.from_matrix(nm.w, nm), nm),
+                     id="construct_q0"),
+        pytest.param(lambda a, nm: datko_integral(a, nm, np.ones(2)), id="datko_integral"),
+        pytest.param(certified_decay, id="certified_decay"),
+        # Q = diag(1e10, 1/2) has margin 0 for this A, so only the stability gate refuses
+        pytest.param(lambda a, nm: verify_bound_right(
+            a, nm, membership_margin(np.diag([1e10, 0.5]), a, nm)), id="verify_bound_right"),
+    ])
+    def test_refutation_window_gates_every_stable_operation(self, operation):
+        # s(A) = -5e-11 is negative but inside the -1e-10 refutation window
+        a = np.diag([-5e-11, -1.0])
+        assert membership_margin(np.diag([1e10, 0.5]), a, NormModel.identity(2)).is_member
+        with pytest.raises(UnstableGeneratorError, match="real part >= -1e-10") as excinfo:
+            operation(a, NormModel.identity(2))
+        assert excinfo.value.witness.eigenvalue == -5e-11
 
 
 class TestSolveAlgebraic:

@@ -68,7 +68,7 @@ class TestVerifyBoundRight:
     def test_scalar_family_tight(self, a_coef):
         a = -a_coef * np.eye(2)
         nm = NormModel.identity(2)
-        report = verify_bound_right(a, nm, [member_for(a, nm)])
+        report = verify_bound_right(a, nm, member_for(a, nm))
         assert report.bound == pytest.approx(1.0 / a_coef, rel=1e-12)
         assert report.passed
         assert 1.0 - 1e-6 <= report.worst_ratio <= 1.0
@@ -77,14 +77,14 @@ class TestVerifyBoundRight:
     def test_diagonal_tight(self):
         a = np.diag([-1.0, -2.0])
         nm = NormModel.identity(2)
-        report = verify_bound_right(a, nm, [member_for(a, nm)])
+        report = verify_bound_right(a, nm, member_for(a, nm))
         assert report.bound == pytest.approx(1.0, rel=1e-12)
         assert 1.0 - 1e-6 <= report.worst_ratio <= 1.0
 
     def test_upper_triangular_grid_oracle(self):
         a = np.array([[-1.0, 4.0], [0.0, -2.0]], dtype=complex)
         nm = NormModel.identity(2)
-        report = verify_bound_right(a, nm, [member_for(a, nm)])
+        report = verify_bound_right(a, nm, member_for(a, nm))
         assert report.passed
         # recompute every scanned point independently
         for lam, nrm in zip(report.grid[:: len(report.grid) // 15],
@@ -97,7 +97,7 @@ class TestVerifyBoundRight:
     def test_proof_inequality_slack_nonnegative(self):
         a = heat_dirichlet(6, 1.0)
         nm = NormModel.identity(6)
-        report = verify_bound_right(a, nm, [member_for(a, nm)])
+        report = verify_bound_right(a, nm, member_for(a, nm))
         assert report.proof_slack is not None
         assert report.proof_slack >= -1e-9
 
@@ -105,14 +105,14 @@ class TestVerifyBoundRight:
         # 2|Q| >= 1/|A| always, so the Neumann tail beyond 10|A| is covered
         for a in (heat_dirichlet(6, 1.0), random_stable(5, 0.5, 11)):
             nm = NormModel.identity(a.shape[0])
-            report = verify_bound_right(a, nm, [member_for(a, nm)])
+            report = verify_bound_right(a, nm, member_for(a, nm))
             assert report.tail_ratio is not None
             assert report.tail_ratio <= 1.0
 
     def test_resolvent_identity_residual_on_scan(self):
         a = random_stable(5, 0.5, 3)
         nm = NormModel.identity(5)
-        report = verify_bound_right(a, nm, [member_for(a, nm)], n_axis=17, n_interior=4)
+        report = verify_bound_right(a, nm, member_for(a, nm), n_axis=17, n_interior=4)
         eye = np.eye(5, dtype=complex)
         for lam in report.grid:
             r = solve_linear(lam * eye - a, eye)
@@ -124,7 +124,7 @@ class TestVerifyBoundRight:
         from stabcert.semigroup import UnstableGeneratorError
 
         with pytest.raises(UnstableGeneratorError):
-            verify_bound_right(np.diag([0.5, -1.0]), nm, [cand])
+            verify_bound_right(np.diag([0.5, -1.0]), nm, cand)
 
 
 class TestVerifyBoundLeftStrip:
@@ -186,8 +186,8 @@ class TestVerifyBoundLeftStrip:
         nm = NormModel.identity(2)
         cand = member_for(a, nm)
         scaled = scale_member(cand, 4.0)
-        right_base = verify_bound_right(a, nm, [cand])
-        right_scaled = verify_bound_right(a, nm, [scaled])
+        right_base = verify_bound_right(a, nm, cand)
+        right_scaled = verify_bound_right(a, nm, scaled)
         assert right_scaled.bound == pytest.approx(4.0 * right_base.bound, rel=1e-12)
         # delta0 = 0.9 violates the precondition for |Q| = 1/2 ...
         with pytest.raises(ValueError):
@@ -208,7 +208,7 @@ class TestWeightedNormScans:
         a = random_stable(5, 0.5, 41)
         nm = NormModel.from_weight(random_psd(5, 42) + np.eye(5))
         cand = member_for(a, nm)
-        right = verify_bound_right(a, nm, [cand], n_axis=33, n_interior=4)
+        right = verify_bound_right(a, nm, cand, n_axis=33, n_interior=4)
         assert right.passed
         delta0 = 0.25 * min(abs(spectral_bound(a)), 1.0 / (2.0 * cand.q_norm))
         strip = verify_bound_left_strip(a, nm, cand, delta0, n_grid=10)
@@ -220,7 +220,7 @@ class TestMonotoneDomination:
         a = heat_dirichlet(8, 1.0)
         nm = NormModel.identity(8)
         cand = member_for(a, nm)
-        report = verify_bound_right(a, nm, [cand])
+        report = verify_bound_right(a, nm, cand)
         s = spectral_bound(a)
         origin_norm = resolvent_norm(a, 0.0, nm)
         assert origin_norm == pytest.approx(1.0 / abs(s), rel=1e-10)
@@ -291,6 +291,9 @@ class TestPerPointWork:
         svd = counting("svd", stabcert.numkernel.singular_extremes)
         monkeypatch.setattr(stabcert.numkernel, "singular_extremes", svd)
         monkeypatch.setattr(stabcert.space, "singular_extremes", svd)
+        # the 2-norm is an SVD too
+        monkeypatch.setattr(stabcert.numkernel, "spectral_norm",
+                            counting("svd", stabcert.numkernel.spectral_norm))
         monkeypatch.setattr(stabcert.resolvent, "solve_linear",
                             counting("solve", stabcert.numkernel.solve_linear))
         report = scan()
@@ -311,7 +314,7 @@ class TestPerPointWork:
         nm = NormModel.from_weight(random_psd(6, 6) + np.eye(6))
         cand = member_for(a, nm)
         report, counts = self.counted(
-            monkeypatch, lambda: verify_bound_right(a, nm, [cand], n_axis=17, n_interior=4))
+            monkeypatch, lambda: verify_bound_right(a, nm, cand, n_axis=17, n_interior=4))
         assert counts == {"svd": len(report.grid) + 1, "solve": len(report.grid)}
 
 
@@ -319,7 +322,7 @@ class TestCsvExport:
     def test_schema_and_roundtrip(self, tmp_path):
         a = -np.eye(2)
         nm = NormModel.identity(2)
-        report = verify_bound_right(a, nm, [member_for(a, nm)], n_axis=9, n_interior=4)
+        report = verify_bound_right(a, nm, member_for(a, nm), n_axis=9, n_interior=4)
         path = tmp_path / "scan.csv"
         export_scan_csv(report, path)
         lines = path.read_text().strip().splitlines()
