@@ -422,6 +422,7 @@ def cmd_resolvent(args) -> int:
             "pass": bool(scan.passed),
             "argmax": [float(scan.argmax.real), float(scan.argmax.imag)],
             "points": len(scan.grid),
+            "evaluated": scan.evaluated,
             "tol": float(scan.tol),
             "csv": csv_name,
         }
@@ -437,6 +438,8 @@ def cmd_resolvent(args) -> int:
 
 
 def cmd_perturb(args) -> int:
+    if args.random_trials is not None and args.random_trials <= 0:
+        raise _CliUsageError("--random-trials must be a positive integer")
     if args.b_file and args.random_trials:
         raise _CliUsageError("--b-file and --random-trials are mutually exclusive")
     if not args.b_file and not args.random_trials:
@@ -453,20 +456,21 @@ def cmd_perturb(args) -> int:
 
     if args.b_file:
         b = load_matrix(args.b_file)
-        if args.alpha is not None:
-            alpha = args.alpha
-        else:
-            best = max_alpha(a, b, cand, nm)
-            alpha = best.alpha
-            job.report["max_alpha"] = {"alpha": float(best.alpha), "decay": float(best.decay)}
-        block = {"alpha": float(alpha), "b": matrix_to_json_dict(b)}
+        alpha = args.alpha
         try:
+            if alpha is None:
+                best = max_alpha(a, b, cand, nm)
+                alpha = best.alpha
+                job.report["max_alpha"] = {"alpha": float(best.alpha),
+                                           "decay": float(best.decay)}
             rep = verify_perturbation(a, b, cand, alpha, nm)
         except RadiusExceededError as exc:
-            return job.finish(perturbation={**block, "excess": float(exc.excess),
-                                            "detail": str(exc)})
+            # beyond 1/(2|Q|) max_alpha finds no alpha > 1: alpha stays null
+            return job.finish(perturbation={"alpha": alpha, "b": matrix_to_json_dict(b),
+                                            "excess": float(exc.excess), "detail": str(exc)})
         return job.finish(perturbation={
-            **block,
+            "alpha": float(alpha),
+            "b": matrix_to_json_dict(b),
             "radius": float(rep.radius),
             "b_norm": float(rep.b_norm),
             "margin_after": float(rep.margin_after),
@@ -633,8 +637,11 @@ def _recheck_one(path: str) -> tuple[str | None, list, list]:
             block = report["perturbation"]
             w = "worst_" if "trials" in block else ""
             b = matrix_from_json_dict(block[w + "b"])
+            alpha = block["alpha"]
             try:
-                rep = verify_perturbation(a, b, cand, block["alpha"], nm)
+                if alpha is None:  # the command's max_alpha found no alpha > 1
+                    alpha = max_alpha(a, b, cand, nm).alpha
+                rep = verify_perturbation(a, b, cand, alpha, nm)
             except RadiusExceededError as exc:
                 fields["perturbation.excess"] = exc.excess
             else:

@@ -61,6 +61,7 @@ class ScanReport:
     tol: float = DEFAULT_SCAN_TOL
     proof_slack: float | None = None
     tail_ratio: float | None = None
+    evaluated: int | None = None  # shifts that took an SVD
 
 
 def _shifted(aw: np.ndarray, lam: complex) -> tuple[np.ndarray, float, float]:
@@ -85,6 +86,51 @@ def _shifted(aw: np.ndarray, lam: complex) -> tuple[np.ndarray, float, float]:
 def resolvent_norm(a, lam: complex, nm: NormModel) -> float:
     """Weighted operator norm of (lambda I - A)^{-1}."""
     return _shifted(whiten_operator(as_complex_matrix(a, "a"), nm), complex(lam))[1]
+
+
+def _symmetric_axis(extent: float, count: int) -> np.ndarray:
+    """``count`` points spanning [-extent, extent] evenly, exactly antisymmetric
+    (x[::-1] == -x bit for bit, an odd count's middle point exactly 0) so that
+    every point's conjugate on a grid built from them is found by equality."""
+    x = np.linspace(-extent, extent, count)
+    return 0.5 * (x - x[::-1])
+
+
+def _scan_norms(aw: np.ndarray, grid: list, wy: np.ndarray | None = None):
+    """|R_w(lambda)| at every grid point, the column norms of R_w(lambda) wy at
+    every point when right-hand sides ``wy`` are given (else None), and the
+    number of shifts that took an SVD.
+
+    For a real A_w the shift at conj(lambda) is the entrywise conjugate of the
+    one at lambda, so |R_w(conj lambda)| = |R_w(lambda)| (the pseudospectra of
+    a real matrix are symmetric about the real axis) and R_w(conj lambda) z =
+    conj(R_w(lambda) conj z).  A point whose exact conjugate came earlier takes
+    that point's values.  Every other point takes its own SVD, and for a real
+    A_w and a non-real point its one solve covers [wy, conj wy].
+    """
+    mirror = not np.any(aw.imag)
+    done = {}  # evaluated point -> its norm and the column norms at its conjugate
+    norms, proofs, evaluated = [], [], 0
+    for lam in grid:
+        mate = lam.conjugate()
+        if mirror and mate in done:
+            nrm, cols = done[mate]
+        else:
+            shifted, nrm, sigma_max = _shifted(aw, lam)
+            evaluated += 1
+            cols = mate_cols = None
+            if wy is not None:
+                paired = mirror and mate != lam
+                # _shifted has gated the shift, and its sigma_max scales the
+                # solve's residual contract
+                both = np.linalg.norm(solve_linear(
+                    shifted, np.hstack([wy, wy.conj()]) if paired else wy, sigma_max), axis=0)
+                cols = both[:wy.shape[1]]
+                mate_cols = both[wy.shape[1]:] if paired else cols
+            done[lam] = (nrm, mate_cols)
+        norms.append(nrm)
+        proofs.append(cols)
+    return norms, proofs, evaluated
 
 
 def _scan_report(kind, grid, norms, pointwise, bound, **diagnostics) -> ScanReport:
@@ -132,7 +178,7 @@ def verify_bound_right(
     grid = [complex(0.0, w) for w in omegas]
     k = max(int(math.ceil(math.sqrt(n_interior))), 1)
     interior_re = np.logspace(math.log10(2.0 * omega_max * 1e-3), math.log10(2.0 * omega_max), k)
-    interior_im = np.linspace(-omega_max, omega_max, k)
+    interior_im = _symmetric_axis(omega_max, k)
     interior = [complex(re, im) for re in interior_re for im in interior_im]
     grid.extend(interior[:n_interior])
 
@@ -142,15 +188,11 @@ def verify_bound_right(
     samples = np.array([random_vector(n, rng) for _ in range(_PROOF_SAMPLES)], dtype=complex)
     wy = nm.sqrt_w @ samples.reshape(_PROOF_SAMPLES, n).T
     y_norms = np.linalg.norm(wy, axis=0)
-    norms, slack = [], math.inf
-    for lam in grid:
-        # W^{1/2} R y solves (lambda I - A_w) x = W^{1/2} y; _shifted has gated that
-        # matrix, and its sigma_max scales the solve's residual contract
-        shifted, nrm, sigma_max = _shifted(aw, lam)
-        ry_norms = np.linalg.norm(solve_linear(shifted, wy, sigma_max), axis=0)
-        rhs = bound * ry_norms * y_norms
-        slack = min([slack, *((rhs - ry_norms ** 2) / np.maximum(rhs, 1e-300))])
-        norms.append(nrm)
+    # W^{1/2} R y solves (lambda I - A_w) x = W^{1/2} y
+    norms, proofs, evaluated = _scan_norms(aw, grid, wy)
+    ry_norms = np.array(proofs)
+    rhs = bound * ry_norms * y_norms
+    slack = np.min((rhs - ry_norms ** 2) / np.maximum(rhs, 1e-300))
 
     # outside the sampled disk the Neumann series gives
     # |R(lambda)| <= 1/(|lambda| - |A|); with the default extent this is
@@ -163,6 +205,7 @@ def verify_bound_right(
         "right-half-plane", grid, norms, [bound] * len(grid), bound,
         proof_slack=float(slack),
         tail_ratio=float(tail_ratio),
+        evaluated=evaluated,
     )
 
 
@@ -201,14 +244,13 @@ def verify_bound_left_strip(
     re_pts = np.linspace(lower, -delta0, n_grid + 1)[1:]
     im_extent = 10.0 * op_norm(aa, nm)
     n_im = n_grid if n_grid % 2 == 1 else n_grid + 1
-    im_pts = np.linspace(-im_extent, im_extent, n_im)
+    im_pts = _symmetric_axis(im_extent, n_im)
     grid = [complex(re, im) for re in re_pts for im in im_pts]
 
-    aw = whiten_operator(aa, nm)
-    norms = [_shifted(aw, lam)[1] for lam in grid]
+    norms, _, evaluated = _scan_norms(whiten_operator(aa, nm), grid)
     pointwise = [2.0 * qn / (1.0 + 2.0 * qn * lam.real) for lam in grid]
     return _scan_report("left-strip", grid, norms, pointwise,
-                        2.0 * qn / (1.0 - 2.0 * delta0 * qn))
+                        2.0 * qn / (1.0 - 2.0 * delta0 * qn), evaluated=evaluated)
 
 
 def abscissa_profile(
@@ -241,8 +283,8 @@ def abscissa_profile(
         count = max(int(n) | 1, 5)
         sup = None
         for _ in range(_PROFILE_MAX_REFINEMENTS):
-            previous, sup = sup, max(_shifted(aw, complex(abscissa, w))[1]
-                                     for w in np.linspace(-omega_max, omega_max, count))
+            line = [complex(abscissa, w) for w in _symmetric_axis(omega_max, count)]
+            previous, sup = sup, max(_scan_norms(aw, line)[0])
             if previous is not None and abs(sup - previous) <= _PROFILE_STABLE_REL * sup:
                 break
             count = 2 * count - 1

@@ -44,6 +44,7 @@ class NormModel:
     w: np.ndarray
     sqrt_w: np.ndarray
     inv_sqrt_w: np.ndarray
+    is_identity: bool = False  # W = I: whitening is a copy
 
     @property
     def n(self) -> int:
@@ -69,7 +70,7 @@ class NormModel:
     @classmethod
     def identity(cls, n: int) -> "NormModel":
         eye = np.eye(n, dtype=complex)
-        return cls(w=eye, sqrt_w=eye.copy(), inv_sqrt_w=eye.copy())
+        return cls(w=eye, sqrt_w=eye.copy(), inv_sqrt_w=eye.copy(), is_identity=True)
 
 
 @dataclass(frozen=True)
@@ -116,12 +117,14 @@ def pairing(q, x, y) -> complex:
 
 def whiten_operator(t, nm: NormModel) -> np.ndarray:
     """Similarity whitening for operators on the state space."""
-    return nm.sqrt_w @ as_complex_matrix(t, "t") @ nm.inv_sqrt_w
+    tt = as_complex_matrix(t, "t")
+    return tt.copy() if nm.is_identity else nm.sqrt_w @ tt @ nm.inv_sqrt_w
 
 
 def whiten_form(q, nm: NormModel) -> np.ndarray:
     """Congruence whitening for state-to-dual maps (quadratic forms)."""
-    return nm.inv_sqrt_w @ as_complex_matrix(q, "q") @ nm.inv_sqrt_w
+    qq = as_complex_matrix(q, "q")
+    return qq.copy() if nm.is_identity else nm.inv_sqrt_w @ qq @ nm.inv_sqrt_w
 
 
 def op_norm(t, nm: NormModel) -> float:

@@ -194,6 +194,19 @@ class TestResolvent:
         assert right["tail_ratio"] is None
         assert run(["recheck", tmp_path / "inside.json"]) == 0
 
+    def test_scans_report_the_shifts_that_took_an_svd(self, tmp_path):
+        # heat is real: one point of each conjugate pair is evaluated
+        assert run(["resolvent", "--family", "heat", "--n", "8", "--out-dir", tmp_path]) == 0
+        scans = read_report(tmp_path / "resolvent-heat-n8.json")["scans"]
+        assert (scans["right"]["points"], scans["right"]["evaluated"]) == (145, 73)
+        assert (scans["strip"]["points"], scans["strip"]["evaluated"]) == (600, 312)
+        # a non-real eigenvalue makes A complex: every point is evaluated
+        assert run(["resolvent", "--family", "jordan", "--lambda=-0.5+1i", "--n", "4",
+                    "--out", "complex.json", "--out-dir", tmp_path]) == 0
+        scans = read_report(tmp_path / "complex.json")["scans"]
+        assert scans["right"]["evaluated"] == scans["right"]["points"]
+        assert scans["strip"]["evaluated"] == scans["strip"]["points"]
+
 
 class TestPerturb:
     def test_random_trials_all_pass(self, tmp_path, capsys):
@@ -231,6 +244,38 @@ class TestPerturb:
         report = read_report(tmp_path / "perturb-heat-n8.json")
         assert report["max_alpha"]["alpha"] > 1.0
         assert report["perturbation"]["margin_after"] <= 1e-9
+
+    @pytest.mark.parametrize("trials", ["-1", "0"])
+    def test_nonpositive_random_trials_is_usage_error(self, tmp_path, capsys, trials):
+        code = run(["perturb", "--family", "heat", "--n", "4", "--random-trials", trials,
+                    "--out-dir", tmp_path])
+        assert code == 1
+        assert "--random-trials must be a positive integer" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_b_beyond_the_radius_without_alpha_is_rejected(self, tmp_path):
+        save_matrix(tmp_path / "b.json", 100.0 * np.eye(4, dtype=complex))
+        code = run(["perturb", "--family", "heat", "--n", "4",
+                    "--b-file", tmp_path / "b.json", "--out-dir", tmp_path])
+        assert code == 2
+        report = read_report(tmp_path / "perturb-heat-n4.json")
+        assert report["verdict"] == "rejected"
+        block = report["perturbation"]
+        assert block["alpha"] is None
+        assert block["excess"] > 0.0
+        assert "no admissible alpha" in block["detail"]
+        assert "max_alpha" not in report
+        assert run(["recheck", tmp_path / "perturb-heat-n4.json"]) == 0
+
+    def test_recheck_rederives_the_excess_of_a_null_alpha(self, tmp_path):
+        save_matrix(tmp_path / "b.json", 100.0 * np.eye(4, dtype=complex))
+        assert run(["perturb", "--family", "heat", "--n", "4",
+                    "--b-file", tmp_path / "b.json", "--out-dir", tmp_path]) == 2
+        path = tmp_path / "perturb-heat-n4.json"
+        report = read_report(path)
+        report["perturbation"]["excess"] *= 0.5
+        path.write_text(json.dumps(report))
+        assert run(["recheck", path]) == 2
 
 
 class TestLeftinv:

@@ -7,7 +7,15 @@ import stabcert.numkernel
 import stabcert.resolvent
 import stabcert.space
 from stabcert.lyapunov import membership_margin, scale_member, solve_algebraic
-from stabcert.models import heat_dirichlet, jordan_block, random_psd, random_stable
+from stabcert.models import (
+    SplitMix64,
+    heat_dirichlet,
+    jordan_block,
+    random_psd,
+    random_stable,
+    random_vector,
+    upwind_shift,
+)
 from stabcert.numkernel import solve_linear, spectral_norm
 from stabcert.resolvent import (
     ResolventSingularError,
@@ -18,7 +26,7 @@ from stabcert.resolvent import (
     verify_bound_right,
 )
 from stabcert.semigroup import spectral_bound
-from stabcert.space import NormModel
+from stabcert.space import NormModel, whiten_operator
 
 
 def member_for(a, nm):
@@ -317,6 +325,28 @@ class TestPerPointWork:
             monkeypatch, lambda: verify_bound_right(a, nm, cand, n_axis=17, n_interior=4))
         assert counts == {"svd": len(report.grid) + 1, "solve": len(report.grid)}
 
+    def test_real_strip_evaluates_one_point_per_conjugate_pair(self, monkeypatch):
+        a = heat_dirichlet(6)
+        nm = NormModel.from_weight(tridiagonal_weight(6))
+        cand = member_for(a, nm)
+        delta0 = 0.25 * min(abs(spectral_bound(a)), 1.0 / (2.0 * cand.q_norm))
+        report, counts = self.counted(
+            monkeypatch, lambda: verify_bound_left_strip(a, nm, cand, delta0, n_grid=6))
+        # 6 lines of 7 points: 3 conjugate pairs and one real point each
+        assert (len(report.grid), report.evaluated) == (42, 24)
+        assert counts == {"svd": report.evaluated + 1, "solve": 0}
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_real_right_scan_solves_once_per_evaluated_point(self, monkeypatch, weighted):
+        a = random_stable(6, 0.5, 5)
+        nm = NormModel.from_weight(tridiagonal_weight(6)) if weighted else NormModel.identity(6)
+        cand = member_for(a, nm)
+        report, counts = self.counted(
+            monkeypatch, lambda: verify_bound_right(a, nm, cand, n_axis=17, n_interior=4))
+        # 17 axis points: 8 pairs and 0; 2 x 2 interior points: 2 pairs
+        assert (len(report.grid), report.evaluated) == (21, 11)
+        assert counts == {"svd": report.evaluated + 1, "solve": report.evaluated}
+
 
 class TestCsvExport:
     def test_schema_and_roundtrip(self, tmp_path):
@@ -335,3 +365,86 @@ class TestCsvExport:
             assert float(fields[2]) == nrm
             assert float(fields[4]) == pytest.approx(nrm / float(fields[3]), rel=1e-15)
             assert all(ch not in line for ch in (" ", ";"))
+
+
+def tridiagonal_weight(n):
+    """A real SPD weight: tridiag(-1, 3, -1)."""
+    return 3.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+
+
+REAL_FAMILIES = {
+    "heat": heat_dirichlet,
+    "upwind": upwind_shift,
+    "jordan": lambda n: jordan_block(n, -1.0),
+    "random-stable": lambda n: random_stable(n, 0.5, 7),
+}
+
+
+class TestConjugateSymmetry:
+    """For a real generator a shift and its conjugate have the same resolvent
+    norm, so the scans take one SVD per conjugate pair."""
+
+    def scans(self, a, nm):
+        cand = member_for(a, nm)
+        delta0 = 0.5 * min(abs(spectral_bound(a)), 1.0 / (2.0 * cand.q_norm))
+        # 7 of 9 interior points: the last row's conjugate partner is cut
+        right = verify_bound_right(a, nm, cand, n_axis=33, n_interior=7)
+        strip = verify_bound_left_strip(a, nm, cand, delta0, n_grid=8)
+        return cand, right, strip
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("n", [16, 48])
+    @pytest.mark.parametrize("family", sorted(REAL_FAMILIES))
+    def test_mirrored_norms_equal_direct_ones(self, family, n, weighted):
+        a = REAL_FAMILIES[family](n)
+        nm = NormModel.from_weight(tridiagonal_weight(n)) if weighted else NormModel.identity(n)
+        _, right, strip = self.scans(a, nm)
+        # 16 axis pairs and 0; interior rows (-w, 0, w), (-w, 0, w), (-w)
+        assert right.evaluated == 17 + 2 + 2 + 1
+        assert strip.evaluated == 8 * 5
+        for scan in (right, strip):
+            direct = [resolvent_norm(a, lam, nm) for lam in scan.grid]
+            np.testing.assert_allclose(scan.norms, direct, rtol=1e-12, atol=0.0)
+
+    def test_grids_are_exactly_conjugate_symmetric(self):
+        a = random_stable(12, 0.5, 3)
+        nm = NormModel.identity(12)
+        cand, right, strip = self.scans(a, nm)
+        for scan in (verify_bound_right(a, nm, cand), verify_bound_left_strip(a, nm, cand, 0.1)):
+            points = set(scan.grid)
+            assert all(lam.conjugate() in points for lam in scan.grid)
+        # every strip line is antisymmetric, its middle point exactly real
+        lines = np.array([lam.imag for lam in strip.grid]).reshape(8, 9)
+        assert np.array_equal(lines, -lines[:, ::-1])
+        assert np.all(lines[:, 4] == 0.0)
+        axis = np.array([lam.imag for lam in right.grid[:33]])
+        assert np.array_equal(axis, -axis[::-1])
+        interior = np.array([lam.imag for lam in right.grid[33:39]]).reshape(2, 3)
+        assert np.array_equal(interior, -interior[:, ::-1])
+
+    def test_complex_generator_evaluates_every_point(self):
+        a = jordan_block(8, -0.5 + 1.0j)
+        _, right, strip = self.scans(a, NormModel.identity(8))
+        assert right.evaluated == len(right.grid)
+        assert strip.evaluated == len(strip.grid)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("family", sorted(REAL_FAMILIES))
+    def test_proof_slack_covers_the_full_grid(self, family, weighted):
+        n = 16
+        a = REAL_FAMILIES[family](n)
+        nm = NormModel.from_weight(tridiagonal_weight(n)) if weighted else NormModel.identity(n)
+        cand, right, _ = self.scans(a, nm)
+        rng = SplitMix64(0x5EED)
+        samples = np.array([random_vector(n, rng)
+                            for _ in range(stabcert.resolvent._PROOF_SAMPLES)])
+        wy = nm.sqrt_w @ samples.T
+        y_norms = np.linalg.norm(wy, axis=0)
+        aw = whiten_operator(a, nm)
+        bound = 2.0 * cand.q_norm
+        slack = math.inf
+        for lam in right.grid:
+            ry = np.linalg.norm(np.linalg.solve(lam * np.eye(n) - aw, wy), axis=0)
+            rhs = bound * ry * y_norms
+            slack = min(slack, float(np.min((rhs - ry ** 2) / np.maximum(rhs, 1e-300))))
+        assert right.proof_slack == pytest.approx(slack, rel=0.0, abs=1e-12)

@@ -115,6 +115,16 @@ def test_whitening_shapes_and_consistency():
     assert np.allclose(whiten_form(q, nm), nm.inv_sqrt_w @ q @ nm.inv_sqrt_w, atol=1e-12)
 
 
+def test_identity_whitening_is_an_exact_copy():
+    nm = NormModel.identity(5)
+    t = random_matrix(5, 24)
+    for whiten in (whiten_operator, whiten_form):
+        out = whiten(t, nm)
+        # I T I = T exactly, and the caller owns the result
+        assert np.array_equal(out, nm.sqrt_w @ t @ nm.inv_sqrt_w)
+        assert out is not t and not np.shares_memory(out, t)
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**31), n=st.integers(2, 8))
 def test_norm_matches_pairing(seed, n):
