@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -65,6 +66,7 @@ from .semigroup import (
     left_invertibility_witness,
     lower_envelope,
     spectral_bound,
+    stability_gate,
 )
 from .space import NormModel, RieszMap, op_norm
 
@@ -142,11 +144,21 @@ class _CliUsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value such as -0.5+1i is a number, not a flag (argparse in
+        # Python 3.13 reads every "-digit" argument this way)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # usage problems are operational errors (exit 1)
         raise _CliUsageError(message)
 
 
-def _add_common(p: _Parser) -> None:
+@functools.cache
+def _common() -> _Parser:
+    """The flags every subcommand but ``recheck`` shares: the input, the norm
+    and the output.  A math subcommand's other flags are its flag echo."""
+    p = _Parser(add_help=False)
     p.add_argument("--family", choices=["heat", "upwind", "jordan", "random-stable"])
     p.add_argument("--file", help="matrix JSON file with the generator")
     p.add_argument("--n", type=int, default=8)
@@ -160,30 +172,28 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--tol", type=float, default=DEFAULT_MEMBERSHIP_TOL)
     p.add_argument("--out-dir", default=".")
     p.add_argument("--out", help="report filename (default derived from the input)")
+    return p
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="stabcert", description=__doc__)
     parser.add_argument("--version", action="version", version=f"stabcert {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    command = functools.partial(sub.add_parser, parents=[_common()])
 
-    p = sub.add_parser("certify", help="full pipeline: refute or certify with envelope")
-    _add_common(p)
+    p = command("certify", help="full pipeline: refute or certify with envelope")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("refute", help="search for a nonnegative-real-part eigenpair")
-    _add_common(p)
+    p = command("refute", help="search for a nonnegative-real-part eigenpair")
     p.set_defaults(func=cmd_refute)
 
-    p = sub.add_parser("q0", help="quadrature member, compared against the algebraic solve")
-    _add_common(p)
+    p = command("q0", help="quadrature member, compared against the algebraic solve")
     p.add_argument("--riesz", help="matrix JSON file with the SPD map P (default: W)")
     p.add_argument("--tmax", type=float, help="quadrature horizon (default: certified)")
     p.add_argument("--panels", type=int, help="quadrature panels (default: stiffness-based)")
     p.set_defaults(func=cmd_q0)
 
-    p = sub.add_parser("resolvent", help="verify right half-plane and left-strip bounds")
-    _add_common(p)
+    p = command("resolvent", help="verify right half-plane and left-strip bounds")
     p.add_argument("--delta0", default="auto", help="strip offset (number or 'auto')")
     p.add_argument("--omega-max", type=float, help="imaginary-axis extent (default 10|A|)")
     p.add_argument("--n-axis", type=int, default=129)
@@ -191,20 +201,17 @@ def build_parser() -> _Parser:
     p.add_argument("--n-grid", type=int, default=24, help="strip points per axis")
     p.set_defaults(func=cmd_resolvent)
 
-    p = sub.add_parser("perturb", help="verify the bounded-perturbation guarantee")
-    _add_common(p)
+    p = command("perturb", help="verify the bounded-perturbation guarantee")
+    p.add_argument("--alpha", type=float, help="guarantee parameter (> 1)")
     p.add_argument("--b-file", help="matrix JSON file with the perturbation B")
     p.add_argument("--random-trials", type=int, help="seeded trials at the radius")
-    p.add_argument("--alpha", type=float, help="guarantee parameter (> 1)")
     p.set_defaults(func=cmd_perturb)
 
-    p = sub.add_parser("leftinv", help="envelope fit, strong positivity, and the witness")
-    _add_common(p)
+    p = command("leftinv", help="envelope fit, strong positivity, and the witness")
     p.add_argument("--t-grid", help="start,stop,count for a log-spaced sample grid")
     p.set_defaults(func=cmd_leftinv)
 
-    p = sub.add_parser("gen", help="write a family matrix as matrix JSON")
-    _add_common(p)
+    p = command("gen", help="write a family matrix as matrix JSON")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("recheck", help="re-validate reports from their embedded data")
@@ -292,7 +299,7 @@ class _Job:
     """The frame of one math subcommand: the generator, the norm model, the
     report skeleton with the flag echo, and the one way out (``finish``)."""
 
-    def __init__(self, args, command: str, **config):
+    def __init__(self, args):
         self.started = time.perf_counter()
         self.args = args
         self.spec = _spec_from_args(args)
@@ -308,24 +315,18 @@ class _Job:
             descriptor = {"kind": "identity", "n": n}
         if self.nm.n != n:
             raise ValueError(f"norm weight is {self.nm.n}x{self.nm.n} but the generator is {n}x{n}")
+        shared = {"command", "func", *vars(_common().parse_args([]))}
+        own = {k: v for k, v in vars(args).items() if k not in shared}
         self.config = {"tol": args.tol, "out_dir": args.out_dir,
-                       "norm_file": args.norm_file, **config}
+                       "norm_file": args.norm_file, **own}
         self.report = {
             "tool": {"name": "stabcert", "version": __version__},
-            "command": command,
+            "command": args.command,
             "input": _input_block(self.spec),
             "norm_model": descriptor,
             "config": self.config,
             "generator": matrix_to_json_dict(self.a),
         }
-
-    def refuted(self) -> int | None:
-        """Finish a ``refuted`` report when A has an eigenvalue with
-        nonnegative real part; None when no witness exists."""
-        witness = refute_stability(self.a)
-        if witness is None:
-            return None
-        return self.finish(witness=_witness_block(witness, self.a))
 
     def candidate(self) -> LyapunovCandidate:
         """The algebraic solution of A* Q + Q A = -W with its membership margin."""
@@ -338,18 +339,19 @@ class _Job:
         report = {**self.report, **blocks}
         verdict = report["verdict"] = _RULES[report["command"]](report)
         report["timings"] = {"total_s": time.perf_counter() - self.started}
-        os.makedirs(self.args.out_dir, exist_ok=True)
-        name = self.args.out or f"{report['command']}-{_tag(self.spec)}.json"
-        path = os.path.join(self.args.out_dir, name)
+        path = _out_path(self.args, self.args.out or f"{report['command']}-{_tag(self.spec)}.json")
         write_atomic(path, json.dumps(report, separators=(",", ":")) + "\n")
         print(f"{verdict}: report written to {path}")
         return _EXIT_CODES[verdict]
 
 
-def cmd_certify(args) -> int:
-    job = _Job(args, "certify")
-    if (code := job.refuted()) is not None:
-        return code
+def _out_path(args, name: str) -> str:
+    """The path of the output ``name`` under --out-dir, which is made on demand."""
+    os.makedirs(args.out_dir, exist_ok=True)
+    return os.path.join(args.out_dir, name)
+
+
+def cmd_certify(job: _Job) -> int:
     cand = job.candidate()
     if not cand.is_member:
         return job.finish(candidate=_candidate_block(cand))
@@ -369,18 +371,15 @@ def cmd_certify(args) -> int:
     return job.finish(certificate=block)
 
 
-def cmd_refute(args) -> int:
-    job = _Job(args, "refute")
-    if (code := job.refuted()) is not None:
-        return code
+def cmd_refute(job: _Job) -> int:
+    stability_gate(job.a)
     return job.finish(spectral_bound=float(spectral_bound(job.a)))
 
 
-def cmd_q0(args) -> int:
-    job = _Job(args, "q0", riesz=args.riesz, tmax=args.tmax, panels=args.panels)
-    if (code := job.refuted()) is not None:
-        return code
-    a, nm = job.a, job.nm
+def cmd_q0(job: _Job) -> int:
+    a, nm, args = job.a, job.nm, job.args
+    if args.riesz:  # reading and validating P can fail: refute before it
+        stability_gate(a)
     riesz = RieszMap.from_matrix(load_matrix(args.riesz) if args.riesz else nm.w, nm)
     cand = construct_q0(a, riesz, nm, t_max=args.tmax, panels=args.panels, tol=args.tol)
     block = {**_candidate_block(cand), "theta_riesz": float(riesz.theta)}
@@ -394,12 +393,8 @@ def cmd_q0(args) -> int:
     return job.finish(q0=block)
 
 
-def cmd_resolvent(args) -> int:
-    job = _Job(args, "resolvent", delta0=args.delta0, omega_max=args.omega_max,
-               n_axis=args.n_axis, n_interior=args.n_interior, n_grid=args.n_grid)
-    if (code := job.refuted()) is not None:
-        return code
-    a, nm = job.a, job.nm
+def cmd_resolvent(job: _Job) -> int:
+    a, nm, args = job.a, job.nm, job.args
     cand = job.candidate()
     if args.delta0 == "auto":
         delta0 = 0.5 * min(abs(spectral_bound(a)), 1.0 / (2.0 * cand.q_norm))
@@ -410,11 +405,10 @@ def cmd_resolvent(args) -> int:
     right = verify_bound_right(a, nm, cand, omega_max=args.omega_max,
                                n_axis=args.n_axis, n_interior=args.n_interior)
     strip = verify_bound_left_strip(a, nm, cand, delta0, n_grid=args.n_grid)
-    os.makedirs(args.out_dir, exist_ok=True)
 
     def scan_block(scan, region):
         csv_name = f"resolvent-{_tag(job.spec)}-{region}.csv"
-        export_scan_csv(scan, os.path.join(args.out_dir, csv_name))
+        export_scan_csv(scan, _out_path(args, csv_name))
         return {
             "kind": scan.kind,
             "bound": float(scan.bound),
@@ -437,7 +431,8 @@ def cmd_resolvent(args) -> int:
     return job.finish(candidate=_candidate_block(cand), scans=scans)
 
 
-def cmd_perturb(args) -> int:
+def cmd_perturb(job: _Job) -> int:
+    a, nm, args = job.a, job.nm, job.args
     if args.random_trials is not None and args.random_trials <= 0:
         raise _CliUsageError("--random-trials must be a positive integer")
     if args.b_file and args.random_trials:
@@ -446,11 +441,6 @@ def cmd_perturb(args) -> int:
         raise _CliUsageError("one of --b-file or --random-trials is required")
     if args.alpha is not None and not args.alpha > 1.0:
         raise ValueError(f"alpha must exceed 1, got {args.alpha}")
-    job = _Job(args, "perturb", alpha=args.alpha, b_file=args.b_file,
-               random_trials=args.random_trials)
-    if (code := job.refuted()) is not None:
-        return code
-    a, nm = job.a, job.nm
     cand = job.candidate()
     job.report["candidate"] = _candidate_block(cand)
 
@@ -512,7 +502,8 @@ def _strong_positivity(theta: float, fit: EnvelopeFit) -> tuple[float, bool, flo
     return bound, theta >= bound - _STRONG_POSITIVITY_SLACK, 1.0 / (2.0 * theta)
 
 
-def cmd_leftinv(args) -> int:
+def cmd_leftinv(job: _Job) -> int:
+    a, nm, args = job.a, job.nm, job.args
     t_grid = None
     if args.t_grid:
         try:
@@ -521,14 +512,9 @@ def cmd_leftinv(args) -> int:
                                  int(count))
         except ValueError as exc:
             raise _CliUsageError(f"--t-grid expects start,stop,count: {exc}") from exc
-    job = _Job(args, "leftinv", t_grid=args.t_grid)
-    if (code := job.refuted()) is not None:
-        return code
-    a, nm = job.a, job.nm
+    cand = job.candidate()
     if t_grid is None:
         t_grid = default_time_grid(a)
-
-    cand = job.candidate()
     fit = lower_envelope(a, nm, t_grid)
     bound, ok, rate = _strong_positivity(cand.theta, fit)
     t0 = envelope_witness_search(fit, rate)
@@ -554,9 +540,7 @@ def cmd_leftinv(args) -> int:
 def cmd_gen(args) -> int:
     spec = _spec_from_args(args)
     a = build_model(spec)
-    os.makedirs(args.out_dir, exist_ok=True)
-    name = args.out if args.out else f"{_tag(spec)}.json"
-    path = os.path.join(args.out_dir, name)
+    path = _out_path(args, args.out or f"{_tag(spec)}.json")
     save_matrix(path, a)
     print(f"matrix written to {path}")
     return 0
@@ -707,11 +691,18 @@ def cmd_recheck(args) -> int:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
+        if args.command not in _RULES:  # gen and recheck write no verdict
+            return args.func(args)
+        job = _Job(args)
+        try:
+            return args.func(job)
+        except UnstableGeneratorError as exc:
+            # the first stability gate the job reached refutes it
+            return job.finish(witness=_witness_block(exc.witness, job.a))
     except _CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (KernelPrecisionError, UnstableGeneratorError, ValueError, OSError) as exc:
+    except (KernelPrecisionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

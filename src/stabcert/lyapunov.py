@@ -146,12 +146,12 @@ def solve_algebraic(a, rhs) -> np.ndarray:
     rr = as_complex_matrix(rhs, "rhs")
     if aa.shape != rr.shape:
         raise ValueError(f"shape mismatch: a {aa.shape}, rhs {rr.shape}")
+    stability_gate(aa)  # before any decomposition: it is a job's refutation
     lam_r, _ = hermitian_eig(rr)
     if lam_r[0] <= 0.0:
         raise ValueError(
             f"right-hand side must be positive definite, min eigenvalue {lam_r[0]:.6e}"
         )
-    stability_gate(aa)
     n = aa.shape[0]
     e, steps, prev, err = aa, [], math.inf, math.inf
     while err > 1e-13 * n and not prev <= err < 1e-6:

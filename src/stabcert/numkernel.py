@@ -10,7 +10,6 @@ deliberately out.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -29,7 +28,6 @@ __all__ = [
     "singularity_gate",
     "solve_linear",
     "gauss_legendre_nodes",
-    "quad_integral",
 ]
 
 SOLVER_RESIDUAL_TOL = 1e-10
@@ -219,15 +217,3 @@ def gauss_legendre_nodes(upper: float, panels: int):
     nodes = (starts[:, None] + 0.5 * width * (x[None, :] + 1.0)).ravel()
     weights = np.tile(0.5 * width * w, panels)
     return nodes, weights
-
-
-def quad_integral(f: Callable[[float], float], upper: float, panels: int):
-    """Integrate ``f`` over [0, upper] with composite 5-point Gauss-Legendre."""
-    if panels < 4:
-        raise ValueError(f"panels must be >= 4, got {panels}")
-    nodes, weights = gauss_legendre_nodes(upper, panels)
-    values = np.array([f(float(t)) for t in nodes])
-    if not np.all(np.isfinite(values.view(np.float64) if np.iscomplexobj(values) else values)):
-        raise ValueError("integrand produced non-finite samples")
-    total = np.dot(weights, values)
-    return complex(total) if np.iscomplexobj(values) else float(total)

@@ -241,15 +241,13 @@ def datko_integral(a, nm: NormModel, x, tail_tol: float = 1e-9) -> float:
     m = as_complex_matrix(a, "a")
     if not (0.0 < tail_tol <= 1e-4):
         raise ValueError(f"tail_tol must be in (0, 1e-4], got {tail_tol}")
-    stability_gate(m)
+    s_hat, m_hat = certified_decay(m, nm)  # gates the stability of A
     xv = np.asarray(x, dtype=complex).reshape(-1)
     if xv.shape[0] != m.shape[0]:
         raise ValueError(f"vector has length {xv.shape[0]}, expected {m.shape[0]}")
     x2 = vec_norm(xv, nm) ** 2
     if x2 == 0.0:
         return 0.0
-
-    s_hat, m_hat = certified_decay(m, nm)
     rate = 2.0 * abs(s_hat)
     t_star = (2.0 * math.log(m_hat) + math.log(x2 / (rate * tail_tol))) / rate
     t_star = max(t_star, 1.0 / abs(s_hat))

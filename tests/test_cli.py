@@ -130,7 +130,8 @@ class TestExitCodeTable:
 
 
 class TestRefutationContract:
-    @pytest.mark.parametrize("command", ["resolvent", "perturb", "leftinv"])
+    @pytest.mark.parametrize("command", ["resolvent", "perturb", "leftinv", "certify",
+                                         "refute", "q0"])
     def test_unstable_input_is_refuted_with_exit_two(self, tmp_path, command):
         extra = ["--random-trials", "4"] if command == "perturb" else []
         code = run([command, "--family", "jordan", "--n", "3", "--lambda", "1", *extra,
@@ -152,8 +153,47 @@ class TestRefutationContract:
         assert code == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("riesz", [None, -np.eye(3, dtype=complex)],
+                             ids=["missing", "negative-definite"])
+    def test_q0_refutes_before_it_reads_the_riesz_map(self, tmp_path, riesz):
+        path = tmp_path / "p.json"
+        if riesz is not None:
+            save_matrix(path, riesz)
+        code = run(["q0", "--family", "jordan", "--n", "3", "--lambda", "1",
+                    "--riesz", path, "--out-dir", tmp_path])
+        assert code == 2
+        report = read_report(tmp_path / "q0-jordan-n3.json")
+        assert report["verdict"] == "refuted"
+        assert run(["recheck", tmp_path / "q0-jordan-n3.json"]) == 0
+
+    @pytest.mark.parametrize("command, extra", [
+        ("certify", []),
+        ("perturb", ["--random-trials", "2"]),
+        ("leftinv", []),
+    ], ids=["certify", "perturb", "leftinv"])
+    def test_a_stable_job_decides_stability_once(self, tmp_path, monkeypatch, command,
+                                                  extra):
+        calls = []
+        eig = np.linalg.eig
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return eig(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eig", counting)
+        assert run([command, "--family", "heat", "--n", "8", *extra,
+                    "--out-dir", tmp_path]) == 0
+        assert len(calls) == 1
+
 
 class TestResolvent:
+    def test_negative_complex_lambda_parses_without_equals(self, tmp_path):
+        code = run(["resolvent", "--family", "jordan", "--lambda", "-0.5+1i", "--n", "4",
+                    "--out-dir", tmp_path])
+        assert code == 0
+        report = read_report(tmp_path / "resolvent-jordan-n4.json")
+        assert report["input"]["params"]["lambda"] == [-0.5, 1.0]
+
     def test_heat_auto_delta0_passes(self, tmp_path):
         code = run(["resolvent", "--family", "heat", "--n", "16", "--delta0", "auto",
                     "--out-dir", tmp_path])
