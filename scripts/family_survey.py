@@ -6,35 +6,20 @@ import argparse
 import sys
 from pathlib import Path
 
-try:
-    from stabcert import (
-        certificate,
-        heat_dirichlet,
-        jordan_block,
-        membership_margin,
-        random_stable,
-        solve_algebraic,
-        spectral_bound,
-        upwind_shift,
-        verify_bound_left_strip,
-        verify_bound_right,
-    )
-    from stabcert.space import NormModel
-except ImportError:
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    from stabcert import (
-        certificate,
-        heat_dirichlet,
-        jordan_block,
-        membership_margin,
-        random_stable,
-        solve_algebraic,
-        spectral_bound,
-        upwind_shift,
-        verify_bound_left_strip,
-        verify_bound_right,
-    )
-    from stabcert.space import NormModel
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from stabcert import (
+    certificate,
+    heat_dirichlet,
+    jordan_block,
+    membership_margin,
+    random_stable,
+    solve_algebraic,
+    spectral_bound,
+    upwind_shift,
+    verify_bound_left_strip,
+    verify_bound_right,
+)
+from stabcert.space import NormModel
 
 
 def main():

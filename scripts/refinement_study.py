@@ -22,15 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-try:
-    from stabcert import lower_envelope, upwind_shift
-    from stabcert.semigroup import left_invertibility_witness
-    from stabcert.space import NormModel
-except ImportError:  # running from a checkout without installation
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    from stabcert import lower_envelope, upwind_shift
-    from stabcert.semigroup import left_invertibility_witness
-    from stabcert.space import NormModel
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from stabcert import lower_envelope, upwind_shift
+from stabcert.semigroup import left_invertibility_witness
+from stabcert.space import NormModel
 
 
 def run(sizes, t_lo, t_hi, points):

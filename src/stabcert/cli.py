@@ -417,7 +417,7 @@ def cmd_resolvent(job: _Job) -> int:
             "argmax": [float(scan.argmax.real), float(scan.argmax.imag)],
             "points": len(scan.grid),
             "evaluated": scan.evaluated,
-            "tol": float(scan.tol),
+            "tol": DEFAULT_SCAN_TOL,
             "csv": csv_name,
         }
 
@@ -702,7 +702,7 @@ def main(argv=None) -> int:
     except _CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (KernelPrecisionError, ValueError, OSError) as exc:
+    except (KernelPrecisionError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -204,8 +204,8 @@ def construct_q0(
         rate = 2.0 * abs(s_hat)
         t_max = (2.0 * math.log(m_hat) + math.log(p_norm / (riesz.theta * 1e-9))) / rate
         t_max = max(t_max, 1.0 / abs(s_hat))
-    if not t_max > 0.0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
+    if not 0.0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     if panels is None:
         # the membership residual amplifies the quadrature error by 2|A|,
         # so panels are chosen finer here than for plain value integrals

@@ -7,6 +7,7 @@ identical (n, margin, seed) yields identical matrices on any platform.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
@@ -170,28 +171,28 @@ def build_model(spec: ModelSpec) -> np.ndarray:
     raise ValueError(f"unknown family {spec.family!r}, expected one of {_FAMILIES}")
 
 
-def _number_pairs(data: list) -> np.ndarray | None:
-    """``data`` as complex entries when every one is a two-element list of
-    exact ints and floats; None sends the caller to its per-entry checks."""
-    if set(map(type, data)) != {list} or set(map(len, data)) != {2}:
-        return None
-    flat = list(itertools.chain.from_iterable(data))
-    if not set(map(type, flat)) <= {int, float}:
-        return None
+def _decode_entry(entry, k: int, pairs: bool) -> list:
+    """The floats of entry ``k``: [re, im] of a ``data`` pair, [x] of a
+    ``data_real`` number.  Float subclasses are accepted, bools are not, and
+    an entry that is neither names itself in the error."""
+    numbers = entry if pairs else [entry]
+    if not (
+        isinstance(numbers, list)
+        and len(numbers) == (2 if pairs else 1)
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in numbers)
+    ):
+        raise MatrixFormatError(f"data[{k}] must be a [re, im] number pair, got {entry!r}"
+                                if pairs else f"data_real[{k}] is not a number: {entry!r}")
     try:
-        return np.array(flat, dtype=float).view(complex)
-    except OverflowError:  # an int beyond the float range
-        return None
-
-
-def _entry_float(value, k: int) -> float:
-    try:
-        return float(value)
+        return [float(x) for x in numbers]
     except OverflowError:  # an int beyond the float range
         raise MatrixFormatError(f"entry at offset {k} is beyond the float range") from None
 
 
 def matrix_from_json_dict(doc) -> np.ndarray:
+    """``rows``, ``cols`` and row-major ``data`` [re, im] pairs or ``data_real``
+    numbers, by one numpy call when every entry is a regular pair or number of
+    exact int and float type, else by ``_decode_entry`` one entry at a time."""
     if not isinstance(doc, dict):
         raise MatrixFormatError(f"matrix document must be an object, got {type(doc).__name__}")
     try:
@@ -203,54 +204,40 @@ def matrix_from_json_dict(doc) -> np.ndarray:
         raise MatrixFormatError(f"rows/cols must be positive integers, got {rows!r}/{cols!r}")
     if rows > MAX_N or cols > MAX_N:
         raise MatrixFormatError(f"rows/cols {rows}/{cols} exceed the size limit n <= {MAX_N}")
-    has_data = "data" in doc
-    has_real = "data_real" in doc
-    if has_data == has_real:
+    pairs = "data" in doc
+    if pairs == ("data_real" in doc):
         raise MatrixFormatError("matrix document needs exactly one of 'data' or 'data_real'")
+    key = "data" if pairs else "data_real"
+    entries = doc[key]
     total = rows * cols
-    m = np.empty((rows, cols), dtype=complex)
-    if has_real:
-        data = doc["data_real"]
-        if not isinstance(data, list) or len(data) != total:
-            got = len(data) if isinstance(data, list) else type(data).__name__
-            raise MatrixFormatError(f"data_real has {got} entries, expected rows*cols = {total}")
-        for k, value in enumerate(data):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise MatrixFormatError(f"data_real[{k}] is not a number: {value!r}")
-            m[k // cols, k % cols] = _entry_float(value, k)
-    else:
-        data = doc["data"]
-        if not isinstance(data, list) or len(data) != total:
-            got = len(data) if isinstance(data, list) else type(data).__name__
-            raise MatrixFormatError(f"data has {got} entries, expected rows*cols = {total}")
-        pairs = _number_pairs(data)
-        if pairs is not None:
-            m[:] = pairs.reshape(rows, cols)
-        else:
-            for k, pair in enumerate(data):
-                if (
-                    not isinstance(pair, list)
-                    or len(pair) != 2
-                    or not all(isinstance(p, (int, float)) and not isinstance(p, bool)
-                               for p in pair)
-                ):
-                    raise MatrixFormatError(
-                        f"data[{k}] must be a [re, im] number pair, got {pair!r}")
-                m[k // cols, k % cols] = complex(_entry_float(pair[0], k), _entry_float(pair[1], k))
-    if not np.all(np.isfinite(m.view(np.float64))):
-        bad = int(np.flatnonzero(~np.isfinite(m.reshape(-1).view(np.float64)))[0] // 2)
-        raise MatrixFormatError(f"non-finite entry at offset {bad}")
-    return m
+    if not isinstance(entries, list) or len(entries) != total:
+        got = len(entries) if isinstance(entries, list) else type(entries).__name__
+        raise MatrixFormatError(f"{key} has {got} entries, expected rows*cols = {total}")
+    width = 2 if pairs else 1
+    flat = entries
+    if pairs and set(map(type, entries)) == {list} and set(map(len, entries)) == {2}:
+        flat = list(itertools.chain.from_iterable(entries))
+    values = None
+    if len(flat) == width * total and set(map(type, flat)) <= {int, float}:
+        with contextlib.suppress(OverflowError):  # the fallback names the entry
+            values = np.array(flat, dtype=float)
+    if values is None:
+        values = np.array([x for k, entry in enumerate(entries)
+                           for x in _decode_entry(entry, k, pairs)], dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise MatrixFormatError(f"non-finite entry at offset {int(np.argmin(finite)) // width}")
+    return (values.view(complex) if pairs else values.astype(complex)).reshape(rows, cols)
 
 
 def matrix_to_json_dict(m) -> dict:
-    arr = np.asarray(m, dtype=complex)
+    arr = np.ascontiguousarray(m, dtype=complex)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     return {
         "rows": int(arr.shape[0]),
         "cols": int(arr.shape[1]),
-        "data": [[float(v.real), float(v.imag)] for v in arr.reshape(-1)],
+        "data": arr.reshape(-1).view(np.float64).reshape(-1, 2).tolist(),
     }
 
 
@@ -287,15 +274,9 @@ def save_matrix(path, m) -> None:
     write_atomic(path, json.dumps(matrix_to_json_dict(m), indent=2) + "\n")
 
 
-def _resolve_rng(seed_or_rng) -> SplitMix64:
-    if isinstance(seed_or_rng, SplitMix64):
-        return seed_or_rng
-    return SplitMix64(int(seed_or_rng))
-
-
-def random_matrix(n: int, seed_or_rng, complex_entries: bool = True) -> np.ndarray:
+def random_matrix(n: int, seed_or_rng) -> np.ndarray:
     """Seeded dense test matrix, entries uniform on [-1, 1] per component."""
-    return _random_array((n, n), seed_or_rng, complex_entries)
+    return _random_array((n, n), seed_or_rng)
 
 
 def random_hermitian(n: int, seed_or_rng) -> np.ndarray:
@@ -308,14 +289,12 @@ def random_psd(n: int, seed_or_rng) -> np.ndarray:
     return g.conj().T @ g
 
 
-def random_vector(n: int, seed_or_rng, complex_entries: bool = True) -> np.ndarray:
-    return _random_array((n,), seed_or_rng, complex_entries)
+def random_vector(n: int, seed_or_rng) -> np.ndarray:
+    return _random_array((n,), seed_or_rng)
 
 
-def _random_array(shape, seed_or_rng, complex_entries: bool) -> np.ndarray:
-    """Entries filled row-major, each drawing its real part and then, for
-    complex entries, its imaginary part from the stream."""
-    rng = _resolve_rng(seed_or_rng)
-    if not complex_entries:
-        return rng.uniform_block(int(np.prod(shape))).reshape(shape).astype(complex)
+def _random_array(shape, seed_or_rng) -> np.ndarray:
+    """Entries filled row-major, each drawing its real part and then its
+    imaginary part from the stream of ``seed_or_rng``, a SplitMix64 or a seed."""
+    rng = seed_or_rng if isinstance(seed_or_rng, SplitMix64) else SplitMix64(int(seed_or_rng))
     return rng.uniform_block(2 * int(np.prod(shape))).view(complex).reshape(shape)

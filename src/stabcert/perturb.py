@@ -10,6 +10,7 @@ the other.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .lyapunov import LyapunovCandidate, membership_margin
@@ -66,6 +67,7 @@ def verify_perturbation(
     inequality uses).  The whitened W is I, so with m the membership margin
     of Q for A + B it is m - 1/alpha, and k Q, k = alpha/(alpha-1), has the
     margin k m - (k - 1) = k margin_after (``scale_member``'s transform).
+    An infinite alpha (``max_alpha`` of B = 0) takes the limit k = 1.
     """
     aa = as_complex_matrix(a, "a")
     bb = as_complex_matrix(b, "b")
@@ -79,7 +81,7 @@ def verify_perturbation(
             excess=b_norm - radius,
         )
     m = membership_margin(cand.q, aa + bb, nm, tol=cand.tol).margin
-    k = alpha / (alpha - 1.0)
+    k = alpha / (alpha - 1.0) if math.isfinite(alpha) else 1.0
     rescaled_margin = k * m - (k - 1.0)
     return PerturbationReport(
         radius=radius,

@@ -58,7 +58,6 @@ class ScanReport:
     worst_ratio: float
     passed: bool
     argmax: complex
-    tol: float = DEFAULT_SCAN_TOL
     proof_slack: float | None = None
     tail_ratio: float | None = None
     evaluated: int | None = None  # shifts that took an SVD
@@ -171,6 +170,10 @@ def verify_bound_right(
         omega_max = 10.0 * max(nrm_a, 1.0)
     if not omega_max > 0.0:
         raise ValueError(f"omega_max must be positive, got {omega_max}")
+    if n_axis < 1:
+        raise ValueError(f"n_axis must be >= 1, got {n_axis}")
+    if n_interior < 0:
+        raise ValueError(f"n_interior must be >= 0, got {n_interior}")
 
     half = max((n_axis - 1) // 2, 1)
     decades = np.logspace(math.log10(omega_max * 1e-6), math.log10(omega_max), half)
@@ -230,6 +233,8 @@ def verify_bound_left_strip(
     qn = cand.q_norm
     if not delta0 > 0.0:
         raise ValueError(f"delta0 must be positive, got {delta0}")
+    if n_grid < 1:
+        raise ValueError(f"n_grid must be >= 1, got {n_grid}")
     if 2.0 * delta0 * qn >= 1.0:
         raise ValueError(
             f"2 * delta0 * |Q| = {2.0 * delta0 * qn:.6e} >= 1; scale the member up "

@@ -222,6 +222,19 @@ class TestResolvent:
         err = capsys.readouterr().err
         assert "delta0 <=" in err  # suggests the admissible maximum
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--n-grid", "0", "n_grid"),
+        ("--n-axis", "-5", "n_axis"),
+        ("--n-axis", "0", "n_axis"),
+        ("--n-interior", "-1", "n_interior"),
+    ])
+    def test_bad_grid_size_is_operational_error(self, tmp_path, capsys, flag, value, name):
+        code = run(["resolvent", "--family", "heat", "--n", "6", flag, value,
+                    "--out-dir", tmp_path])
+        assert code == 1
+        assert f"error: {name} must be >= " in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_right_scan_reports_proof_slack_and_tail_ratio(self, tmp_path):
         assert run(["resolvent", "--family", "heat", "--n", "8", "--out-dir", tmp_path]) == 0
         right = read_report(tmp_path / "resolvent-heat-n8.json")["scans"]["right"]
@@ -306,6 +319,24 @@ class TestPerturb:
         assert "no admissible alpha" in block["detail"]
         assert "max_alpha" not in report
         assert run(["recheck", tmp_path / "perturb-heat-n4.json"]) == 0
+
+    def test_zero_perturbation_passes_and_rechecks(self, tmp_path):
+        # B = 0 has max_alpha = inf; the rescaling constant takes its limit 1
+        save_matrix(tmp_path / "zero.json", np.zeros((6, 6), dtype=complex))
+        assert run(["perturb", "--family", "heat", "--n", "6",
+                    "--b-file", tmp_path / "zero.json", "--out-dir", tmp_path]) == 0
+        report = read_report(tmp_path / "perturb-heat-n6.json")
+        assert report["verdict"] == "pass"
+        assert report["max_alpha"]["alpha"] == math.inf
+        assert report["perturbation"]["rescaled_member"] is True
+        assert run(["recheck", tmp_path / "perturb-heat-n6.json"]) == 0
+
+    def test_infinite_alpha_trials_pass_and_recheck(self, tmp_path, capsys):
+        # radius 0 scales every trial B to 0
+        assert run(["perturb", "--family", "heat", "--n", "6", "--random-trials", "3",
+                    "--alpha", "inf", "--out-dir", tmp_path]) == 0
+        assert "3/3" in capsys.readouterr().out
+        assert run(["recheck", tmp_path / "perturb-heat-n6.json"]) == 0
 
     def test_recheck_rederives_the_excess_of_a_null_alpha(self, tmp_path):
         save_matrix(tmp_path / "b.json", 100.0 * np.eye(4, dtype=complex))
@@ -638,6 +669,15 @@ class TestDesktopScale:
         code = run(["gen", "--family", "heat", "--n", "257", "--out-dir", tmp_path])
         assert code == 1
         assert "size limit n <= 256" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["q0", "--family", "heat", "--n", "6", "--tmax", "inf"],
+        ["certify", "--family", "heat", "--n", "6", "--length", "1e-300"],
+    ], ids=["q0-infinite-tmax", "heat-overflowing-scale"])
+    def test_overflow_is_operational_error(self, tmp_path, capsys, argv):
+        assert run(argv + ["--out-dir", tmp_path]) == 1
+        assert "error: " in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_oversized_matrix_file_is_rejected_before_allocation(self, tmp_path, capsys,

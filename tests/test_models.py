@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from stabcert.models import (
     MAX_N,
@@ -24,6 +27,10 @@ from stabcert.models import (
 )
 from stabcert.numkernel import expm, hermitian_eig, singular_extremes
 from stabcert.semigroup import spectral_bound
+
+# signed zeros, subnormals and the edge of the float range
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                                1.7e308, -1.7e308, 1.0, -1.0])
 
 
 def test_splitmix64_reference_stream():
@@ -59,14 +66,13 @@ def _scalar_fill(shape, rng, complex_entries=True):
 def test_shared_rng_continues_one_stream_across_calls():
     # perturb's random trials draw every B from one shared stream
     shared, reference = SplitMix64(2024), SplitMix64(2024)
-    for trial in range(6):
-        complex_entries = trial % 3 != 2
-        expected = _scalar_fill((5, 5), reference, complex_entries)
-        assert random_matrix(5, shared, complex_entries).tobytes() == expected.tobytes()
+    for _ in range(6):
+        expected = _scalar_fill((5, 5), reference)
+        assert random_matrix(5, shared).tobytes() == expected.tobytes()
         raw = _scalar_fill((4, 4), reference)
         assert random_hermitian(4, shared).tobytes() == (0.5 * (raw + raw.conj().T)).tobytes()
-        expected = _scalar_fill((3,), reference, complex_entries)
-        assert random_vector(3, shared, complex_entries).tobytes() == expected.tobytes()
+        expected = _scalar_fill((3,), reference)
+        assert random_vector(3, shared).tobytes() == expected.tobytes()
     assert shared.next_u64() == reference.next_u64()
 
 
@@ -211,6 +217,18 @@ class TestMatrixJson:
             matrix_from_json_dict(doc)
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize("bad", [True, "1", None, [1.0], [1.0, 0.0]])
+    def test_irregular_real_entry_keeps_its_message(self, bad):
+        doc = {"rows": 2, "cols": 2, "data_real": [1.0, 2, bad, -3.5]}
+        message = f"data_real[2] is not a number: {bad!r}"
+        with pytest.raises(MatrixFormatError) as excinfo:
+            matrix_from_json_dict(doc)
+        assert str(excinfo.value) == message
+
+    def test_real_float_subclass_is_accepted(self):
+        got = matrix_from_json_dict({"rows": 1, "cols": 2, "data_real": [np.float64(1.5), -2]})
+        assert got.tobytes() == np.array([[1.5, -2.0]], dtype=complex).tobytes()
+
     def test_decoding_matches_entry_by_entry_conversion(self):
         pairs = [[1, -0.0], [2**60 + 1, 0.1], [-3, 7], [1e-310, -2.5e300]]
         expected = np.array([complex(float(re), float(im)) for re, im in pairs]).reshape(2, 2)
@@ -219,6 +237,21 @@ class TestMatrixJson:
         # float subclasses take the per-entry path and are still accepted
         doc = {"rows": 1, "cols": 2, "data": [[np.float64(1.5), 0], [2, 1]]}
         assert np.array_equal(matrix_from_json_dict(doc), [[1.5, 2 + 1j]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.complex128, array_shapes(min_dims=2, max_dims=2, max_side=6),
+                  elements=st.complex_numbers(allow_nan=False, allow_infinity=False)
+                  | st.builds(complex, _EDGE_FLOATS, _EDGE_FLOATS)))
+    def test_encoding_matches_entry_by_entry_and_round_trips(self, m):
+        for arr in (m, m.T, m[:, 0]):
+            doc = matrix_to_json_dict(arr)
+            # the entry-by-entry encoding the array view replaced
+            reference = [[float(v.real), float(v.imag)] for v in np.ravel(arr)]
+            assert all(type(x) is float for pair in doc["data"] for x in pair)
+            assert json.dumps(doc["data"]) == json.dumps(reference)
+            back = matrix_from_json_dict(json.loads(json.dumps(doc)))
+            assert back.shape == (doc["rows"], doc["cols"])
+            assert back.tobytes() == np.ascontiguousarray(arr).tobytes()
 
     def test_malformed_file_diagnostics(self, tmp_path):
         bad = tmp_path / "notamatrix.json"
