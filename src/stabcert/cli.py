@@ -52,6 +52,7 @@ from .numkernel import KernelPrecisionError, expm, spectral_norm
 from .perturb import RadiusExceededError, admissible_radius, max_alpha, verify_perturbation
 from .resolvent import (
     DEFAULT_SCAN_TOL,
+    check_right_grid,
     export_scan_csv,
     resolvent_norm,
     verify_bound_left_strip,
@@ -363,7 +364,7 @@ def cmd_certify(job: _Job) -> int:
         "grid_pass": bool(cert.grid_pass),
         "worst_ratio": float(cert.worst_ratio),
         "grid": {"points": len(cert.t_grid), "t_max": float(cert.t_grid[-1]),
-                 "worst_t": cert.worst_t},
+                 "worst_t": cert.worst_t, "evaluated": cert.evaluated},
     }
     if cert.grid_pass:
         print(f"epsilon={cert.epsilon:.6e} M={cert.overshoot:.6e} "
@@ -402,9 +403,11 @@ def cmd_resolvent(job: _Job) -> int:
         delta0 = float(args.delta0)
     job.config["delta0"] = delta0
 
+    # every argument check of both scans comes before the first scan's SVD
+    check_right_grid(args.omega_max, args.n_axis, args.n_interior)
+    strip = verify_bound_left_strip(a, nm, cand, delta0, n_grid=args.n_grid)
     right = verify_bound_right(a, nm, cand, omega_max=args.omega_max,
                                n_axis=args.n_axis, n_interior=args.n_interior)
-    strip = verify_bound_left_strip(a, nm, cand, delta0, n_grid=args.n_grid)
 
     def scan_block(scan, region):
         csv_name = f"resolvent-{_tag(job.spec)}-{region}.csv"

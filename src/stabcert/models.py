@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -103,8 +104,14 @@ def heat_dirichlet(n: int, length: float = 1.0) -> np.ndarray:
         raise ValueError(f"n must be >= 2, got {n}")
     if not length > 0.0:
         raise ValueError(f"length must be positive, got {length}")
-    scale = ((n + 1) / length) ** 2
-    a = np.zeros((n, n), dtype=complex)
+    try:
+        scale = ((n + 1) / length) ** 2
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(2.0 * scale):
+        raise ValueError(f"heat scale ((n+1)/length)^2 = (({n}+1)/{length!r})^2 overflows "
+                         f"the float range: raise --length")
+    a = np.zeros((n, n))
     np.fill_diagonal(a, -2.0 * scale)
     idx = np.arange(n - 1)
     a[idx, idx + 1] = scale
@@ -120,7 +127,7 @@ def upwind_shift(n: int, speed: float = 1.0, h: float = 1.0) -> np.ndarray:
     if not (speed > 0.0 and h > 0.0):
         raise ValueError(f"speed and h must be positive, got {speed}, {h}")
     scale = speed / h
-    a = np.zeros((n, n), dtype=complex)
+    a = np.zeros((n, n))
     np.fill_diagonal(a, -scale)
     idx = np.arange(n - 1)
     a[idx + 1, idx] = scale
@@ -128,9 +135,11 @@ def upwind_shift(n: int, speed: float = 1.0, h: float = 1.0) -> np.ndarray:
 
 
 def jordan_block(n: int, lam: complex) -> np.ndarray:
+    """lam on the diagonal, 1 on the superdiagonal; float64 for a real lam."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    a = np.eye(n, dtype=complex) * complex(lam)
+    lam = complex(lam)
+    a = np.eye(n) * (lam.real if lam.imag == 0.0 else lam)
     idx = np.arange(n - 1)
     a[idx, idx + 1] = 1.0
     return a
@@ -147,9 +156,9 @@ def random_stable(n: int, margin: float, seed: int) -> np.ndarray:
         raise ValueError(f"n must be >= 1, got {n}")
     if not margin > 0.0:
         raise ValueError(f"margin must be positive, got {margin}")
-    g = SplitMix64(seed).uniform_block(n * n).reshape(n, n).astype(complex)
+    g = SplitMix64(seed).uniform_block(n * n).reshape(n, n)
     s = float(np.max(np.linalg.eigvals(g).real))
-    return g - (s + margin) * np.eye(n, dtype=complex)
+    return g - (s + margin) * np.eye(n)
 
 
 _FAMILIES = ("heat", "upwind", "jordan", "random-stable", "file")
@@ -192,7 +201,8 @@ def _decode_entry(entry, k: int, pairs: bool) -> list:
 def matrix_from_json_dict(doc) -> np.ndarray:
     """``rows``, ``cols`` and row-major ``data`` [re, im] pairs or ``data_real``
     numbers, by one numpy call when every entry is a regular pair or number of
-    exact int and float type, else by ``_decode_entry`` one entry at a time."""
+    exact int and float type, else by ``_decode_entry`` one entry at a time.
+    The matrix is float64 when every imaginary part is zero, else complex128."""
     if not isinstance(doc, dict):
         raise MatrixFormatError(f"matrix document must be an object, got {type(doc).__name__}")
     try:
@@ -227,7 +237,9 @@ def matrix_from_json_dict(doc) -> np.ndarray:
     finite = np.isfinite(values)
     if not finite.all():
         raise MatrixFormatError(f"non-finite entry at offset {int(np.argmin(finite)) // width}")
-    return (values.view(complex) if pairs else values.astype(complex)).reshape(rows, cols)
+    if pairs and np.any(values[1::2]):
+        return values.view(complex).reshape(rows, cols)
+    return np.ascontiguousarray(values[::width]).reshape(rows, cols)
 
 
 def matrix_to_json_dict(m) -> dict:

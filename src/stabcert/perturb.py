@@ -14,7 +14,7 @@ import math
 from typing import NamedTuple
 
 from .lyapunov import LyapunovCandidate, membership_margin
-from .numkernel import as_complex_matrix
+from .numkernel import as_matrix
 from .space import NormModel, op_norm
 
 __all__ = [
@@ -69,8 +69,8 @@ def verify_perturbation(
     margin k m - (k - 1) = k margin_after (``scale_member``'s transform).
     An infinite alpha (``max_alpha`` of B = 0) takes the limit k = 1.
     """
-    aa = as_complex_matrix(a, "a")
-    bb = as_complex_matrix(b, "b")
+    aa = as_matrix(a, "a")
+    bb = as_matrix(b, "b")
     if aa.shape != bb.shape:
         raise ValueError(f"shape mismatch: a {aa.shape}, b {bb.shape}")
     radius = admissible_radius(cand, alpha)
@@ -99,7 +99,7 @@ def max_alpha(a, b, cand: LyapunovCandidate, nm: NormModel) -> MaxAlpha:
     alpha > 1 exists and the corollary gives nothing.  B = 0 returns an
     infinite alpha with full decay constant 1.
     """
-    bb = as_complex_matrix(b, "b")
+    bb = as_matrix(b, "b")
     cand.require_member()
     b_norm = op_norm(bb, nm)
     limit = 1.0 / (2.0 * cand.q_norm)

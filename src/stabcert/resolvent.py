@@ -17,7 +17,7 @@ import numpy as np
 
 from .lyapunov import LyapunovCandidate
 from .models import SplitMix64, random_vector, write_atomic
-from .numkernel import SingularMatrixError, as_complex_matrix, singularity_gate, solve_linear
+from .numkernel import SingularMatrixError, as_matrix, singularity_gate, solve_linear
 from .semigroup import spectral_bound, stability_gate
 from .space import NormModel, op_norm, whiten_operator
 
@@ -25,6 +25,7 @@ __all__ = [
     "ResolventSingularError",
     "ScanReport",
     "resolvent_norm",
+    "check_right_grid",
     "verify_bound_right",
     "verify_bound_left_strip",
     "abscissa_profile",
@@ -84,7 +85,7 @@ def _shifted(aw: np.ndarray, lam: complex) -> tuple[np.ndarray, float, float]:
 
 def resolvent_norm(a, lam: complex, nm: NormModel) -> float:
     """Weighted operator norm of (lambda I - A)^{-1}."""
-    return _shifted(whiten_operator(as_complex_matrix(a, "a"), nm), complex(lam))[1]
+    return _shifted(whiten_operator(as_matrix(a, "a"), nm), complex(lam))[1]
 
 
 def _symmetric_axis(extent: float, count: int) -> np.ndarray:
@@ -107,7 +108,8 @@ def _scan_norms(aw: np.ndarray, grid: list, wy: np.ndarray | None = None):
     that point's values.  Every other point takes its own SVD, and for a real
     A_w and a non-real point its one solve covers [wy, conj wy].
     """
-    mirror = not np.any(aw.imag)
+    mirror = np.isrealobj(aw)
+    aw = aw.astype(complex)  # every shift is complex: cast A_w once, not at each point
     done = {}  # evaluated point -> its norm and the column norms at its conjugate
     norms, proofs, evaluated = [], [], 0
     for lam in grid:
@@ -141,6 +143,17 @@ def _scan_report(kind, grid, norms, pointwise, bound, **diagnostics) -> ScanRepo
                       argmax=min(ties, key=lambda z: (z.real, z.imag)), **diagnostics)
 
 
+def check_right_grid(omega_max: float | None, n_axis: int, n_interior: int) -> None:
+    """The argument checks of :func:`verify_bound_right`, which need no
+    decomposition: a caller running other scans first can make them first."""
+    if omega_max is not None and not omega_max > 0.0:
+        raise ValueError(f"omega_max must be positive, got {omega_max}")
+    if n_axis < 1:
+        raise ValueError(f"n_axis must be >= 1, got {n_axis}")
+    if n_interior < 0:
+        raise ValueError(f"n_interior must be >= 0, got {n_interior}")
+
+
 def verify_bound_right(
     a,
     nm: NormModel,
@@ -161,19 +174,14 @@ def verify_bound_right(
     quadratic inequality |Ry|^2 <= 2|Q| |Ry| |y| is re-checked on seeded
     sample vectors and its worst normalized slack reported.
     """
-    aa = as_complex_matrix(a, "a")
+    aa = as_matrix(a, "a")
     cand.require_member()
+    check_right_grid(omega_max, n_axis, n_interior)
     stability_gate(aa)
     bound = 2.0 * cand.q_norm
     nrm_a = op_norm(aa, nm)
     if omega_max is None:
         omega_max = 10.0 * max(nrm_a, 1.0)
-    if not omega_max > 0.0:
-        raise ValueError(f"omega_max must be positive, got {omega_max}")
-    if n_axis < 1:
-        raise ValueError(f"n_axis must be >= 1, got {n_axis}")
-    if n_interior < 0:
-        raise ValueError(f"n_interior must be >= 0, got {n_interior}")
 
     half = max((n_axis - 1) // 2, 1)
     decades = np.logspace(math.log10(omega_max * 1e-6), math.log10(omega_max), half)
@@ -228,7 +236,7 @@ def verify_bound_left_strip(
     it finite.  On violation the error suggests the largest admissible
     delta0 for this member.
     """
-    aa = as_complex_matrix(a, "a")
+    aa = as_matrix(a, "a")
     cand.require_member()
     qn = cand.q_norm
     if not delta0 > 0.0:
@@ -273,7 +281,7 @@ def abscissa_profile(
     to the right of the spectral bound, and blowing up as the abscissa
     approaches it.
     """
-    aa = as_complex_matrix(a, "a")
+    aa = as_matrix(a, "a")
     s = spectral_bound(aa)
     if omega_max is None:
         omega_max = 10.0 * max(op_norm(aa, nm), 1.0)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .numkernel import (
     KernelPrecisionError,
-    as_complex_matrix,
+    as_matrix,
     expm,
     gauss_legendre_nodes,
     hermitian_part,
@@ -91,7 +91,7 @@ class EnvelopeFit:
 
 def spectral_bound(a) -> float:
     """Largest real part of the spectrum."""
-    m = as_complex_matrix(a, "a")
+    m = as_matrix(a, "a")
     return float(np.max(np.linalg.eigvals(m).real))
 
 
@@ -103,7 +103,7 @@ def refute_stability(a) -> Optional[Witness]:
     can never reach -|v|^2.  The real-part test allows -1e-10 of slack for
     eigensolver round-off.
     """
-    aa = as_complex_matrix(a, "a")
+    aa = as_matrix(a, "a")
     vals, vecs = np.linalg.eig(aa)
     hits = [i for i in range(len(vals)) if vals[i].real >= -REFUTE_REAL_PART_TOL]
     if not hits:
@@ -129,7 +129,7 @@ def default_time_grid(a, horizon: float | None = None) -> np.ndarray:
     min(0.01, horizon/1000)."""
     start = 0.01
     if horizon is None:
-        eigs = np.linalg.eigvals(as_complex_matrix(a, "a"))
+        eigs = np.linalg.eigvals(as_matrix(a, "a"))
         s = float(np.max(eigs.real))
         if s >= 0.0:
             raise ValueError("spectral bound is nonnegative; pass an explicit horizon")
@@ -157,7 +157,7 @@ def growth_bound_estimate(a, nm: NormModel, t_grid) -> SpectralSummary:
     spectral bound as the grid horizon grows; samples where |T(t)| has
     underflowed to 0.0 are skipped.
     """
-    m = as_complex_matrix(a, "a")
+    m = as_matrix(a, "a")
     grid = _validated_grid(t_grid)
     if grid.size < 8:
         raise ValueError(f"time grid needs >= 8 points, got {grid.size}")
@@ -180,7 +180,7 @@ def certified_decay(a, nm: NormModel) -> tuple[float, float]:
     padded by a safety factor of 2.  The grid horizon doubles until the
     estimate is well inside the decaying regime.
     """
-    m = as_complex_matrix(a, "a")
+    m = as_matrix(a, "a")
     stability_gate(m)
     s = spectral_bound(m)
     horizon = 20.0 / abs(s)
@@ -238,7 +238,7 @@ def datko_integral(a, nm: NormModel, x, tail_tol: float = 1e-9) -> float:
     falls below ``tail_tol``; panel count tracks the stiffness 2 |A| so the
     composite rule resolves the fastest mode.
     """
-    m = as_complex_matrix(a, "a")
+    m = as_matrix(a, "a")
     if not (0.0 < tail_tol <= 1e-4):
         raise ValueError(f"tail_tol must be in (0, 1e-4], got {tail_tol}")
     s_hat, m_hat = certified_decay(m, nm)  # gates the stability of A
@@ -270,7 +270,7 @@ def lower_envelope(a, nm: NormModel, t_grid=None) -> EnvelopeFit:
     such noise invents decay rates steeper than |A| and intercepts above
     m(0), i.e. the one thing a certificate must never do.
     """
-    m = as_complex_matrix(a, "a")
+    m = as_matrix(a, "a")
     grid = _validated_grid(t_grid if t_grid is not None else default_time_grid(m))
     a_w = whiten_operator(m, nm)  # exp(t A_w) is accurate above the sqrt(eps) stop
     nrm_a = singular_extremes(a_w)[0]
@@ -306,7 +306,7 @@ def left_invertibility_witness(a, nm: NormModel, t0: float) -> float:
     the pair (t0, m0) certifies |T(t0) x| >= m0 |x| for every x."""
     if not t0 > 0.0:
         raise ValueError(f"t0 must be positive, got {t0}")
-    tw = whiten_operator(expm(as_complex_matrix(a, "a"), t0), nm)
+    tw = whiten_operator(expm(as_matrix(a, "a"), t0), nm)
     return singular_extremes(tw)[1]
 
 

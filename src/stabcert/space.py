@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkernel import (
-    as_complex_matrix,
+    as_matrix,
     hermitian_eig,
     hermitian_gate,
     hermitian_part,
@@ -69,7 +69,7 @@ class NormModel:
 
     @classmethod
     def identity(cls, n: int) -> "NormModel":
-        eye = np.eye(n, dtype=complex)
+        eye = np.eye(n)
         return cls(w=eye, sqrt_w=eye.copy(), inv_sqrt_w=eye.copy(), is_identity=True)
 
 
@@ -83,7 +83,7 @@ class RieszMap:
 
     @classmethod
     def from_matrix(cls, p, nm: NormModel) -> "RieszMap":
-        pp = as_complex_matrix(p, "p")
+        pp = as_matrix(p, "p")
         theta = strong_positivity_theta(pp, nm)
         if theta <= 0.0:
             raise ValueError(f"Riesz map must be strongly positive, theta={theta:.3e}")
@@ -109,7 +109,7 @@ def pairing(q, x, y) -> complex:
     With this convention <Qx, x> is real for Hermitian Q, which is what
     every inequality downstream relies on.
     """
-    qq = as_complex_matrix(q, "q")
+    qq = as_matrix(q, "q")
     xv = _as_vector(x, qq.shape[0])
     yv = _as_vector(y, qq.shape[0])
     return complex(yv.conj() @ (qq @ xv))
@@ -117,13 +117,13 @@ def pairing(q, x, y) -> complex:
 
 def whiten_operator(t, nm: NormModel) -> np.ndarray:
     """Similarity whitening for operators on the state space."""
-    tt = as_complex_matrix(t, "t")
+    tt = as_matrix(t, "t")
     return tt.copy() if nm.is_identity else nm.sqrt_w @ tt @ nm.inv_sqrt_w
 
 
 def whiten_form(q, nm: NormModel) -> np.ndarray:
     """Congruence whitening for state-to-dual maps (quadratic forms)."""
-    qq = as_complex_matrix(q, "q")
+    qq = as_matrix(q, "q")
     return qq.copy() if nm.is_identity else nm.inv_sqrt_w @ qq @ nm.inv_sqrt_w
 
 

@@ -41,6 +41,15 @@ class TestCertify:
             bound = cert["M"] * math.exp(-cert["epsilon"] * t)
             assert op_norm(expm(a, t), nm) <= bound * (1.0 + 1e-8)
 
+    def test_grid_reports_the_points_that_took_an_svd(self, tmp_path):
+        # upwind's ratio falls off its peak, so the norm bound rules most points out
+        assert run(["certify", "--family", "upwind", "--n", "16", "--out-dir", tmp_path]) == 0
+        path = tmp_path / "certify-upwind-n16.json"
+        grid = read_report(path)["certificate"]["grid"]
+        assert grid["points"] == 200
+        assert 1 <= grid["evaluated"] < 20
+        assert run(["recheck", path]) == 0
+
     def test_jordan_unstable_refuted(self, tmp_path):
         code = run(["certify", "--family", "jordan", "--n", "3", "--lambda", "1",
                     "--out-dir", tmp_path])
@@ -259,6 +268,29 @@ class TestResolvent:
         scans = read_report(tmp_path / "complex.json")["scans"]
         assert scans["right"]["evaluated"] == scans["right"]["points"]
         assert scans["strip"]["evaluated"] == scans["strip"]["points"]
+
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--n-grid", "0", "n_grid must be >= 1"),
+        ("--delta0", "100", "delta0 <="),
+        ("--n-axis", "0", "n_axis must be >= 1"),
+        ("--omega-max", "-1", "omega_max must be positive"),
+    ])
+    def test_scan_arguments_are_checked_before_any_svd(self, tmp_path, capsys, monkeypatch,
+                                                       flag, value, message):
+        svds = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            svds.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr("stabcert.numkernel.np.linalg.svd", counting)
+        argv = ["resolvent", "--family", "heat", "--n", "6", "--out-dir", tmp_path]
+        assert run(argv + [flag, value]) == 1
+        assert message in capsys.readouterr().err
+        assert not svds
+        assert run(argv) == 0 and svds  # the counter sees the scans of a good job
 
 
 class TestPerturb:
@@ -679,6 +711,13 @@ class TestDesktopScale:
         assert run(argv + ["--out-dir", tmp_path]) == 1
         assert "error: " in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_overflowing_heat_scale_names_the_flag_and_the_scale(self, tmp_path, capsys):
+        argv = ["certify", "--family", "heat", "--n", "6", "--length", "1e-300"]
+        assert run(argv + ["--out-dir", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: heat scale ((n+1)/length)^2 = ((6+1)/1e-300)^2")
+        assert "--length" in err
 
     def test_oversized_matrix_file_is_rejected_before_allocation(self, tmp_path, capsys,
                                                                  monkeypatch):

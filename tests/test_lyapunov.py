@@ -45,6 +45,7 @@ from stabcert.space import (
     strong_positivity_theta,
     vec_norm,
     whiten_form,
+    whiten_operator,
 )
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
@@ -280,7 +281,8 @@ class TestSignFunctionSolve:
         a = random_stable(48, 0.5, 12)
         nm = NormModel.from_weight(random_psd(48, 13) + 0.5 * np.eye(48))
         q = solve_algebraic(a, nm.w)
-        ref = scipy.linalg.solve_continuous_lyapunov(a.conj().T, -nm.w)
+        # a complex A: scipy's solver mishandles a real A with a complex RHS
+        ref = scipy.linalg.solve_continuous_lyapunov(a.astype(complex).conj().T, -nm.w)
         assert spectral_norm(q - ref) <= 1e-9 * spectral_norm(ref)
 
     def test_matches_kronecker_oracle_at_small_n(self):
@@ -388,31 +390,64 @@ class TestCertificate:
     @pytest.mark.parametrize("weighted", [False, True], ids=["identity", "spd"])
     @pytest.mark.parametrize("family", ["heat", "upwind", "jordan", "random-stable"])
     def test_propagated_ratios_match_direct_expm(self, family, weighted, monkeypatch):
-        """Every one of the 200 propagated envelope ratios agrees with the
-        direct-expm ratio to 1e-11 absolute (3e-13 seen)."""
-        a = {"heat": heat_dirichlet(64, 1.0), "upwind": upwind_shift(64),
-             "jordan": jordan_block(64, -1.0), "random-stable": random_stable(64, 0.5, 3)}[family]
-        nm = NormModel.from_weight(random_psd(64, 5) / 64.0 + np.eye(64)) if weighted \
-            else NormModel.identity(64)
+        """Every SVD the certificate takes is of a propagated grid point, and
+        its envelope ratio agrees with the direct-expm ratio to 1e-11
+        absolute (3e-13 seen); ``evaluated`` counts them."""
+        a, nm = _certificate_case(family, weighted)
         cand = membership_margin(solve_algebraic(a, nm.w), a, nm)
         seen = []
 
         def recording(m):
-            extremes = singular_extremes(m)
-            seen.append(extremes[0])
-            return extremes
+            seen.append(m)
+            return singular_extremes(m)
 
         monkeypatch.setattr("stabcert.lyapunov.singular_extremes", recording)
         cert = certificate(cand, a, nm)
-        assert len(seen) == len(cert.t_grid) == 200
-        ratios = []
-        for t, norm in zip(cert.t_grid, seen):
+        assert len(seen) == cert.evaluated >= 1
+        index = {tw.tobytes(): k for k, tw in enumerate(_propagation(cert, a, nm))}
+        for m in seen:
+            t = cert.t_grid[index[m.tobytes()]]
             envelope = cert.overshoot * math.exp(-cert.epsilon * t)
             direct = op_norm(expm(a, t), nm) / envelope
-            assert abs(norm / envelope - direct) <= 1e-11, t
-            ratios.append(norm / envelope)
-        assert cert.worst_ratio == max(ratios)
-        assert cert.worst_t == cert.t_grid[ratios.index(max(ratios))]
+            assert abs(singular_extremes(m)[0] / envelope - direct) <= 1e-11, t
+
+    @pytest.mark.parametrize("weighted", [False, True, "real"],
+                             ids=["identity", "spd", "real-spd"])
+    @pytest.mark.parametrize("family", ["heat", "upwind", "jordan", "random-stable",
+                                        "jordan-complex"])
+    def test_pruned_grid_matches_the_exhaustive_grid(self, family, weighted):
+        """The pruned grid reports the worst ratio and time an SVD at every one
+        of the 200 points gives, bit for bit, in the generator's own dtype."""
+        a, nm = _certificate_case(family, weighted)
+        cand = membership_margin(solve_algebraic(a, nm.w), a, nm)
+        cert = certificate(cand, a, nm)
+        ratios = [singular_extremes(tw)[0] / (cert.overshoot * math.exp(-cert.epsilon * t))
+                  for t, tw in zip(cert.t_grid, _propagation(cert, a, nm))]
+        worst = int(np.argmax(ratios))
+        assert cert.worst_ratio == ratios[worst]
+        assert cert.worst_t == cert.t_grid[worst]
+        assert cert.grid_pass == (ratios[worst] <= 1.0 + 1e-8)
+        assert 1 <= cert.evaluated <= 200
+
+
+def _certificate_case(family, weighted, n=64):
+    a = {"heat": heat_dirichlet, "upwind": upwind_shift,
+         "jordan": lambda n: jordan_block(n, -1.0),
+         "jordan-complex": lambda n: jordan_block(n, -1.0 + 0.5j),
+         "random-stable": lambda n: random_stable(n, 0.5, 3)}[family](n)
+    if not weighted:
+        return a, NormModel.identity(n)
+    w = random_psd(n, 5) / n + np.eye(n)  # complex Hermitian: a complex whitened A
+    return a, NormModel.from_weight(w.real if weighted == "real" else w)
+
+
+def _propagation(cert, a, nm):
+    """The certificate's 200 propagated points T_w(k delta), in the generator's dtype."""
+    step = expm(whiten_operator(a, nm), cert.t_grid[1])
+    points = [np.eye(a.shape[0], dtype=step.dtype)]
+    while len(points) < len(cert.t_grid):
+        points.append(step @ points[-1])
+    return points
 
 
 class TestScaleMember:

@@ -77,10 +77,12 @@ def test_shared_rng_continues_one_stream_across_calls():
 
 
 def test_random_stable_draws_the_scalar_stream_row_major():
-    g = _scalar_fill((7, 7), SplitMix64(5), complex_entries=False)
+    g = _scalar_fill((7, 7), SplitMix64(5), complex_entries=False).real
     s = float(np.max(np.linalg.eigvals(g).real))
-    expected = g - (s + 0.5) * np.eye(7, dtype=complex)
-    assert random_stable(7, 0.5, 5).tobytes() == expected.tobytes()
+    expected = g - (s + 0.5) * np.eye(7)
+    got = random_stable(7, 0.5, 5)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, expected)
 
 
 def test_splitmix64_uniform_range():
@@ -176,8 +178,8 @@ class TestMatrixJson:
     def test_real_shortcut(self):
         doc = {"rows": 2, "cols": 2, "data_real": [-1, 0, 0, -1]}
         m = matrix_from_json_dict(doc)
-        assert m.dtype == complex
-        assert np.array_equal(m, -np.eye(2, dtype=complex))
+        assert m.dtype == np.float64
+        assert np.array_equal(m, -np.eye(2))
 
     def test_ragged_data_names_the_count(self):
         doc = {"rows": 2, "cols": 2, "data_real": [1.0, 2.0, 3.0]}
@@ -227,7 +229,8 @@ class TestMatrixJson:
 
     def test_real_float_subclass_is_accepted(self):
         got = matrix_from_json_dict({"rows": 1, "cols": 2, "data_real": [np.float64(1.5), -2]})
-        assert got.tobytes() == np.array([[1.5, -2.0]], dtype=complex).tobytes()
+        assert got.dtype == np.float64
+        assert np.array_equal(got, [[1.5, -2.0]])
 
     def test_decoding_matches_entry_by_entry_conversion(self):
         pairs = [[1, -0.0], [2**60 + 1, 0.1], [-3, 7], [1e-310, -2.5e300]]
@@ -251,7 +254,10 @@ class TestMatrixJson:
             assert json.dumps(doc["data"]) == json.dumps(reference)
             back = matrix_from_json_dict(json.loads(json.dumps(doc)))
             assert back.shape == (doc["rows"], doc["cols"])
-            assert back.tobytes() == np.ascontiguousarray(arr).tobytes()
+            # float64 exactly when every imaginary part is zero (-0.0 included)
+            assert back.dtype == (complex if np.any(arr.imag) else np.float64)
+            expected = np.ascontiguousarray(arr if np.any(arr.imag) else arr.real)
+            assert back.tobytes() == expected.reshape(back.shape).tobytes()
 
     def test_malformed_file_diagnostics(self, tmp_path):
         bad = tmp_path / "notamatrix.json"

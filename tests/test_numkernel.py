@@ -11,6 +11,7 @@ from stabcert import numkernel
 from stabcert.numkernel import (
     NonHermitianError,
     SingularMatrixError,
+    as_matrix,
     expm,
     gauss_legendre_nodes,
     hermitian_eig,
@@ -19,6 +20,7 @@ from stabcert.numkernel import (
     solve_linear,
     spectral_norm,
 )
+from stabcert.lyapunov import solve_algebraic
 from stabcert.models import (
     heat_dirichlet,
     jordan_block,
@@ -27,6 +29,7 @@ from stabcert.models import (
     random_stable,
     upwind_shift,
 )
+from stabcert.space import NormModel, whiten_operator
 
 
 class TestExpm:
@@ -235,6 +238,85 @@ class TestSolveLinear:
                 spectral_norm(m @ x - b)
                 <= 1e-10 * spectral_norm(m) * max(spectral_norm(x), 1e-300)
             )
+
+
+def _stable(n, seed, dtype):
+    """A seeded stable matrix: the real random-stable family, or a complex
+    matrix shifted to spectral bound -0.5 the same way."""
+    if dtype is np.float64:
+        return random_stable(n, 0.5, seed)
+    g = random_matrix(n, seed)
+    return g - (np.max(np.linalg.eigvals(g).real) + 0.5) * np.eye(n)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["real", "complex"])
+class TestBothDtypes:
+    """Each kernel against its scipy oracle, on real and on complex input, in
+    the input's own dtype."""
+
+    @pytest.mark.parametrize("t", [0.01, 0.7, 30.0])
+    def test_expm(self, dtype, t):
+        a = _stable(24, 1, dtype)
+        ours = expm(a, t)
+        assert ours.dtype == dtype
+        ref = scipy.linalg.expm(a * t)
+        assert spectral_norm(ours - ref) <= 1e-11 * spectral_norm(ref)
+
+    def test_singular_extremes(self, dtype):
+        a = _stable(24, 2, dtype)
+        ref = scipy.linalg.svdvals(a)
+        assert singular_extremes(a) == pytest.approx((ref[0], ref[-1]), rel=1e-12)
+
+    def test_hermitian_eig(self, dtype):
+        m = _stable(24, 3, dtype)
+        h = m + m.conj().T
+        w, v = hermitian_eig(h)
+        assert v.dtype == dtype
+        assert np.allclose(w, scipy.linalg.eigvalsh(h), rtol=0, atol=1e-12 * spectral_norm(h))
+        assert spectral_norm(v @ np.diag(w) @ v.conj().T - h) <= 1e-12 * spectral_norm(h)
+
+    def test_solve_linear(self, dtype):
+        m = _stable(24, 4, dtype)
+        b = _stable(24, 5, dtype)[:, :3]
+        x = solve_linear(m, b)
+        assert x.dtype == dtype
+        ref = scipy.linalg.solve(m, b)
+        assert spectral_norm(x - ref) <= 1e-11 * spectral_norm(ref)
+
+    def test_solve_algebraic(self, dtype):
+        a = _stable(24, 6, dtype)
+        g = _stable(24, 7, dtype)
+        rhs = g.conj().T @ g + np.eye(24)
+        q = solve_algebraic(a, rhs)
+        assert q.dtype == dtype
+        ref = scipy.linalg.solve_continuous_lyapunov(a.conj().T, -rhs)
+        assert spectral_norm(q - ref) <= 1e-9 * spectral_norm(ref)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**31), n=st.integers(1, 12), weighted=st.booleans())
+def test_real_input_stays_float64(seed, n, weighted):
+    a = random_stable(n, 0.5, seed)
+    nm = NormModel.from_weight(np.eye(n) + np.diag(np.arange(n, dtype=float))) if weighted \
+        else NormModel.identity(n)
+    assert as_matrix(a).dtype == np.float64
+    assert as_matrix(a.tolist()).dtype == np.float64
+    assert as_matrix(np.rint(a).astype(int)).dtype == np.float64
+    assert expm(a, 0.5).dtype == np.float64
+    assert expm(a, 0.0).dtype == np.float64
+    assert whiten_operator(a, nm).dtype == np.float64
+    assert solve_algebraic(a, nm.w).dtype == np.float64
+    # complex input stays complex, zero imaginary parts included
+    assert as_matrix(a.astype(complex)).dtype == np.complex128
+    assert expm(a.astype(complex), 0.5).dtype == np.complex128
+
+
+def test_as_matrix_accepts_any_memory_layout():
+    m = random_matrix(5, 3)
+    for layout in (m.T, np.asfortranarray(m), m[::-1, ::-1], m.real.T):
+        assert np.array_equal(as_matrix(layout), layout)
+        assert singular_extremes(layout) == pytest.approx(singular_extremes(layout.copy()),
+                                                          rel=1e-14)
 
 
 class TestQuadIntegral:
