@@ -38,10 +38,9 @@ def main():
     for name, a in cases:
         nm = NormModel.identity(a.shape[0])
         cand = membership_margin(solve_algebraic(a, nm.w), a, nm)
-        cert = certificate(cand, a, nm)
-        right = verify_bound_right(a, nm, cand)
-        delta0 = 0.5 * min(abs(spectral_bound(a)), 1.0 / (2.0 * cand.q_norm))
-        strip = verify_bound_left_strip(a, nm, cand, delta0)
+        cert = certificate(cand)
+        right = verify_bound_right(cand)
+        strip = verify_bound_left_strip(cand)
         print(f"{name:>16s} {spectral_bound(a):10.4f} {cert.epsilon:10.4f} "
               f"{cert.overshoot:8.3f} {cand.q_norm:10.5f} {cand.theta:10.6f} "
               f"{'pass' if right.passed else 'FAIL':>7s} "

@@ -52,6 +52,7 @@ from .numkernel import KernelPrecisionError, expm, spectral_norm
 from .perturb import RadiusExceededError, admissible_radius, max_alpha, verify_perturbation
 from .resolvent import (
     DEFAULT_SCAN_TOL,
+    MAX_GRID_POINTS,
     check_right_grid,
     export_scan_csv,
     resolvent_norm,
@@ -62,7 +63,6 @@ from .semigroup import (
     WITNESS_SLACK,
     EnvelopeFit,
     UnstableGeneratorError,
-    default_time_grid,
     envelope_witness_search,
     left_invertibility_witness,
     lower_envelope,
@@ -356,7 +356,7 @@ def cmd_certify(job: _Job) -> int:
     cand = job.candidate()
     if not cand.is_member:
         return job.finish(candidate=_candidate_block(cand))
-    cert = certificate(cand, job.a, job.nm)
+    cert = certificate(cand)
     block = {
         **_candidate_block(cand),
         "epsilon": float(cert.epsilon),
@@ -395,18 +395,14 @@ def cmd_q0(job: _Job) -> int:
 
 
 def cmd_resolvent(job: _Job) -> int:
-    a, nm, args = job.a, job.nm, job.args
+    args = job.args
     cand = job.candidate()
-    if args.delta0 == "auto":
-        delta0 = 0.5 * min(abs(spectral_bound(a)), 1.0 / (2.0 * cand.q_norm))
-    else:
-        delta0 = float(args.delta0)
-    job.config["delta0"] = delta0
-
     # every argument check of both scans comes before the first scan's SVD
     check_right_grid(args.omega_max, args.n_axis, args.n_interior)
-    strip = verify_bound_left_strip(a, nm, cand, delta0, n_grid=args.n_grid)
-    right = verify_bound_right(a, nm, cand, omega_max=args.omega_max,
+    strip = verify_bound_left_strip(cand, None if args.delta0 == "auto" else float(args.delta0),
+                                    n_grid=args.n_grid)
+    job.config["delta0"] = strip.delta0
+    right = verify_bound_right(cand, omega_max=args.omega_max,
                                n_axis=args.n_axis, n_interior=args.n_interior)
 
     def scan_block(scan, region):
@@ -427,7 +423,7 @@ def cmd_resolvent(job: _Job) -> int:
     scans = {
         "right": {**scan_block(right, "right"), "proof_slack": right.proof_slack,
                   "tail_ratio": right.tail_ratio if math.isfinite(right.tail_ratio) else None},
-        "strip": {**scan_block(strip, "strip"), "delta0": float(delta0)},
+        "strip": {**scan_block(strip, "strip"), "delta0": float(strip.delta0)},
     }
     print(f"right worst_ratio={right.worst_ratio:.9f} "
           f"strip worst_ratio={strip.worst_ratio:.9f}")
@@ -435,7 +431,7 @@ def cmd_resolvent(job: _Job) -> int:
 
 
 def cmd_perturb(job: _Job) -> int:
-    a, nm, args = job.a, job.nm, job.args
+    nm, args = job.nm, job.args
     if args.random_trials is not None and args.random_trials <= 0:
         raise _CliUsageError("--random-trials must be a positive integer")
     if args.b_file and args.random_trials:
@@ -452,11 +448,11 @@ def cmd_perturb(job: _Job) -> int:
         alpha = args.alpha
         try:
             if alpha is None:
-                best = max_alpha(a, b, cand, nm)
+                best = max_alpha(cand, b)
                 alpha = best.alpha
                 job.report["max_alpha"] = {"alpha": float(best.alpha),
                                            "decay": float(best.decay)}
-            rep = verify_perturbation(a, b, cand, alpha, nm)
+            rep = verify_perturbation(cand, b, alpha)
         except RadiusExceededError as exc:
             # beyond 1/(2|Q|) max_alpha finds no alpha > 1: alpha stays null
             return job.finish(perturbation={"alpha": alpha, "b": matrix_to_json_dict(b),
@@ -474,14 +470,13 @@ def cmd_perturb(job: _Job) -> int:
     alpha = args.alpha if args.alpha is not None else 2.0
     trials = args.random_trials
     rng = SplitMix64(args.seed)
-    n = a.shape[0]
     radius = admissible_radius(cand, alpha)
     passes = 0
     worst = None
     for i in range(trials):
-        raw = random_hermitian(n, rng) if i % 2 == 0 else random_matrix(n, rng)
+        raw = random_hermitian(nm.n, rng) if i % 2 == 0 else random_matrix(nm.n, rng)
         b = raw * (radius / op_norm(raw, nm))
-        rep = verify_perturbation(a, b, cand, alpha, nm)
+        rep = verify_perturbation(cand, b, alpha)
         passes += _perturbation_holds(rep.margin_after, rep.rescaled_member, args.tol)
         if worst is None or rep.margin_after > worst[1].margin_after:
             worst = (i, rep, b)
@@ -511,13 +506,13 @@ def cmd_leftinv(job: _Job) -> int:
     if args.t_grid:
         try:
             start, stop, count = args.t_grid.split(",")
-            t_grid = np.logspace(math.log10(float(start)), math.log10(float(stop)),
-                                 int(count))
+            count = int(count)
+            if count > MAX_GRID_POINTS:  # before the grid is allocated
+                raise ValueError(f"count {count} exceeds {MAX_GRID_POINTS} grid points")
+            t_grid = np.logspace(math.log10(float(start)), math.log10(float(stop)), count)
         except ValueError as exc:
             raise _CliUsageError(f"--t-grid expects start,stop,count: {exc}") from exc
     cand = job.candidate()
-    if t_grid is None:
-        t_grid = default_time_grid(a)
     fit = lower_envelope(a, nm, t_grid)
     bound, ok, rate = _strong_positivity(cand.theta, fit)
     t0 = envelope_witness_search(fit, rate)
@@ -627,8 +622,8 @@ def _recheck_one(path: str) -> tuple[str | None, list, list]:
             alpha = block["alpha"]
             try:
                 if alpha is None:  # the command's max_alpha found no alpha > 1
-                    alpha = max_alpha(a, b, cand, nm).alpha
-                rep = verify_perturbation(a, b, cand, alpha, nm)
+                    alpha = max_alpha(cand, b).alpha
+                rep = verify_perturbation(cand, b, alpha)
             except RadiusExceededError as exc:
                 fields["perturbation.excess"] = exc.excess
             else:

@@ -5,15 +5,16 @@ A Hermitian PSD matrix Q is a member for the generator A (relative to a
 norm model W) when A* Q + Q A + W is negative semidefinite.  Membership
 is decided by one whitened eigensolve: the margin is the largest
 eigenvalue of the whitened residual, so nonpositive margin means member
-and the quantified inequality never has to be sampled.  From any member
-the package derives an explicit decay envelope |T(t)| <= M e^{-eps t}
-with eps = 1/(2 |Q|) and M = sqrt(|Q| / theta).
+and the quantified inequality never has to be sampled.  A candidate
+carries the generator and norm it was decided for.  From any member the
+package derives an explicit decay envelope |T(t)| <= M e^{-eps t} with
+eps = 1/(2 |Q|) and M = sqrt(|Q| / theta).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,10 +65,12 @@ class NotStronglyPositiveError(RuntimeError):
 
 @dataclass(frozen=True)
 class LyapunovCandidate:
-    """Hermitian PSD candidate with its cached membership margin, dual-map
-    norm, and strong-positivity constant."""
+    """Hermitian PSD candidate Q with the generator A (a read-only copy) and norm
+    model it was decided for, and its margin, dual-map norm |Q| and theta."""
 
     q: np.ndarray
+    a: np.ndarray
+    nm: NormModel
     margin: float
     q_norm: float
     theta: float
@@ -98,6 +101,12 @@ class StabilityCertificate:
     evaluated: int  # grid points that took an SVD
 
 
+def _residual_margin(q: np.ndarray, a: np.ndarray, nm: NormModel) -> float:
+    """Largest eigenvalue of the whitened A* Q + Q A + W for a Hermitian Q."""
+    residual = hermitian_part(a.conj().T @ q + q @ a + nm.w)
+    return float(hermitian_eig(whiten_form(residual, nm))[0][-1])
+
+
 def membership_margin(
     q, a, nm: NormModel, tol: float = DEFAULT_MEMBERSHIP_TOL
 ) -> LyapunovCandidate:
@@ -110,7 +119,8 @@ def membership_margin(
     rejected as a distinct error before any membership question is asked.
     """
     qq = as_matrix(q, "q")
-    aa = as_matrix(a, "a")
+    aa = as_matrix(a, "a").copy()
+    aa.flags.writeable = False
     if qq.shape != aa.shape or qq.shape[0] != nm.n:
         raise ValueError(f"dimension mismatch: q {qq.shape}, a {aa.shape}, w {nm.w.shape}")
     lam_q = form_eigenvalues(qq, nm)
@@ -120,11 +130,11 @@ def membership_margin(
             f"candidate has whitened eigenvalue {lam_q[0]:.6e}; not positive semidefinite"
         )
     qs = hermitian_part(qq)
-    residual = hermitian_part(aa.conj().T @ qs + qs @ aa + nm.w)
-    lam_s, _ = hermitian_eig(whiten_form(residual, nm))
     return LyapunovCandidate(
         q=qs,
-        margin=float(lam_s[-1]),
+        a=aa,
+        nm=nm,
+        margin=_residual_margin(qs, aa, nm),
         q_norm=float(q_norm),
         theta=float(lam_q[0]),
         tol=tol,
@@ -233,7 +243,7 @@ def _norm_bound(t: np.ndarray) -> float:
                math.sqrt(float(mag.sum(axis=0).max()) * float(mag.sum(axis=1).max())))
 
 
-def certificate(cand: LyapunovCandidate, a, nm: NormModel) -> StabilityCertificate:
+def certificate(cand: LyapunovCandidate) -> StabilityCertificate:
     """Explicit decay envelope from a member, verified on a grid.
 
     Differentiating <Q T(t)x, T(t)x> along the semigroup and feeding the
@@ -256,7 +266,6 @@ def certificate(cand: LyapunovCandidate, a, nm: NormModel) -> StabilityCertifica
     tolerance boundary can exceed the envelope by O(margin * t), which the
     grid check reports honestly.
     """
-    aa = as_matrix(a, "a")
     cand.require_member()
     if cand.theta <= 0.0:
         raise NotStronglyPositiveError(
@@ -267,8 +276,8 @@ def certificate(cand: LyapunovCandidate, a, nm: NormModel) -> StabilityCertifica
     overshoot = math.sqrt(cand.q_norm / cand.theta)
     grid = np.linspace(0.0, CERTIFICATE_HORIZON / epsilon, CERTIFICATE_POINTS)
     envelopes = [overshoot * math.exp(-epsilon * t) for t in grid]
-    step = expm(whiten_operator(aa, nm), float(grid[1]))
-    inflate = 1.0 + 8.0 * nm.n * _EPS
+    step = expm(whiten_operator(cand.a, cand.nm), float(grid[1]))
+    inflate = 1.0 + 8.0 * cand.nm.n * _EPS
     bounds, top, kept = [], 0, None
     for k, tw in enumerate(_propagated(step, len(grid))):
         bounds.append(inflate * _norm_bound(tw) / envelopes[k])
@@ -308,10 +317,10 @@ def scale_member(cand: LyapunovCandidate, c: float) -> LyapunovCandidate:
         raise ValueError(
             f"scale factor must be >= 1 (got {c}): scaling down leaves the cone"
         )
-    return LyapunovCandidate(
+    return replace(
+        cand,
         q=c * cand.q,
         margin=c * cand.margin - (c - 1.0),
         q_norm=c * cand.q_norm,
         theta=c * cand.theta,
-        tol=cand.tol,
     )

@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .lyapunov import LyapunovCandidate, membership_margin
+from .lyapunov import LyapunovCandidate, _residual_margin
 from .numkernel import as_matrix
-from .space import NormModel, op_norm
+from .space import op_norm
 
 __all__ = [
     "RadiusExceededError",
@@ -56,9 +56,7 @@ def admissible_radius(cand: LyapunovCandidate, alpha: float) -> float:
     return 1.0 / (2.0 * alpha * cand.q_norm)
 
 
-def verify_perturbation(
-    a, b, cand: LyapunovCandidate, alpha: float, nm: NormModel
-) -> PerturbationReport:
+def verify_perturbation(cand: LyapunovCandidate, b, alpha: float) -> PerturbationReport:
     """Check the perturbed Lyapunov form and the rescaled literal membership.
 
     ``margin_after`` is the whitened largest eigenvalue of
@@ -67,20 +65,20 @@ def verify_perturbation(
     inequality uses).  The whitened W is I, so with m the membership margin
     of Q for A + B it is m - 1/alpha, and k Q, k = alpha/(alpha-1), has the
     margin k m - (k - 1) = k margin_after (``scale_member``'s transform).
-    An infinite alpha (``max_alpha`` of B = 0) takes the limit k = 1.
+    An infinite alpha (``max_alpha`` of B = 0) takes the limit k = 1.  One
+    eigensolve gives m; Q's PSD gate, theta and |Q| are the candidate's.
     """
-    aa = as_matrix(a, "a")
     bb = as_matrix(b, "b")
-    if aa.shape != bb.shape:
-        raise ValueError(f"shape mismatch: a {aa.shape}, b {bb.shape}")
+    if cand.a.shape != bb.shape:
+        raise ValueError(f"shape mismatch: a {cand.a.shape}, b {bb.shape}")
     radius = admissible_radius(cand, alpha)
-    b_norm = op_norm(bb, nm)
+    b_norm = op_norm(bb, cand.nm)
     if b_norm > radius * (1.0 + 1e-12):
         raise RadiusExceededError(
             f"|B| = {b_norm:.9e} exceeds the admissible radius {radius:.9e}",
             excess=b_norm - radius,
         )
-    m = membership_margin(cand.q, aa + bb, nm, tol=cand.tol).margin
+    m = _residual_margin(cand.q, cand.a + bb, cand.nm)
     k = alpha / (alpha - 1.0) if math.isfinite(alpha) else 1.0
     rescaled_margin = k * m - (k - 1.0)
     return PerturbationReport(
@@ -92,7 +90,7 @@ def verify_perturbation(
     )
 
 
-def max_alpha(a, b, cand: LyapunovCandidate, nm: NormModel) -> MaxAlpha:
+def max_alpha(cand: LyapunovCandidate, b) -> MaxAlpha:
     """Strongest applicable guarantee for a given B: alpha* = 1/(2 |B| |Q|).
 
     Only meaningful when |B| < 1/(2 |Q|); at or beyond that norm no
@@ -100,8 +98,10 @@ def max_alpha(a, b, cand: LyapunovCandidate, nm: NormModel) -> MaxAlpha:
     infinite alpha with full decay constant 1.
     """
     bb = as_matrix(b, "b")
+    if cand.a.shape != bb.shape:
+        raise ValueError(f"shape mismatch: a {cand.a.shape}, b {bb.shape}")
     cand.require_member()
-    b_norm = op_norm(bb, nm)
+    b_norm = op_norm(bb, cand.nm)
     limit = 1.0 / (2.0 * cand.q_norm)
     if b_norm >= limit:
         raise RadiusExceededError(

@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 DEFAULT_SCAN_TOL = 1e-9
+# points one grid may take, checked before it is built: each scan point is
+# one SVD (about 16 ms at n = 256), each time sample one exponential
+MAX_GRID_POINTS = 100_000
 _PROOF_SAMPLES = 3
 _PROFILE_STABLE_REL = 1e-6
 _PROFILE_MAX_REFINEMENTS = 12
@@ -62,6 +65,7 @@ class ScanReport:
     proof_slack: float | None = None
     tail_ratio: float | None = None
     evaluated: int | None = None  # shifts that took an SVD
+    delta0: float | None = None  # the strip's offset (left strip only)
 
 
 def _shifted(aw: np.ndarray, lam: complex) -> tuple[np.ndarray, float, float]:
@@ -152,18 +156,19 @@ def check_right_grid(omega_max: float | None, n_axis: int, n_interior: int) -> N
         raise ValueError(f"n_axis must be >= 1, got {n_axis}")
     if n_interior < 0:
         raise ValueError(f"n_interior must be >= 0, got {n_interior}")
+    if n_axis + n_interior > MAX_GRID_POINTS:
+        raise ValueError(f"n_axis + n_interior = {n_axis + n_interior} exceeds "
+                         f"{MAX_GRID_POINTS} grid points")
 
 
 def verify_bound_right(
-    a,
-    nm: NormModel,
     cand: LyapunovCandidate,
     omega_max: float | None = None,
     n_axis: int = 129,
     n_interior: int = 16,
 ) -> ScanReport:
     """Check sup over the right half-plane of |R(lambda)| against 2 |Q|
-    for the member Q.
+    for the member Q of A.
 
     The grid takes ``n_axis`` imaginary-axis shifts clustered
     log-symmetrically around 0 plus ``n_interior`` coarse interior points
@@ -174,9 +179,9 @@ def verify_bound_right(
     quadratic inequality |Ry|^2 <= 2|Q| |Ry| |y| is re-checked on seeded
     sample vectors and its worst normalized slack reported.
     """
-    aa = as_matrix(a, "a")
     cand.require_member()
     check_right_grid(omega_max, n_axis, n_interior)
+    aa, nm = cand.a, cand.nm
     stability_gate(aa)
     bound = 2.0 * cand.q_norm
     nrm_a = op_norm(aa, nm)
@@ -193,14 +198,12 @@ def verify_bound_right(
     interior = [complex(re, im) for re in interior_re for im in interior_im]
     grid.extend(interior[:n_interior])
 
-    n = aa.shape[0]
-    aw = whiten_operator(aa, nm)
     rng = SplitMix64(0x5EED)
-    samples = np.array([random_vector(n, rng) for _ in range(_PROOF_SAMPLES)], dtype=complex)
-    wy = nm.sqrt_w @ samples.reshape(_PROOF_SAMPLES, n).T
+    samples = np.array([random_vector(nm.n, rng) for _ in range(_PROOF_SAMPLES)])
+    wy = nm.sqrt_w @ samples.T
     y_norms = np.linalg.norm(wy, axis=0)
     # W^{1/2} R y solves (lambda I - A_w) x = W^{1/2} y
-    norms, proofs, evaluated = _scan_norms(aw, grid, wy)
+    norms, proofs, evaluated = _scan_norms(whiten_operator(aa, nm), grid, wy)
     ry_norms = np.array(proofs)
     rhs = bound * ry_norms * y_norms
     slack = np.min((rhs - ry_norms ** 2) / np.maximum(rhs, 1e-300))
@@ -221,10 +224,8 @@ def verify_bound_right(
 
 
 def verify_bound_left_strip(
-    a,
-    nm: NormModel,
     cand: LyapunovCandidate,
-    delta0: float,
+    delta0: float | None = None,
     n_grid: int = 24,
 ) -> ScanReport:
     """Check the pointwise strip bound |R| <= 2|Q| / (1 + 2|Q| Re lambda)
@@ -234,21 +235,25 @@ def verify_bound_left_strip(
     2|Q| / (1 - 2 delta0 |Q|), which the pointwise bound reaches exactly on
     the line Re lambda = -delta0; the precondition 2 delta0 |Q| < 1 keeps
     it finite.  On violation the error suggests the largest admissible
-    delta0 for this member.
+    delta0 for this member.  ``delta0=None`` takes 0.5 min(|s(A)|, 1/(2|Q|)),
+    and the report carries the offset scanned.
     """
-    aa = as_matrix(a, "a")
     cand.require_member()
-    qn = cand.q_norm
-    if not delta0 > 0.0:
-        raise ValueError(f"delta0 must be positive, got {delta0}")
+    aa, nm, qn = cand.a, cand.nm, cand.q_norm
+    if delta0 is not None and not 0.0 < 2.0 * delta0 * qn < 1.0:
+        raise ValueError(
+            f"2 * delta0 * |Q| = {2.0 * delta0 * qn:.6e} is not in (0, 1); scale the member up "
+            f"to widen the admissible region, or use 0 < delta0 <= {(1.0 - 1e-6) / (2.0 * qn):.6e}"
+        )
     if n_grid < 1:
         raise ValueError(f"n_grid must be >= 1, got {n_grid}")
-    if 2.0 * delta0 * qn >= 1.0:
-        raise ValueError(
-            f"2 * delta0 * |Q| = {2.0 * delta0 * qn:.6e} >= 1; scale the member up "
-            f"to widen the admissible region, or use delta0 <= {(1.0 - 1e-6) / (2.0 * qn):.6e}"
-        )
+    n_im = n_grid | 1  # an odd count puts a point on the real axis
+    if n_grid * n_im > MAX_GRID_POINTS:
+        raise ValueError(f"n_grid = {n_grid} takes {n_grid * n_im} strip points, "
+                         f"more than {MAX_GRID_POINTS}")
     s = spectral_bound(aa)
+    if delta0 is None:
+        delta0 = 0.5 * min(abs(s), 1.0 / (2.0 * qn))
     lower = max(s, -1.0 / (2.0 * qn))
     if lower >= -delta0:
         raise ValueError(
@@ -256,14 +261,14 @@ def verify_bound_left_strip(
         )
     re_pts = np.linspace(lower, -delta0, n_grid + 1)[1:]
     im_extent = 10.0 * op_norm(aa, nm)
-    n_im = n_grid if n_grid % 2 == 1 else n_grid + 1
     im_pts = _symmetric_axis(im_extent, n_im)
     grid = [complex(re, im) for re in re_pts for im in im_pts]
 
     norms, _, evaluated = _scan_norms(whiten_operator(aa, nm), grid)
     pointwise = [2.0 * qn / (1.0 + 2.0 * qn * lam.real) for lam in grid]
     return _scan_report("left-strip", grid, norms, pointwise,
-                        2.0 * qn / (1.0 - 2.0 * delta0 * qn), evaluated=evaluated)
+                        2.0 * qn / (1.0 - 2.0 * delta0 * qn), evaluated=evaluated,
+                        delta0=delta0)
 
 
 def abscissa_profile(

@@ -59,12 +59,12 @@ def test_criterion_01_tight_scalar_family():
             assert np.max(np.abs(q - np.eye(2) / (2.0 * a_coef))) <= 1e-10
             cand = membership_margin(q, a, nm)
 
-            right = verify_bound_right(a, nm, cand)
+            right = verify_bound_right(cand)
             assert 1.0 - 1e-6 <= right.worst_ratio <= 1.0
 
             for factor in (0.5, 0.9):
                 delta0 = factor * a_coef
-                strip = verify_bound_left_strip(a, nm, cand, delta0)
+                strip = verify_bound_left_strip(cand, delta0)
                 assert strip.passed
                 line = [
                     nrm / bnd
@@ -137,7 +137,7 @@ def test_criterion_04_certificate_envelope():
             a = maker()
             nm = NormModel.identity(a.shape[0])
             cand = membership_margin(solve_algebraic(a, nm.w), a, nm)
-            cert = certificate(cand, a, nm)  # 200 points over [0, 10/eps]
+            cert = certificate(cand)  # 200 points over [0, 10/eps]
             assert cert.epsilon == pytest.approx(1.0 / (2.0 * cand.q_norm), rel=1e-12)
             assert cert.overshoot == pytest.approx(
                 math.sqrt(cand.q_norm / cand.theta), rel=1e-12
@@ -186,7 +186,7 @@ def test_criterion_06_perturbation_corollary():
             for trial in range(100):
                 raw = random_hermitian(12, rng) if trial % 2 else random_matrix(12, rng)
                 b = raw * (radius / op_norm(raw, nm))
-                rep = verify_perturbation(a, b, cand, alpha, nm)
+                rep = verify_perturbation(cand, b, alpha)
                 # margin_after <= 1e-9 is the stated
                 # "perturbed margin <= -(alpha-1)/alpha + 1e-9" after the
                 # ((alpha-1)/alpha) W shift is folded in

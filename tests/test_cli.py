@@ -25,6 +25,20 @@ def read_report(path):
         return json.load(fh)
 
 
+def count_linalg(monkeypatch, *names):
+    """Count the calls of the named ``numpy.linalg`` functions from here on."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(np.linalg, name)
+
+        def counting(*args, name=name, original=original, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return counts
+
+
 class TestCertify:
     def test_heat_certified_against_decay_grid(self, tmp_path):
         code = run(["certify", "--family", "heat", "--n", "16", "--out-dir", tmp_path])
@@ -182,17 +196,10 @@ class TestRefutationContract:
     ], ids=["certify", "perturb", "leftinv"])
     def test_a_stable_job_decides_stability_once(self, tmp_path, monkeypatch, command,
                                                   extra):
-        calls = []
-        eig = np.linalg.eig
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return eig(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eig", counting)
+        counts = count_linalg(monkeypatch, "eig")
         assert run([command, "--family", "heat", "--n", "8", *extra,
                     "--out-dir", tmp_path]) == 0
-        assert len(calls) == 1
+        assert counts == {"eig": 1}
 
 
 class TestResolvent:
@@ -270,11 +277,28 @@ class TestResolvent:
         assert scans["strip"]["evaluated"] == scans["strip"]["points"]
 
 
+    def test_auto_delta0_is_decided_by_the_strip_scan(self, tmp_path, monkeypatch):
+        counts = count_linalg(monkeypatch, "eig", "eigvals")
+        assert run(["resolvent", "--family", "heat", "--n", "8", "--out-dir", tmp_path]) == 0
+        # the job's refutation and the right scan's gate; the strip's spectral bound
+        assert counts == {"eig": 2, "eigvals": 1}
+        report = read_report(tmp_path / "resolvent-heat-n8.json")
+        q_norm = report["candidate"]["q_norm"]
+        s = float(np.max(np.linalg.eigvals(heat_dirichlet(8, 1.0)).real))
+        delta0 = report["config"]["delta0"]
+        assert delta0 == report["scans"]["strip"]["delta0"]
+        assert delta0 == pytest.approx(0.5 * min(abs(s), 1.0 / (2.0 * q_norm)), rel=1e-12)
+        assert list(report["config"]).index("delta0") == 3  # the first flag of its own
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--n-grid", "0", "n_grid must be >= 1"),
         ("--delta0", "100", "delta0 <="),
         ("--n-axis", "0", "n_axis must be >= 1"),
         ("--omega-max", "-1", "omega_max must be positive"),
+        # grids beyond MAX_GRID_POINTS are refused before they are built
+        ("--n-grid", str(10**12), "n_grid = 1000000000000 takes"),
+        ("--n-axis", str(10**12), "n_axis + n_interior = 1000000000016 exceeds 100000"),
+        ("--n-interior", str(10**12), "n_axis + n_interior = 1000000000129 exceeds 100000"),
     ])
     def test_scan_arguments_are_checked_before_any_svd(self, tmp_path, capsys, monkeypatch,
                                                        flag, value, message):
@@ -370,6 +394,26 @@ class TestPerturb:
         assert "3/3" in capsys.readouterr().out
         assert run(["recheck", tmp_path / "perturb-heat-n6.json"]) == 0
 
+    def test_each_trial_takes_one_eigensolve(self, tmp_path, monkeypatch):
+        counts = count_linalg(monkeypatch, "eigh")
+        assert run(["perturb", "--family", "heat", "--n", "8", "--random-trials", "5",
+                    "--out-dir", tmp_path]) == 0
+        # the gate of W, Q's whitened eigensolve and the residual's, then one per trial
+        assert counts == {"eigh": 3 + 5}
+        counts["eigh"] = 0
+        assert run(["recheck", tmp_path / "perturb-heat-n8.json"]) == 0
+        assert counts == {"eigh": 3}
+
+    @pytest.mark.parametrize("alpha", [[], ["--alpha", "2"]], ids=["max-alpha", "alpha"])
+    def test_b_of_another_shape_is_operational_error(self, tmp_path, capsys, alpha):
+        # beyond the radius too, so a missing shape check would read as rejected
+        save_matrix(tmp_path / "b.json", 100.0 * np.eye(3))
+        code = run(["perturb", "--family", "heat", "--n", "4",
+                    "--b-file", tmp_path / "b.json", *alpha, "--out-dir", tmp_path])
+        assert code == 1
+        assert "shape mismatch: a (4, 4), b (3, 3)" in capsys.readouterr().err
+        assert not (tmp_path / "perturb-heat-n4.json").exists()
+
     def test_recheck_rederives_the_excess_of_a_null_alpha(self, tmp_path):
         save_matrix(tmp_path / "b.json", 100.0 * np.eye(4, dtype=complex))
         assert run(["perturb", "--family", "heat", "--n", "4",
@@ -418,6 +462,14 @@ class TestLeftinv:
         env = report["envelope"]
         for t, m in env["samples"]:
             assert m >= env["c"] * math.exp(-env["alpha"] * t) * (1 - 1e-12)
+
+    def test_oversized_t_grid_is_refused_before_it_is_built(self, tmp_path, capsys):
+        code = run(["leftinv", "--family", "heat", "--n", "4",
+                    "--t-grid", f"0.01,1,{10**12}", "--out-dir", tmp_path])
+        assert code == 1
+        assert "--t-grid expects start,stop,count: count 1000000000000 exceeds 100000" in (
+            capsys.readouterr().err)
+        assert not list(tmp_path.iterdir())
 
     def test_heat_grid_starts_before_the_fastest_mode_decays(self, tmp_path):
         # from n = 44 the fastest heat mode had already left sigma_min under

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -26,7 +27,8 @@ from stabcert.models import (
     upwind_shift,
 )
 from stabcert.numkernel import KernelPrecisionError, expm, singular_extremes, spectral_norm
-from stabcert.resolvent import verify_bound_right
+from stabcert.perturb import admissible_radius, max_alpha, verify_perturbation
+from stabcert.resolvent import verify_bound_left_strip, verify_bound_right
 from stabcert.semigroup import (
     UnstableGeneratorError,
     certified_decay,
@@ -146,6 +148,39 @@ class TestMembershipMargin:
             membership_margin(np.eye(2), -np.eye(2), NormModel.identity(3))
 
 
+class TestCandidateBinding:
+    """A candidate carries the generator and norm model it was decided for."""
+
+    def test_generator_is_a_read_only_copy(self):
+        a = heat_dirichlet(6, 1.0)
+        nm = NormModel.from_weight(np.diag(np.arange(1.0, 7.0)))
+        cand = membership_margin(solve_algebraic(a, nm.w), a, nm)
+        assert cand.nm is nm
+        assert np.array_equal(cand.a, a) and cand.a is not a
+        with pytest.raises(ValueError, match="read-only"):
+            cand.a[0, 0] = 0.0
+        a[0, 0] = 1.0  # the caller's array, edited after the decision
+        assert cand.a[0, 0] == heat_dirichlet(6, 1.0)[0, 0]
+        assert certificate(cand).grid_pass
+
+    def test_construct_q0_and_scale_member_keep_the_pair(self):
+        a = upwind_shift(5, 1.0, 1.0)
+        nm = NormModel.from_weight(np.diag(np.arange(1.0, 6.0)))
+        cand = construct_q0(a, RieszMap.from_matrix(nm.w, nm), nm)
+        assert np.array_equal(cand.a, a) and not cand.a.flags.writeable
+        assert cand.nm is nm
+        scaled = scale_member(cand, 2.0)
+        assert scaled.a is cand.a and scaled.nm is nm and scaled.tol == cand.tol
+
+    @pytest.mark.parametrize("operation", [certificate, verify_bound_right,
+                                           verify_bound_left_strip, verify_perturbation,
+                                           max_alpha, admissible_radius])
+    def test_member_operations_take_the_candidate_alone(self, operation):
+        params = list(inspect.signature(operation).parameters)
+        assert params[0] == "cand"
+        assert not {"a", "nm"} & set(params)
+
+
 class TestRefuteStability:
     def test_unstable_diagonal(self):
         witness = refute_stability(np.diag([1.0, -1.0]))
@@ -201,7 +236,7 @@ class TestRefuteStability:
         pytest.param(certified_decay, id="certified_decay"),
         # Q = diag(1e10, 1/2) has margin 0 for this A, so only the stability gate refuses
         pytest.param(lambda a, nm: verify_bound_right(
-            a, nm, membership_margin(np.diag([1e10, 0.5]), a, nm)), id="verify_bound_right"),
+            membership_margin(np.diag([1e10, 0.5]), a, nm)), id="verify_bound_right"),
     ])
     def test_refutation_window_gates_every_stable_operation(self, operation):
         # s(A) = -5e-11 is negative but inside the -1e-10 refutation window
@@ -355,7 +390,7 @@ class TestCertificate:
     def test_scalar_tight(self):
         nm = NormModel.identity(2)
         cand = membership_margin(np.eye(2) / 2.0, -np.eye(2), nm)
-        cert = certificate(cand, -np.eye(2), nm)
+        cert = certificate(cand)
         assert cert.epsilon == pytest.approx(1.0)
         assert cert.overshoot == pytest.approx(1.0)
         assert cert.grid_pass
@@ -366,7 +401,7 @@ class TestCertificate:
         nm = NormModel.identity(2)
         a = -a_coef * np.eye(2)
         cand = membership_margin(solve_algebraic(a, nm.w), a, nm)
-        cert = certificate(cand, a, nm)
+        cert = certificate(cand)
         assert cert.epsilon == pytest.approx(a_coef, rel=1e-12)
         assert cert.overshoot == pytest.approx(1.0, rel=1e-12)
 
@@ -374,7 +409,7 @@ class TestCertificate:
         a = np.array([[-1.0, 4.0], [0.0, -2.0]], dtype=complex)
         nm = NormModel.identity(2)
         cand = membership_margin(solve_algebraic(a, nm.w), a, nm)
-        cert = certificate(cand, a, nm)
+        cert = certificate(cand)
         assert cert.grid_pass
         assert cert.worst_ratio <= 1.0 + 1e-10
         for t in cert.t_grid[:: len(cert.t_grid) // 20]:
@@ -385,7 +420,7 @@ class TestCertificate:
         nm = NormModel.identity(2)
         cand = membership_margin(np.eye(2) / 4.0, -np.eye(2), nm)
         with pytest.raises(NotAMemberError):
-            certificate(cand, -np.eye(2), nm)
+            certificate(cand)
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["identity", "spd"])
     @pytest.mark.parametrize("family", ["heat", "upwind", "jordan", "random-stable"])
@@ -402,7 +437,7 @@ class TestCertificate:
             return singular_extremes(m)
 
         monkeypatch.setattr("stabcert.lyapunov.singular_extremes", recording)
-        cert = certificate(cand, a, nm)
+        cert = certificate(cand)
         assert len(seen) == cert.evaluated >= 1
         index = {tw.tobytes(): k for k, tw in enumerate(_propagation(cert, a, nm))}
         for m in seen:
@@ -420,7 +455,7 @@ class TestCertificate:
         of the 200 points gives, bit for bit, in the generator's own dtype."""
         a, nm = _certificate_case(family, weighted)
         cand = membership_margin(solve_algebraic(a, nm.w), a, nm)
-        cert = certificate(cand, a, nm)
+        cert = certificate(cand)
         ratios = [singular_extremes(tw)[0] / (cert.overshoot * math.exp(-cert.epsilon * t))
                   for t, tw in zip(cert.t_grid, _propagation(cert, a, nm))]
         worst = int(np.argmax(ratios))
@@ -588,7 +623,7 @@ class TestWeightedNorm:
         q = solve_algebraic(a, nm.w)
         cand = membership_margin(q, a, nm)
         assert cand.is_member
-        cert = certificate(cand, a, nm)
+        cert = certificate(cand)
         assert cert.grid_pass
         for t in cert.t_grid[::40]:
             direct = op_norm(expm(a, t), nm)

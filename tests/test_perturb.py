@@ -43,7 +43,7 @@ class TestVerifyPerturbation:
     def test_zero_perturbation(self):
         nm = NormModel.identity(2)
         cand = membership_margin(np.eye(2) / 2.0, -np.eye(2), nm)
-        rep = verify_perturbation(-np.eye(2), np.zeros((2, 2)), cand, 2.0, nm)
+        rep = verify_perturbation(cand, np.zeros((2, 2)), 2.0)
         # the form keeps the full -|x|^2 and only (alpha-1)/alpha is added back
         assert rep.margin_after == pytest.approx(-0.5, abs=1e-12)
         assert rep.rescaled_member
@@ -53,7 +53,7 @@ class TestVerifyPerturbation:
         nm = NormModel.identity(2)
         cand = membership_margin(np.eye(2) / 2.0, a, nm)
         b = np.array([[0.0, 0.5], [0.0, 0.0]])
-        rep = verify_perturbation(a, b, cand, 2.0, nm)
+        rep = verify_perturbation(cand, b, 2.0)
         assert rep.b_norm == pytest.approx(0.5, rel=1e-14)
         assert rep.radius == pytest.approx(0.5)
         # eigenvalue oracle: (A+B)* Q + Q (A+B) = -I + [[0, 1/4], [1/4, 0]]
@@ -67,7 +67,7 @@ class TestVerifyPerturbation:
         nm = NormModel.identity(2)
         cand = membership_margin(np.eye(2) / 2.0, a, nm)
         with pytest.raises(RadiusExceededError) as excinfo:
-            verify_perturbation(a, np.eye(2), cand, 2.0, nm)
+            verify_perturbation(cand, np.eye(2), 2.0)
         assert excinfo.value.excess == pytest.approx(0.5, rel=1e-12)
 
     def test_margin_shift_identity_in_alpha(self):
@@ -81,7 +81,7 @@ class TestVerifyPerturbation:
         b = b * (admissible_radius(cand, 10.0) / op_norm(b, nm))
         alphas = (1.5, 2.0, 4.0, 10.0)
         margins = [
-            verify_perturbation(a, b, cand, alpha, nm).margin_after
+            verify_perturbation(cand, b, alpha).margin_after
             for alpha in alphas
         ]
         for (a1, m1), (a2, m2) in zip(zip(alphas, margins), zip(alphas[1:], margins[1:])):
@@ -98,7 +98,7 @@ class TestVerifyPerturbation:
             for trial in range(15):
                 raw = random_hermitian(8, rng) if trial % 2 else random_matrix(8, rng)
                 b = raw * (radius / op_norm(raw, nm))
-                rep = verify_perturbation(a, b, cand, alpha, nm)
+                rep = verify_perturbation(cand, b, alpha)
                 assert rep.margin_after <= 1e-9
                 assert rep.rescaled_member
 
@@ -108,7 +108,7 @@ class TestMaxAlpha:
         nm = NormModel.identity(2)
         cand = membership_margin(np.eye(2) / 2.0, -np.eye(2), nm)
         b = np.diag([0.25, 0.25])
-        best = max_alpha(-np.eye(2), b, cand, nm)
+        best = max_alpha(cand, b)
         assert best.alpha == pytest.approx(4.0, rel=1e-12)
         assert best.decay == pytest.approx(0.75, rel=1e-12)
 
@@ -116,22 +116,22 @@ class TestMaxAlpha:
         nm = NormModel.identity(2)
         cand = membership_margin(np.eye(2) / 2.0, -np.eye(2), nm)
         with pytest.raises(RadiusExceededError):
-            max_alpha(-np.eye(2), np.eye(2), cand, nm)
+            max_alpha(cand, np.eye(2))
 
     def test_symmetric_flip_alpha_ten(self):
         nm = NormModel.identity(2)
         a = -np.eye(2)
         cand = membership_margin(np.eye(2) / 2.0, a, nm)
         b = 0.1 * np.array([[0.0, 1.0], [1.0, 0.0]])
-        best = max_alpha(a, b, cand, nm)
+        best = max_alpha(cand, b)
         assert best.alpha == pytest.approx(10.0, rel=1e-12)
-        rep = verify_perturbation(a, b, cand, best.alpha - 1e-9, nm)
+        rep = verify_perturbation(cand, b, best.alpha - 1e-9)
         assert rep.margin_after <= 1e-9
 
     def test_zero_perturbation_gives_unbounded_alpha(self):
         nm = NormModel.identity(2)
         cand = membership_margin(np.eye(2) / 2.0, -np.eye(2), nm)
-        best = max_alpha(-np.eye(2), np.zeros((2, 2)), cand, nm)
+        best = max_alpha(cand, np.zeros((2, 2)))
         assert math.isinf(best.alpha)
         assert best.decay == 1.0
 
@@ -148,12 +148,12 @@ class TestCertificateConsistency:
             radius = admissible_radius(cand, alpha)
             raw = random_matrix(6, rng)
             b = raw * (radius / op_norm(raw, nm))
-            rep = verify_perturbation(a, b, cand, alpha, nm)
+            rep = verify_perturbation(cand, b, alpha)
             assert rep.margin_after <= 1e-9 and rep.rescaled_member
             rescaled = membership_margin(
                 (alpha / (alpha - 1.0)) * cand.q, a + b, nm
             )
-            cert = certificate(rescaled, a + b, nm)
+            cert = certificate(rescaled)
             assert cert.grid_pass
             predicted = (alpha - 1.0) / (2.0 * alpha * cand.q_norm * (alpha / (alpha - 1.0)))
             assert cert.epsilon >= predicted * (1.0 - 1e-6)

@@ -18,8 +18,10 @@ from stabcert.models import (
 )
 from stabcert.numkernel import solve_linear, spectral_norm
 from stabcert.resolvent import (
+    MAX_GRID_POINTS,
     ResolventSingularError,
     abscissa_profile,
+    check_right_grid,
     export_scan_csv,
     resolvent_norm,
     verify_bound_left_strip,
@@ -76,7 +78,7 @@ class TestVerifyBoundRight:
     def test_scalar_family_tight(self, a_coef):
         a = -a_coef * np.eye(2)
         nm = NormModel.identity(2)
-        report = verify_bound_right(a, nm, member_for(a, nm))
+        report = verify_bound_right(member_for(a, nm))
         assert report.bound == pytest.approx(1.0 / a_coef, rel=1e-12)
         assert report.passed
         assert 1.0 - 1e-6 <= report.worst_ratio <= 1.0
@@ -85,14 +87,14 @@ class TestVerifyBoundRight:
     def test_diagonal_tight(self):
         a = np.diag([-1.0, -2.0])
         nm = NormModel.identity(2)
-        report = verify_bound_right(a, nm, member_for(a, nm))
+        report = verify_bound_right(member_for(a, nm))
         assert report.bound == pytest.approx(1.0, rel=1e-12)
         assert 1.0 - 1e-6 <= report.worst_ratio <= 1.0
 
     def test_upper_triangular_grid_oracle(self):
         a = np.array([[-1.0, 4.0], [0.0, -2.0]], dtype=complex)
         nm = NormModel.identity(2)
-        report = verify_bound_right(a, nm, member_for(a, nm))
+        report = verify_bound_right(member_for(a, nm))
         assert report.passed
         # recompute every scanned point independently
         for lam, nrm in zip(report.grid[:: len(report.grid) // 15],
@@ -105,7 +107,7 @@ class TestVerifyBoundRight:
     def test_proof_inequality_slack_nonnegative(self):
         a = heat_dirichlet(6, 1.0)
         nm = NormModel.identity(6)
-        report = verify_bound_right(a, nm, member_for(a, nm))
+        report = verify_bound_right(member_for(a, nm))
         assert report.proof_slack is not None
         assert report.proof_slack >= -1e-9
 
@@ -113,26 +115,37 @@ class TestVerifyBoundRight:
         # 2|Q| >= 1/|A| always, so the Neumann tail beyond 10|A| is covered
         for a in (heat_dirichlet(6, 1.0), random_stable(5, 0.5, 11)):
             nm = NormModel.identity(a.shape[0])
-            report = verify_bound_right(a, nm, member_for(a, nm))
+            report = verify_bound_right(member_for(a, nm))
             assert report.tail_ratio is not None
             assert report.tail_ratio <= 1.0
 
     def test_resolvent_identity_residual_on_scan(self):
         a = random_stable(5, 0.5, 3)
         nm = NormModel.identity(5)
-        report = verify_bound_right(a, nm, member_for(a, nm), n_axis=17, n_interior=4)
+        report = verify_bound_right(member_for(a, nm), n_axis=17, n_interior=4)
         eye = np.eye(5, dtype=complex)
         for lam in report.grid:
             r = solve_linear(lam * eye - a, eye)
             assert spectral_norm((lam * eye - a) @ r - eye) <= 1e-9
 
+    def test_grid_size_is_capped_before_the_grid_is_built(self):
+        check_right_grid(None, MAX_GRID_POINTS - 16, 16)
+        with pytest.raises(ValueError, match="n_axis \\+ n_interior"):
+            check_right_grid(None, MAX_GRID_POINTS - 16, 17)
+        cand = member_for(-np.eye(2), NormModel.identity(2))
+        with pytest.raises(ValueError, match="strip points"):
+            verify_bound_left_strip(cand, 0.1, n_grid=317)  # 317 x 317 > 100000
+
     def test_requires_stable_generator(self):
-        nm = NormModel.identity(2)
-        cand = member_for(-np.eye(2), nm)
+        # Q = I/2 has margin 1.5 for this A: a member only under a loose tolerance,
+        # which the stability gate still refuses
+        cand = membership_margin(np.eye(2) / 2.0, np.diag([0.5, -1.0]), NormModel.identity(2),
+                                 tol=2.0)
+        assert cand.is_member
         from stabcert.semigroup import UnstableGeneratorError
 
         with pytest.raises(UnstableGeneratorError):
-            verify_bound_right(np.diag([0.5, -1.0]), nm, cand)
+            verify_bound_right(cand)
 
 
 class TestVerifyBoundLeftStrip:
@@ -140,7 +153,7 @@ class TestVerifyBoundLeftStrip:
         a = -np.eye(2)
         nm = NormModel.identity(2)
         cand = member_for(a, nm)
-        report = verify_bound_left_strip(a, nm, cand, delta0=0.5)
+        report = verify_bound_left_strip(cand, delta0=0.5)
         assert report.bound == pytest.approx(2.0, rel=1e-12)
         assert report.passed
         line = [
@@ -156,7 +169,7 @@ class TestVerifyBoundLeftStrip:
     def test_scalar_tight_at_nine_tenths(self):
         a = -np.eye(2)
         nm = NormModel.identity(2)
-        report = verify_bound_left_strip(a, nm, member_for(a, nm), delta0=0.9)
+        report = verify_bound_left_strip(member_for(a, nm), delta0=0.9)
         assert report.bound == pytest.approx(10.0, rel=1e-9)
         assert report.passed
         assert report.worst_ratio == pytest.approx(1.0, rel=1e-9)
@@ -166,7 +179,7 @@ class TestVerifyBoundLeftStrip:
         nm = NormModel.identity(8)
         cand = member_for(a, nm)
         delta0 = 0.1 * abs(spectral_bound(a))
-        report = verify_bound_left_strip(a, nm, cand, delta0)
+        report = verify_bound_left_strip(cand, delta0)
         assert report.passed
         for lam, nrm in zip(report.grid[:: 37], report.norms[:: 37]):
             assert nrm == pytest.approx(resolvent_norm(a, lam, nm), rel=1e-12)
@@ -176,16 +189,26 @@ class TestVerifyBoundLeftStrip:
             nm = NormModel.identity(a.shape[0])
             cand = member_for(a, nm)
             delta0 = 0.25 * min(abs(spectral_bound(a)), 1.0 / (2.0 * cand.q_norm))
-            report = verify_bound_left_strip(a, nm, cand, delta0, n_grid=12)
+            report = verify_bound_left_strip(cand, delta0, n_grid=12)
             for nrm, bound in zip(report.norms, report.pointwise_bounds):
                 assert nrm <= bound * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("a", [heat_dirichlet(8, 1.0), random_stable(6, 0.5, 7)],
+                             ids=["heat", "random-stable"])
+    def test_auto_delta0_is_the_rule_bit_for_bit(self, a):
+        nm = NormModel.from_weight(tridiagonal_weight(a.shape[0]))
+        cand = member_for(a, nm)
+        rule = 0.5 * min(abs(spectral_bound(a)), 1.0 / (2.0 * cand.q_norm))
+        auto = verify_bound_left_strip(cand, n_grid=6)
+        assert auto.delta0 == rule
+        assert auto == verify_bound_left_strip(cand, rule, n_grid=6)
 
     def test_delta0_precondition_error_suggests_maximum(self):
         a = -np.eye(2)
         nm = NormModel.identity(2)
         cand = member_for(a, nm)  # |Q| = 1/2
         with pytest.raises(ValueError, match="delta0 <="):
-            verify_bound_left_strip(a, nm, cand, delta0=10.0)
+            verify_bound_left_strip(cand, delta0=10.0)
 
     def test_scaling_coherence(self):
         """Scaling the member by c > 1 weakens the right bound by exactly c
@@ -194,16 +217,16 @@ class TestVerifyBoundLeftStrip:
         nm = NormModel.identity(2)
         cand = member_for(a, nm)
         scaled = scale_member(cand, 4.0)
-        right_base = verify_bound_right(a, nm, cand)
-        right_scaled = verify_bound_right(a, nm, scaled)
+        right_base = verify_bound_right(cand)
+        right_scaled = verify_bound_right(scaled)
         assert right_scaled.bound == pytest.approx(4.0 * right_base.bound, rel=1e-12)
         # delta0 = 0.9 violates the precondition for |Q| = 1/2 ...
         with pytest.raises(ValueError):
-            verify_bound_left_strip(a, nm, scale_member(cand, 1.0), delta0=1.2)
+            verify_bound_left_strip(scale_member(cand, 1.0), delta0=1.2)
         # ... yet with the truncated strip the scaled member admits it:
         # 2 * 1.2 * |Q|/... no: widening means smaller delta0 lower bound;
         # check the admissible endpoint moved as 1/(2 c |Q|)
-        report = verify_bound_left_strip(a, nm, scaled, delta0=0.2)
+        report = verify_bound_left_strip(scaled, delta0=0.2)
         assert report.passed
         lower_scaled = max(spectral_bound(a), -1.0 / (2.0 * scaled.q_norm))
         assert min(l.real for l in report.grid) >= lower_scaled
@@ -216,10 +239,10 @@ class TestWeightedNormScans:
         a = random_stable(5, 0.5, 41)
         nm = NormModel.from_weight(random_psd(5, 42) + np.eye(5))
         cand = member_for(a, nm)
-        right = verify_bound_right(a, nm, cand, n_axis=33, n_interior=4)
+        right = verify_bound_right(cand, n_axis=33, n_interior=4)
         assert right.passed
         delta0 = 0.25 * min(abs(spectral_bound(a)), 1.0 / (2.0 * cand.q_norm))
-        strip = verify_bound_left_strip(a, nm, cand, delta0, n_grid=10)
+        strip = verify_bound_left_strip(cand, delta0, n_grid=10)
         assert strip.passed
 
 
@@ -228,7 +251,7 @@ class TestMonotoneDomination:
         a = heat_dirichlet(8, 1.0)
         nm = NormModel.identity(8)
         cand = member_for(a, nm)
-        report = verify_bound_right(a, nm, cand)
+        report = verify_bound_right(cand)
         s = spectral_bound(a)
         origin_norm = resolvent_norm(a, 0.0, nm)
         assert origin_norm == pytest.approx(1.0 / abs(s), rel=1e-10)
@@ -314,7 +337,7 @@ class TestPerPointWork:
         cand = member_for(a, nm)
         delta0 = 0.25 * min(abs(spectral_bound(a)), 1.0 / (2.0 * cand.q_norm))
         report, counts = self.counted(
-            monkeypatch, lambda: verify_bound_left_strip(a, nm, cand, delta0, n_grid=6))
+            monkeypatch, lambda: verify_bound_left_strip(cand, delta0, n_grid=6))
         assert counts == {"svd": len(report.grid) + 1, "solve": 0}
 
     def test_right_points_make_one_svd_and_one_solve(self, monkeypatch):
@@ -322,7 +345,7 @@ class TestPerPointWork:
         nm = NormModel.from_weight(random_psd(6, 6) + np.eye(6))
         cand = member_for(a, nm)
         report, counts = self.counted(
-            monkeypatch, lambda: verify_bound_right(a, nm, cand, n_axis=17, n_interior=4))
+            monkeypatch, lambda: verify_bound_right(cand, n_axis=17, n_interior=4))
         assert counts == {"svd": len(report.grid) + 1, "solve": len(report.grid)}
 
     def test_real_strip_evaluates_one_point_per_conjugate_pair(self, monkeypatch):
@@ -331,7 +354,7 @@ class TestPerPointWork:
         cand = member_for(a, nm)
         delta0 = 0.25 * min(abs(spectral_bound(a)), 1.0 / (2.0 * cand.q_norm))
         report, counts = self.counted(
-            monkeypatch, lambda: verify_bound_left_strip(a, nm, cand, delta0, n_grid=6))
+            monkeypatch, lambda: verify_bound_left_strip(cand, delta0, n_grid=6))
         # 6 lines of 7 points: 3 conjugate pairs and one real point each
         assert (len(report.grid), report.evaluated) == (42, 24)
         assert counts == {"svd": report.evaluated + 1, "solve": 0}
@@ -342,7 +365,7 @@ class TestPerPointWork:
         nm = NormModel.from_weight(tridiagonal_weight(6)) if weighted else NormModel.identity(6)
         cand = member_for(a, nm)
         report, counts = self.counted(
-            monkeypatch, lambda: verify_bound_right(a, nm, cand, n_axis=17, n_interior=4))
+            monkeypatch, lambda: verify_bound_right(cand, n_axis=17, n_interior=4))
         # 17 axis points: 8 pairs and 0; 2 x 2 interior points: 2 pairs
         assert (len(report.grid), report.evaluated) == (21, 11)
         assert counts == {"svd": report.evaluated + 1, "solve": report.evaluated}
@@ -352,7 +375,7 @@ class TestCsvExport:
     def test_schema_and_roundtrip(self, tmp_path):
         a = -np.eye(2)
         nm = NormModel.identity(2)
-        report = verify_bound_right(a, nm, member_for(a, nm), n_axis=9, n_interior=4)
+        report = verify_bound_right(member_for(a, nm), n_axis=9, n_interior=4)
         path = tmp_path / "scan.csv"
         export_scan_csv(report, path)
         lines = path.read_text().strip().splitlines()
@@ -386,10 +409,9 @@ class TestConjugateSymmetry:
 
     def scans(self, a, nm):
         cand = member_for(a, nm)
-        delta0 = 0.5 * min(abs(spectral_bound(a)), 1.0 / (2.0 * cand.q_norm))
         # 7 of 9 interior points: the last row's conjugate partner is cut
-        right = verify_bound_right(a, nm, cand, n_axis=33, n_interior=7)
-        strip = verify_bound_left_strip(a, nm, cand, delta0, n_grid=8)
+        right = verify_bound_right(cand, n_axis=33, n_interior=7)
+        strip = verify_bound_left_strip(cand, n_grid=8)
         return cand, right, strip
 
     @pytest.mark.parametrize("weighted", [False, True])
@@ -410,7 +432,7 @@ class TestConjugateSymmetry:
         a = random_stable(12, 0.5, 3)
         nm = NormModel.identity(12)
         cand, right, strip = self.scans(a, nm)
-        for scan in (verify_bound_right(a, nm, cand), verify_bound_left_strip(a, nm, cand, 0.1)):
+        for scan in (verify_bound_right(cand), verify_bound_left_strip(cand, 0.1)):
             points = set(scan.grid)
             assert all(lam.conjugate() in points for lam in scan.grid)
         # every strip line is antisymmetric, its middle point exactly real
