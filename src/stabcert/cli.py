@@ -160,15 +160,17 @@ def _common() -> _Parser:
     """The flags every subcommand but ``recheck`` shares: the input, the norm
     and the output.  A math subcommand's other flags are its flag echo."""
     p = _Parser(add_help=False)
-    p.add_argument("--family", choices=["heat", "upwind", "jordan", "random-stable"])
-    p.add_argument("--file", help="matrix JSON file with the generator")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--family", choices=["heat", "upwind", "jordan", "random-stable"])
+    source.add_argument("--file", help="matrix JSON file with the generator")
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--margin", type=float, default=0.5, help="random-stable decay margin")
     p.add_argument("--length", type=float, default=1.0, help="heat family domain length")
     p.add_argument("--speed", type=float, default=1.0, help="upwind family wave speed")
     p.add_argument("--h", type=float, default=1.0, help="upwind family cell size")
-    p.add_argument("--lambda", dest="lam", default="-1", help="jordan family eigenvalue")
+    p.add_argument("--lambda", dest="lam", type=_parse_complex, default="-1",
+                   help="jordan family eigenvalue, a+bi")
     p.add_argument("--norm-file", help="matrix JSON file with the SPD norm weight W")
     p.add_argument("--tol", type=float, default=DEFAULT_MEMBERSHIP_TOL)
     p.add_argument("--out-dir", default=".")
@@ -204,8 +206,9 @@ def build_parser() -> _Parser:
 
     p = command("perturb", help="verify the bounded-perturbation guarantee")
     p.add_argument("--alpha", type=float, help="guarantee parameter (> 1)")
-    p.add_argument("--b-file", help="matrix JSON file with the perturbation B")
-    p.add_argument("--random-trials", type=int, help="seeded trials at the radius")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--b-file", help="matrix JSON file with the perturbation B")
+    mode.add_argument("--random-trials", type=int, help="seeded trials at the radius")
     p.set_defaults(func=cmd_perturb)
 
     p = command("leftinv", help="envelope fit, strong positivity, and the witness")
@@ -232,22 +235,18 @@ def _parse_complex(text: str) -> complex:
     try:
         return complex(text.replace(" ", "").replace("i", "j"))
     except ValueError as exc:
-        raise _CliUsageError(f"cannot parse complex number {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}") from exc
 
 
 def _spec_from_args(args) -> ModelSpec:
-    if args.file and args.family:
-        raise _CliUsageError("--family and --file are mutually exclusive")
-    if args.file:
+    if args.file is not None:
         return ModelSpec(family="file", params={"path": args.file})
-    if not args.family:
-        raise _CliUsageError("one of --family or --file is required")
     if args.family == "heat":
         params = {"length": args.length}
     elif args.family == "upwind":
         params = {"speed": args.speed, "h": args.h}
     elif args.family == "jordan":
-        params = {"lambda": _parse_complex(args.lam)}
+        params = {"lambda": args.lam}
     else:
         params = {"margin": args.margin}
     return ModelSpec(family=args.family, n=args.n, params=params, seed=args.seed)
@@ -316,7 +315,7 @@ class _Job:
             descriptor = {"kind": "identity", "n": n}
         if self.nm.n != n:
             raise ValueError(f"norm weight is {self.nm.n}x{self.nm.n} but the generator is {n}x{n}")
-        shared = {"command", "func", *vars(_common().parse_args([]))}
+        shared = {"command", "func", *(action.dest for action in _common()._actions)}
         own = {k: v for k, v in vars(args).items() if k not in shared}
         self.config = {"tol": args.tol, "out_dir": args.out_dir,
                        "norm_file": args.norm_file, **own}
@@ -396,11 +395,14 @@ def cmd_q0(job: _Job) -> int:
 
 def cmd_resolvent(job: _Job) -> int:
     args = job.args
-    cand = job.candidate()
+    try:
+        delta0 = None if args.delta0 == "auto" else float(args.delta0)
+    except ValueError as exc:
+        raise _CliUsageError(f"--delta0 expects a number or 'auto': {exc}") from exc
     # every argument check of both scans comes before the first scan's SVD
     check_right_grid(args.omega_max, args.n_axis, args.n_interior)
-    strip = verify_bound_left_strip(cand, None if args.delta0 == "auto" else float(args.delta0),
-                                    n_grid=args.n_grid)
+    cand = job.candidate()
+    strip = verify_bound_left_strip(cand, delta0, n_grid=args.n_grid)
     job.config["delta0"] = strip.delta0
     right = verify_bound_right(cand, omega_max=args.omega_max,
                                n_axis=args.n_axis, n_interior=args.n_interior)
@@ -434,16 +436,12 @@ def cmd_perturb(job: _Job) -> int:
     nm, args = job.nm, job.args
     if args.random_trials is not None and args.random_trials <= 0:
         raise _CliUsageError("--random-trials must be a positive integer")
-    if args.b_file and args.random_trials:
-        raise _CliUsageError("--b-file and --random-trials are mutually exclusive")
-    if not args.b_file and not args.random_trials:
-        raise _CliUsageError("one of --b-file or --random-trials is required")
     if args.alpha is not None and not args.alpha > 1.0:
         raise ValueError(f"alpha must exceed 1, got {args.alpha}")
     cand = job.candidate()
     job.report["candidate"] = _candidate_block(cand)
 
-    if args.b_file:
+    if args.b_file is not None:
         b = load_matrix(args.b_file)
         alpha = args.alpha
         try:
@@ -582,6 +580,7 @@ def _recheck_one(path: str) -> tuple[str | None, list, list]:
     elif command == "refute":
         witness = refute_stability(a)
         fields["witness"] = None if witness is None else witness.eigenvalue
+        fields["spectral_bound"] = spectral_bound(a)
     else:
         name = next((key for key in ("certificate", "q0") if key in report), "candidate")
         try:
@@ -589,8 +588,8 @@ def _recheck_one(path: str) -> tuple[str | None, list, list]:
         except ValueError as exc:
             return None, [], [f"embedded candidate invalid ({exc})"]
         q = cand.q_norm
-        fields.update({f"{name}.margin": cand.margin, f"{name}.q_norm": q,
-                       f"{name}.theta": cand.theta, f"{name}.member": cand.is_member})
+        fields.update({f"{name}.{key}": value for key, value in _candidate_block(cand).items()
+                       if key not in ("q", "tol")})
         if command == "certify" and name == "certificate" and cand.is_member:
             epsilon, m = 1.0 / (2.0 * q), math.sqrt(q / cand.theta)
             t = report["certificate"]["grid"]["worst_t"]

@@ -91,7 +91,6 @@ class StabilityCertificate:
     """Decay envelope |T(t)| <= M e^{-epsilon t} derived from a member,
     with the grid verification outcome."""
 
-    candidate: LyapunovCandidate
     epsilon: float
     overshoot: float  # the constant M >= 1
     grid_pass: bool
@@ -207,6 +206,10 @@ def construct_q0(
     panels, so results are reproducible.
     """
     aa = as_matrix(a, "a")
+    if t_max is not None and not 0.0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
+    if panels is not None and panels < 1:
+        raise ValueError(f"panels must be >= 1, got {panels}")
     if riesz.theta <= 0.0:
         raise ValueError(f"Riesz map must have positive theta, got {riesz.theta:.3e}")
     s_hat, m_hat = certified_decay(aa, nm)  # gates the stability of A
@@ -216,8 +219,6 @@ def construct_q0(
         rate = 2.0 * abs(s_hat)
         t_max = (2.0 * math.log(m_hat) + math.log(p_norm / (riesz.theta * 1e-9))) / rate
         t_max = max(t_max, 1.0 / abs(s_hat))
-    if not 0.0 < t_max < math.inf:
-        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     if panels is None:
         # the membership residual amplifies the quadrature error by 2|A|,
         # so panels are chosen finer here than for plain value integrals
@@ -293,7 +294,6 @@ def certificate(cand: LyapunovCandidate) -> StabilityCertificate:
         if ratio > best or (ratio == best and k < worst):
             best, worst = ratio, k
     return StabilityCertificate(
-        candidate=cand,
         epsilon=epsilon,
         overshoot=overshoot,
         grid_pass=best <= 1.0 + CERTIFICATE_SLACK,

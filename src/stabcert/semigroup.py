@@ -24,7 +24,7 @@ from .numkernel import (
     hermitian_part,
     singular_extremes,
 )
-from .space import NormModel, op_norm, vec_norm, whiten_operator
+from .space import NormModel, _as_vector, op_norm, vec_norm, whiten_operator
 
 __all__ = [
     "REFUTE_REAL_PART_TOL",
@@ -47,6 +47,7 @@ __all__ = [
 
 WITNESS_SLACK = 1e-6  # relative room below e^{-rate t0} a witness m0 may take
 REFUTE_REAL_PART_TOL = 1e-10
+DATKO_TAIL_TOL = 1e-9  # the certified tail datko_integral may neglect
 _EPS = float(np.finfo(np.float64).eps)
 _GRID_POINTS = 64
 _DECAY_SAFETY = 2.0
@@ -230,26 +231,22 @@ def gramian_quadrature(a, weight, t_max: float, panels: int) -> np.ndarray:
         power = power @ power
 
 
-def datko_integral(a, nm: NormModel, x, tail_tol: float = 1e-9) -> float:
+def datko_integral(a, nm: NormModel, x) -> float:
     """Integral over [0, inf) of |T(t) x|^2 in the weighted norm.
 
     x* G x for the ``gramian_quadrature`` G with weight W, run to a horizon
     T* where the certified tail m_hat^2 |x|^2 e^{2 s_hat T*} / (2 |s_hat|)
-    falls below ``tail_tol``; panel count tracks the stiffness 2 |A| so the
-    composite rule resolves the fastest mode.
+    falls below ``DATKO_TAIL_TOL``; panel count tracks the stiffness
+    2 |A| so the composite rule resolves the fastest mode.
     """
     m = as_matrix(a, "a")
-    if not (0.0 < tail_tol <= 1e-4):
-        raise ValueError(f"tail_tol must be in (0, 1e-4], got {tail_tol}")
     s_hat, m_hat = certified_decay(m, nm)  # gates the stability of A
-    xv = np.asarray(x, dtype=complex).reshape(-1)
-    if xv.shape[0] != m.shape[0]:
-        raise ValueError(f"vector has length {xv.shape[0]}, expected {m.shape[0]}")
+    xv = _as_vector(x, m.shape[0])
     x2 = vec_norm(xv, nm) ** 2
     if x2 == 0.0:
         return 0.0
     rate = 2.0 * abs(s_hat)
-    t_star = (2.0 * math.log(m_hat) + math.log(x2 / (rate * tail_tol))) / rate
+    t_star = (2.0 * math.log(m_hat) + math.log(x2 / (rate * DATKO_TAIL_TOL))) / rate
     t_star = max(t_star, 1.0 / abs(s_hat))
 
     stiffness = max(op_norm(m, nm), abs(s_hat))

@@ -119,6 +119,25 @@ class TestQ0:
         report = read_report(tmp_path / "q0-jordan-n3.json")
         assert report["verdict"] == "refuted"
 
+    @pytest.mark.parametrize("family", [
+        ["--family", "upwind", "--n", "8"],
+        ["--family", "jordan", "--n", "3", "--lambda", "1"],
+    ], ids=["upwind", "jordan-unstable"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--panels", "0", "panels must be >= 1, got 0"),
+        ("--tmax", "-1", "t_max must be positive and finite, got -1.0"),
+    ], ids=["panels", "tmax"])
+    def test_explicit_quadrature_flags_are_checked_before_the_decay_model(
+            self, tmp_path, capsys, monkeypatch, family, flag, value, message):
+        def no_expm(*args):
+            raise AssertionError("expm called before the quadrature flags were checked")
+
+        for module in ("semigroup", "lyapunov"):
+            monkeypatch.setattr(f"stabcert.{module}.expm", no_expm)
+        assert run(["q0", *family, flag, value, "--out-dir", tmp_path]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 B_BEYOND_RADIUS = "b-beyond-radius.json"
 
@@ -175,6 +194,27 @@ class TestRefutationContract:
                     "--out-dir", tmp_path])
         assert code == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--n", "4"],
+        ["certify", "--family", "heat", "--n", "4", "--file", "a.json"],
+        ["perturb", "--family", "heat", "--n", "4"],
+        ["perturb", "--family", "heat", "--n", "4", "--b-file", "b.json",
+         "--random-trials", "2"],
+        ["certify", "--family", "heat", "--n", "4", "--lambda", "zz"],
+        ["certify", "--family", "jordan", "--n", "4", "--lambda", "zz"],
+        ["resolvent", "--family", "heat", "--n", "4", "--delta0", "abc"],
+        ["resolvent", "--family", "jordan", "--n", "3", "--lambda", "1", "--delta0", "abc"],
+    ], ids=["no-input", "family-and-file", "no-perturb-mode", "both-perturb-modes",
+            "lambda-heat", "lambda-jordan", "delta0-heat", "delta0-jordan-unstable"])
+    def test_usage_grammar_is_refused_before_any_decomposition(self, tmp_path, capsys,
+                                                               monkeypatch, argv):
+        counts = count_linalg(monkeypatch, "eig", "eigvals", "eigh", "svd", "inv", "solve",
+                              "slogdet", "norm")
+        assert run([*argv, "--out-dir", tmp_path]) == 1
+        assert "usage error: " in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        assert not any(counts.values())
 
     @pytest.mark.parametrize("riesz", [None, -np.eye(3, dtype=complex)],
                              ids=["missing", "negative-definite"])
@@ -679,11 +719,12 @@ class TestGenAndRecheck:
      "perturb-heat-n6", {"perturbation.radius": 1e3}),
     (["certify", "--family", "heat", "--n", "4"], "certify-heat-n4",
      {"certificate.grid.t_max": 1.0}),
+    (["refute", "--family", "heat", "--n", "4"], "refute-heat-n4", {"spectral_bound": 5.0}),
 ], ids=["certify-tol-margin-theta", "certified-as-inconclusive", "leftinv-pass-as-fail",
         "leftinv-fail-as-pass", "resolvent-pass-as-fail", "rejected-excess-margin",
         "rejected-excess", "perturb-pass-as-fail", "q0-pass-as-inconclusive",
         "q0-inconclusive-as-pass", "leftinv-witness-dropped", "resolvent-right-bound",
-        "perturb-radius", "certify-grid-t-max"])
+        "perturb-radius", "certify-grid-t-max", "refute-spectral-bound"])
 def test_recheck_rederives_the_verdict_of_a_forged_report(tmp_path, monkeypatch, capsys,
                                                           argv, stem, edits):
     monkeypatch.chdir(tmp_path)
@@ -708,7 +749,8 @@ def test_recheck_rederives_the_verdict_of_a_forged_report(tmp_path, monkeypatch,
     (["certify", "--family", "heat", "--n", "4"], "certify-heat-n4",
      ["certificate.margin", "certificate.epsilon", "certificate.M", "certificate.worst_ratio",
       "certificate.grid_pass", "certificate.grid.t_max", "certificate.grid.points"]),
-    (["refute", "--family", "heat", "--n", "4"], "refute-heat-n4", ["witness"]),
+    (["refute", "--family", "heat", "--n", "4"], "refute-heat-n4",
+     ["witness", "spectral_bound"]),
     (["q0", "--family", "heat", "--n", "4"], "q0-heat-n4",
      ["q0.margin", "q0.q_norm", "q0.theta", "q0.member"]),
     (["resolvent", "--family", "heat", "--n", "6"], "resolvent-heat-n6",

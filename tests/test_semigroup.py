@@ -153,11 +153,6 @@ class TestDatkoIntegral:
         with pytest.raises(UnstableGeneratorError):
             datko_integral(np.diag([0.5, -1.0]), nm, np.array([1.0, 0.0]))
 
-    def test_tail_tol_validation(self):
-        nm = NormModel.identity(2)
-        with pytest.raises(ValueError):
-            datko_integral(-np.eye(2), nm, np.ones(2), tail_tol=1e-3)
-
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**31), s=st.floats(0.1, 2.0))
     def test_additivity_split(self, seed, s):
