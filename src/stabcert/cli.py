@@ -31,6 +31,7 @@ from .lyapunov import (
     REFUTE_REAL_PART_TOL,
     LyapunovCandidate,
     certificate,
+    check_quadrature,
     construct_q0,
     membership_margin,
     refute_stability,
@@ -273,15 +274,18 @@ def _input_block(spec: ModelSpec) -> dict:
             "params": params, "seed": spec.seed}
 
 
-def _candidate_block(cand: LyapunovCandidate) -> dict:
+def _candidate_fields(cand: LyapunovCandidate) -> dict:
+    """The fields of a candidate block that ``recheck`` recomputes from Q."""
     return {
-        "q": matrix_to_json_dict(cand.q),
         "margin": float(cand.margin),
         "q_norm": float(cand.q_norm),
         "theta": float(cand.theta),
         "member": bool(cand.is_member),
-        "tol": float(cand.tol),
     }
+
+
+def _candidate_block(cand: LyapunovCandidate) -> dict:
+    return {"q": matrix_to_json_dict(cand.q), **_candidate_fields(cand), "tol": float(cand.tol)}
 
 
 def _witness_block(witness, a: np.ndarray) -> dict:
@@ -378,6 +382,7 @@ def cmd_refute(job: _Job) -> int:
 
 def cmd_q0(job: _Job) -> int:
     a, nm, args = job.a, job.nm, job.args
+    check_quadrature(args.tmax, args.panels)
     if args.riesz:  # reading and validating P can fail: refute before it
         stability_gate(a)
     riesz = RieszMap.from_matrix(load_matrix(args.riesz) if args.riesz else nm.w, nm)
@@ -588,8 +593,7 @@ def _recheck_one(path: str) -> tuple[str | None, list, list]:
         except ValueError as exc:
             return None, [], [f"embedded candidate invalid ({exc})"]
         q = cand.q_norm
-        fields.update({f"{name}.{key}": value for key, value in _candidate_block(cand).items()
-                       if key not in ("q", "tol")})
+        fields.update({f"{name}.{key}": value for key, value in _candidate_fields(cand).items()})
         if command == "certify" and name == "certificate" and cand.is_member:
             epsilon, m = 1.0 / (2.0 * q), math.sqrt(q / cand.theta)
             t = report["certificate"]["grid"]["worst_t"]

@@ -37,6 +37,7 @@ __all__ = [
     "membership_margin",
     "refute_stability",
     "solve_algebraic",
+    "check_quadrature",
     "construct_q0",
     "certificate",
     "scale_member",
@@ -189,6 +190,16 @@ def solve_algebraic(a, rhs) -> np.ndarray:
     return q
 
 
+def check_quadrature(t_max: float | None, panels: int | None) -> None:
+    """The argument checks of an explicit :func:`construct_q0` quadrature,
+    which need no decomposition: a caller gating stability first can make
+    them first."""
+    if t_max is not None and not 0.0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
+    if panels is not None and panels < 1:
+        raise ValueError(f"panels must be >= 1, got {panels}")
+
+
 def construct_q0(
     a,
     riesz: RieszMap,
@@ -206,10 +217,7 @@ def construct_q0(
     panels, so results are reproducible.
     """
     aa = as_matrix(a, "a")
-    if t_max is not None and not 0.0 < t_max < math.inf:
-        raise ValueError(f"t_max must be positive and finite, got {t_max}")
-    if panels is not None and panels < 1:
-        raise ValueError(f"panels must be >= 1, got {panels}")
+    check_quadrature(t_max, panels)
     if riesz.theta <= 0.0:
         raise ValueError(f"Riesz map must have positive theta, got {riesz.theta:.3e}")
     s_hat, m_hat = certified_decay(aa, nm)  # gates the stability of A

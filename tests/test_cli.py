@@ -122,21 +122,29 @@ class TestQ0:
     @pytest.mark.parametrize("family", [
         ["--family", "upwind", "--n", "8"],
         ["--family", "jordan", "--n", "3", "--lambda", "1"],
-    ], ids=["upwind", "jordan-unstable"])
+        ["--family", "jordan", "--n", "3", "--lambda", "1", "--riesz", "p.json"],
+    ], ids=["upwind", "jordan-unstable", "jordan-unstable-riesz"])
     @pytest.mark.parametrize("flag, value, message", [
         ("--panels", "0", "panels must be >= 1, got 0"),
         ("--tmax", "-1", "t_max must be positive and finite, got -1.0"),
     ], ids=["panels", "tmax"])
     def test_explicit_quadrature_flags_are_checked_before_the_decay_model(
             self, tmp_path, capsys, monkeypatch, family, flag, value, message):
+        """With or without --riesz, a bad --tmax or --panels exits 1 before
+        the stability gate, so an unstable generator writes no report."""
         def no_expm(*args):
             raise AssertionError("expm called before the quadrature flags were checked")
 
+        monkeypatch.chdir(tmp_path)
+        save_matrix("p.json", np.eye(3, dtype=complex))
         for module in ("semigroup", "lyapunov"):
             monkeypatch.setattr(f"stabcert.{module}.expm", no_expm)
-        assert run(["q0", *family, flag, value, "--out-dir", tmp_path]) == 1
+        counts = count_linalg(monkeypatch, "eig", "eigvals", "eigh", "svd", "inv", "solve",
+                              "slogdet", "norm")
+        assert run(["q0", *family, flag, value, "--out-dir", "out"]) == 1
         assert f"error: {message}" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
+        assert not (tmp_path / "out").exists()
+        assert not any(counts.values())
 
 
 B_BEYOND_RADIUS = "b-beyond-radius.json"

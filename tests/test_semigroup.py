@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabcert import semigroup
 from stabcert.models import (
     heat_dirichlet,
     jordan_block,
@@ -328,15 +329,40 @@ def _two_pass_certified_decay(a, nm, safety=2.0):
     return s_hat, safety * max(peaks)
 
 
-@pytest.mark.parametrize("a", [
-    heat_dirichlet(16),
-    upwind_shift(16),
-    jordan_block(16, -1.0),
-    random_stable(16, 0.5, 3),
-], ids=["heat", "upwind", "jordan", "random-stable"])
-def test_certified_decay_reuses_the_growth_bound_samples(a):
-    nm = NormModel.identity(a.shape[0])
+@pytest.mark.parametrize("a, weight", [
+    (heat_dirichlet(16), None),
+    (upwind_shift(16), None),
+    (jordan_block(16, -1.0), None),
+    (random_stable(16, 0.5, 3), None),
+    (upwind_shift(40), None),
+    (jordan_block(40, -1.0), None),
+    (jordan_block(16, -0.5 + 1j), None),
+    (jordan_block(40, -1.0), random_psd(40, 11) / 40.0 + np.eye(40)),
+], ids=["heat", "upwind", "jordan", "random-stable", "upwind-n40", "jordan-n40",
+        "jordan-complex", "jordan-n40-spd"])
+def test_certified_decay_reuses_the_growth_bound_samples(a, weight):
+    """Bitwise against the reference, which samples the full grid of every
+    horizon it tries; the n = 40 cases try 5 horizons."""
+    n = a.shape[0]
+    nm = NormModel.identity(n) if weight is None else NormModel.from_weight(weight)
     assert certified_decay(a, nm) == _two_pass_certified_decay(a, nm)
+
+
+def test_certified_decay_samples_one_grid(monkeypatch):
+    """One probe per horizon tried, then the 64-point grid of the passing
+    one: upwind at n = 40 tries 5 horizons, whose grids hold 320 samples."""
+    counts = {"expm": 0, "growth_bound_estimate": 0}
+    for name in counts:
+        original = getattr(semigroup, name)
+
+        def counting(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(semigroup, name, counting)
+    certified_decay(upwind_shift(40), NormModel.identity(40))
+    assert counts["growth_bound_estimate"] == 1
+    assert counts["expm"] <= 64 + 7
 
 
 def test_certified_decay_past_underflow():
