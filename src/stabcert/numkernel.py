@@ -41,7 +41,12 @@ _DTYPES = (np.dtype(np.float64), np.dtype(np.complex128))
 
 
 class SingularMatrixError(ValueError):
-    """Coefficient matrix is singular to working precision."""
+    """Coefficient matrix is singular to working precision.  For a stack,
+    ``index`` is the flat position of the first singular slice (else None)."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class NonHermitianError(ValueError):
@@ -52,15 +57,16 @@ class KernelPrecisionError(RuntimeError):
     """A kernel failed to meet its residual contract."""
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
+def as_matrix(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
     """Validate input as a finite, square array: complex128 when it is
     complex, float64 otherwise.  A complex array with zero imaginary parts
     stays complex: the dtype is decided where a matrix is made.  The array
-    is C-contiguous, so that a complex one views as its float64 parts."""
+    is C-contiguous, so that a complex one views as its float64 parts.
+    ``stack=True`` also accepts an ``(..., n, n)`` stack of square matrices."""
     m = np.ascontiguousarray(a)
     if m.dtype not in _DTYPES:
         m = m.astype(complex if np.iscomplexobj(m) else float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     if not np.all(np.isfinite(m.view(np.float64))):
         raise ValueError(f"{name} has non-finite entries")
@@ -165,47 +171,78 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def singular_extremes(a) -> tuple[float, float]:
-    """Largest and smallest singular values of a square matrix."""
-    m = as_matrix(a, "m")
+def _first_failure(failed) -> tuple[int, str]:
+    """Flat position of the first failed slice and its name for a message;
+    (0, "") for one matrix."""
+    if np.ndim(failed) == 0:
+        return 0, ""
+    j = int(np.flatnonzero(failed)[0])
+    return j, f"slice {j} "
+
+
+def _slice_norms(v: np.ndarray, batch: int):
+    """Frobenius norm of each of the slices over ``v``'s first ``batch`` axes."""
+    return np.linalg.norm(v.reshape(v.shape[:batch] + (-1,)), axis=-1)
+
+
+def singular_extremes(a):
+    """Largest and smallest singular values of a square matrix; for an
+    ``(..., n, n)`` stack, one array of each over the slices, from one
+    batched SVD call."""
+    m = as_matrix(a, "m", stack=True)
     sv = np.linalg.svd(m, compute_uv=False)
-    return float(sv[0]), float(sv[-1])
+    if m.ndim == 2:
+        return float(sv[0]), float(sv[-1])
+    return sv[..., 0], sv[..., -1]
 
 
-def singularity_gate(m: np.ndarray) -> tuple[float, float]:
-    """(sigma_max, sigma_min) of a square matrix; SingularMatrixError when
-    sigma_min <= 16 n eps sigma_max."""
+def singularity_gate(m: np.ndarray):
+    """(sigma_max, sigma_min) of a square matrix, or of each slice of an
+    ``(..., n, n)`` stack; SingularMatrixError when sigma_min <= 16 n eps
+    sigma_max, for a stack at its first such slice (the error's ``index``)."""
     sigma_max, sigma_min = singular_extremes(m)
-    if sigma_min <= 16.0 * m.shape[0] * _EPS * sigma_max:
+    singular = np.asarray(sigma_min <= 16.0 * np.shape(m)[-1] * _EPS * sigma_max)
+    if singular.any():
+        j, where = _first_failure(singular)
         raise SingularMatrixError(
-            f"matrix singular to working precision (sigma_min={sigma_min:.3e}, "
-            f"sigma_max={sigma_max:.3e})"
+            f"matrix {where}singular to working precision "
+            f"(sigma_min={np.ravel(sigma_min)[j]:.3e}, sigma_max={np.ravel(sigma_max)[j]:.3e})",
+            j if singular.ndim else None,
         )
     return sigma_max, sigma_min
 
 
-def solve_linear(m, b, sigma_max: float | None = None) -> np.ndarray:
+def solve_linear(m, b, sigma_max: float | np.ndarray | None = None) -> np.ndarray:
     """Solve ``m @ x = b`` by pivoted LU.
 
+    ``m`` is one square matrix, with ``b`` a vector or a block of columns,
+    or an ``(..., n, n)`` stack solved in one batched call, with ``b`` a
+    block of columns (or a stack of them) broadcast against its slices.
     The matrix first passes :func:`singularity_gate`, unless the caller's
-    own gate has passed it and hands over the ``sigma_max`` it measured.
-    The backward-stable solve is post-checked against the residual
-    contract ``||m x - b|| <= 1e-10 sigma_max ||x||``.
+    own gate has passed it and hands over the ``sigma_max`` it measured
+    (one value per slice for a stack).  Each slice's backward-stable solve
+    is post-checked against the residual contract
+    ``||m x - b|| <= 1e-10 sigma_max ||x||``.
     """
-    mm = as_matrix(m, "m")
+    mm = as_matrix(m, "m", stack=True)
     bb = np.asarray(b)
-    if bb.shape[0] != mm.shape[0]:
+    batch = mm.ndim - 2
+    if bb.ndim < 1 + (batch > 0) or bb.shape[-2 if batch else 0] != mm.shape[-1]:
         raise ValueError(f"shape mismatch: {mm.shape} vs {bb.shape}")
     scale = singularity_gate(mm)[0] if sigma_max is None else sigma_max
     try:
         x = np.linalg.solve(mm, bb)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(str(exc)) from exc
-    residual = np.linalg.norm(mm @ x - bb)
-    bound = SOLVER_RESIDUAL_TOL * scale * max(np.linalg.norm(x), 1e-300)
-    if residual > max(bound, 16.0 * _EPS * np.linalg.norm(bb)):
+    residual = _slice_norms(mm @ x - bb, batch)
+    bound = SOLVER_RESIDUAL_TOL * np.asarray(scale) * np.maximum(_slice_norms(x, batch), 1e-300)
+    floor = 16.0 * _EPS * _slice_norms(np.broadcast_to(bb, x.shape), batch)
+    failed = residual > np.maximum(bound, floor)
+    if failed.any():
+        j, where = _first_failure(failed)
         raise KernelPrecisionError(
-            f"solve residual {residual:.3e} exceeds contract bound {bound:.3e}"
+            f"solve {where}residual {np.ravel(residual)[j]:.3e} exceeds contract "
+            f"bound {np.ravel(bound)[j]:.3e}"
         )
     return x
 

@@ -37,6 +37,10 @@ DEFAULT_SCAN_TOL = 1e-9
 # one SVD (about 16 ms at n = 256), each time sample one exponential
 MAX_GRID_POINTS = 100_000
 _PROOF_SAMPLES = 3
+# bytes of shifted matrices per stacked SVD and solve: below n = 128 a block
+# shares one call's overhead among many shifts, from n = 128 on it is one
+# matrix, so a scan never holds more than about one matrix extra
+_BLOCK_BYTES = 256 * 1024
 _PROFILE_STABLE_REL = 1e-6
 _PROFILE_MAX_REFINEMENTS = 12
 
@@ -68,28 +72,9 @@ class ScanReport:
     delta0: float | None = None  # the strip's offset (left strip only)
 
 
-def _shifted(aw: np.ndarray, lam: complex) -> tuple[np.ndarray, float, float]:
-    """lambda I - A_w for A_w = W^{1/2} A W^{-1/2}, |R(lambda)|_W = 1/sigma_min of it
-    (Trefethen & Embree, *Spectra and Pseudospectra*, 2005) and its sigma_max,
-    all from the one SVD that gates it."""
-    shifted = lam * np.eye(aw.shape[0], dtype=complex) - aw
-    try:
-        sigma_max, sigma_min = singularity_gate(shifted)
-    except SingularMatrixError as exc:
-        # A_w is similar to A, so its eigenvalues are A's
-        eigs = np.linalg.eigvals(aw)
-        nearest = complex(min(eigs, key=lambda e: abs(e - lam)))
-        raise ResolventSingularError(
-            f"shift {lam:.6e} is on the spectrum to working precision "
-            f"(nearest eigenvalue {nearest:.6e})",
-            nearest_eigenvalue=nearest,
-        ) from exc
-    return shifted, 1.0 / sigma_min, sigma_max
-
-
 def resolvent_norm(a, lam: complex, nm: NormModel) -> float:
-    """Weighted operator norm of (lambda I - A)^{-1}."""
-    return _shifted(whiten_operator(as_matrix(a, "a"), nm), complex(lam))[1]
+    """Weighted operator norm of (lambda I - A)^{-1}: a one-point scan."""
+    return _scan_norms(whiten_operator(as_matrix(a, "a"), nm), [complex(lam)])[0][0]
 
 
 def _symmetric_axis(extent: float, count: int) -> np.ndarray:
@@ -102,40 +87,66 @@ def _symmetric_axis(extent: float, count: int) -> np.ndarray:
 
 def _scan_norms(aw: np.ndarray, grid: list, wy: np.ndarray | None = None):
     """|R_w(lambda)| at every grid point, the column norms of R_w(lambda) wy at
-    every point when right-hand sides ``wy`` are given (else None), and the
-    number of shifts that took an SVD.
+    every point (one row per point) when right-hand sides ``wy`` are given
+    (else None), and the number of shifts that took an SVD.
+
+    |R_w(lambda)| = 1/sigma_min(lambda I - A_w) for A_w = W^{1/2} A W^{-1/2}
+    (Trefethen & Embree, *Spectra and Pseudospectra*, 2005), and the same SVD
+    gates the shift: one on the spectrum to working precision raises
+    ResolventSingularError, for the first such shift in grid order.
 
     For a real A_w the shift at conj(lambda) is the entrywise conjugate of the
     one at lambda, so |R_w(conj lambda)| = |R_w(lambda)| (the pseudospectra of
     a real matrix are symmetric about the real axis) and R_w(conj lambda) z =
     conj(R_w(lambda) conj z).  A point whose exact conjugate came earlier takes
     that point's values.  Every other point takes its own SVD, and for a real
-    A_w and a non-real point its one solve covers [wy, conj wy].
+    A_w its solve covers [wy, conj wy].  The evaluated shifts go in grid order
+    in blocks of _BLOCK_BYTES: one stacked SVD and one stacked solve each.
     """
     mirror = np.isrealobj(aw)
-    aw = aw.astype(complex)  # every shift is complex: cast A_w once, not at each point
-    done = {}  # evaluated point -> its norm and the column norms at its conjugate
-    norms, proofs, evaluated = [], [], 0
+    aw = aw.astype(complex)  # every shift is complex: cast A_w once, not per block
+    shifts, first, source = [], {}, []  # source: (evaluated row, takes the conjugate's)
     for lam in grid:
         mate = lam.conjugate()
-        if mirror and mate in done:
-            nrm, cols = done[mate]
+        if mirror and mate in first:
+            source.append((first[mate], mate != lam))
         else:
-            shifted, nrm, sigma_max = _shifted(aw, lam)
-            evaluated += 1
-            cols = mate_cols = None
-            if wy is not None:
-                paired = mirror and mate != lam
-                # _shifted has gated the shift, and its sigma_max scales the
-                # solve's residual contract
-                both = np.linalg.norm(solve_linear(
-                    shifted, np.hstack([wy, wy.conj()]) if paired else wy, sigma_max), axis=0)
-                cols = both[:wy.shape[1]]
-                mate_cols = both[wy.shape[1]:] if paired else cols
-            done[lam] = (nrm, mate_cols)
-        norms.append(nrm)
-        proofs.append(cols)
-    return norms, proofs, evaluated
+            first[lam] = len(shifts)
+            source.append((len(shifts), False))
+            shifts.append(lam)
+    shifts = np.array(shifts)
+    norms = np.empty(len(shifts))
+    if wy is not None:
+        k = wy.shape[1]
+        rhs = np.hstack([wy, wy.conj()]) if mirror else wy
+        cols = np.empty((len(shifts), rhs.shape[1]))
+    eye = np.eye(aw.shape[0], dtype=complex)
+    size = max(_BLOCK_BYTES // aw.nbytes, 1)
+    for start in range(0, len(shifts), size):
+        block = slice(start, start + size)
+        shifted = shifts[block, None, None] * eye - aw
+        try:
+            sigma_max, sigma_min = singularity_gate(shifted)
+        except SingularMatrixError as exc:
+            lam = complex(shifts[start + exc.index])
+            # A_w is similar to A, so its eigenvalues are A's
+            eigs = np.linalg.eigvals(aw)
+            nearest = complex(min(eigs, key=lambda e: abs(e - lam)))
+            raise ResolventSingularError(
+                f"shift {lam:.6e} is on the spectrum to working precision "
+                f"(nearest eigenvalue {nearest:.6e})",
+                nearest_eigenvalue=nearest,
+            ) from exc
+        norms[block] = 1.0 / sigma_min
+        if wy is not None:
+            # the gate's sigma_max scales each slice's residual contract
+            cols[block] = np.linalg.norm(solve_linear(shifted, rhs, sigma_max), axis=-2)
+    rows, flipped = (np.array(column) for column in zip(*source))
+    proofs = None
+    if wy is not None:
+        # a mirrored point reads its conjugate's [conj wy] columns, the last k
+        proofs = np.where(flipped[:, None], cols[rows, -k:], cols[rows, :k])
+    return norms[rows].tolist(), proofs, len(shifts)
 
 
 def _scan_report(kind, grid, norms, pointwise, bound, **diagnostics) -> ScanReport:
@@ -156,9 +167,11 @@ def check_right_grid(omega_max: float | None, n_axis: int, n_interior: int) -> N
         raise ValueError(f"n_axis must be >= 1, got {n_axis}")
     if n_interior < 0:
         raise ValueError(f"n_interior must be >= 0, got {n_interior}")
-    if n_axis + n_interior > MAX_GRID_POINTS:
+    points = (n_axis | 1) + n_interior  # the axis takes n_axis | 1 points
+    if points > MAX_GRID_POINTS:
         raise ValueError(f"n_axis + n_interior = {n_axis + n_interior} exceeds "
-                         f"{MAX_GRID_POINTS} grid points")
+                         f"{MAX_GRID_POINTS} grid points once the axis count is odd "
+                         f"({points} points)")
 
 
 def verify_bound_right(
@@ -170,12 +183,13 @@ def verify_bound_right(
     """Check sup over the right half-plane of |R(lambda)| against 2 |Q|
     for the member Q of A.
 
-    The grid takes ``n_axis`` imaginary-axis shifts clustered
-    log-symmetrically around 0 plus ``n_interior`` coarse interior points
-    with Re lambda in (0, 2 omega_max]; interior points are included even
-    though a maximum-principle argument would let the boundary suffice,
-    because the scan verifies rather than assumes.  Beyond the sampled
-    disk the Neumann bound 1/(|lambda| - |A|) takes over.  The underlying
+    The grid takes ``n_axis | 1`` imaginary-axis shifts (an odd count puts
+    one on 0) clustered log-symmetrically around 0 plus ``n_interior``
+    coarse interior points with Re lambda in (0, 2 omega_max]; interior
+    points are included even though a maximum-principle argument would let
+    the boundary suffice, because the scan verifies rather than assumes.
+    Beyond the sampled disk the Neumann bound 1/(|lambda| - |A|) takes
+    over.  The underlying
     quadratic inequality |Ry|^2 <= 2|Q| |Ry| |y| is re-checked on seeded
     sample vectors and its worst normalized slack reported.
     """
@@ -188,7 +202,7 @@ def verify_bound_right(
     if omega_max is None:
         omega_max = 10.0 * max(nrm_a, 1.0)
 
-    half = max((n_axis - 1) // 2, 1)
+    half = (n_axis | 1) // 2
     decades = np.logspace(math.log10(omega_max * 1e-6), math.log10(omega_max), half)
     omegas = np.concatenate([-decades[::-1], [0.0], decades])
     grid = [complex(0.0, w) for w in omegas]
@@ -203,8 +217,7 @@ def verify_bound_right(
     wy = nm.sqrt_w @ samples.T
     y_norms = np.linalg.norm(wy, axis=0)
     # W^{1/2} R y solves (lambda I - A_w) x = W^{1/2} y
-    norms, proofs, evaluated = _scan_norms(whiten_operator(aa, nm), grid, wy)
-    ry_norms = np.array(proofs)
+    norms, ry_norms, evaluated = _scan_norms(whiten_operator(aa, nm), grid, wy)
     rhs = bound * ry_norms * y_norms
     slack = np.min((rhs - ry_norms ** 2) / np.maximum(rhs, 1e-300))
 

@@ -17,6 +17,7 @@ from stabcert.numkernel import (
     hermitian_eig,
     hermitian_gate,
     singular_extremes,
+    singularity_gate,
     solve_linear,
     spectral_norm,
 )
@@ -238,6 +239,59 @@ class TestSolveLinear:
                 spectral_norm(m @ x - b)
                 <= 1e-10 * spectral_norm(m) * max(spectral_norm(x), 1e-300)
             )
+
+
+class TestStacks:
+    """The SVD, the singularity gate and the solve take an (..., n, n) stack
+    in one call and give each slice what it gives alone."""
+
+    @staticmethod
+    def stack(k=5, n=6):
+        return np.array([np.eye(n) + 0.3 * random_matrix(n, seed) for seed in range(k)])
+
+    def test_singular_extremes_per_slice(self):
+        m = self.stack()
+        hi, lo = singular_extremes(m)
+        assert hi.shape == lo.shape == (5,)
+        for j, slice_ in enumerate(m):
+            assert (hi[j], lo[j]) == singular_extremes(slice_)
+
+    def test_gate_names_the_first_singular_slice(self):
+        m = self.stack()
+        assert np.array_equal(singularity_gate(m)[1], singular_extremes(m)[1])
+        m[3, :, 0] = 0.0
+        m[1, 2] = 0.0
+        with pytest.raises(SingularMatrixError, match="slice 1 singular") as excinfo:
+            singularity_gate(m)
+        assert excinfo.value.index == 1
+        with pytest.raises(SingularMatrixError) as excinfo:
+            singularity_gate(m[1])
+        assert excinfo.value.index is None
+
+    def test_solve_per_slice_with_broadcast_right_hand_side(self):
+        m = self.stack()
+        b = random_matrix(6, 99)[:, :3]
+        x = solve_linear(m, b, singular_extremes(m)[0])
+        assert x.shape == (5, 6, 3)
+        for j, slice_ in enumerate(m):
+            assert np.array_equal(x[j], solve_linear(slice_, b))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            solve_linear(m, b[:, 0])
+        with pytest.raises(ValueError, match="must be square"):
+            singular_extremes(m[:, :, :5])
+
+    def test_residual_contract_names_the_failing_slice(self):
+        m = self.stack()
+        b = random_matrix(6, 98)
+        # slice 2 is ill conditioned, so its residual stands above the floor
+        # 16 eps |b|, and a sigma_max far below the true one puts the
+        # contract below that residual
+        u, _, vh = np.linalg.svd(m[2])
+        m[2] = u @ np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 1e-10]) @ vh
+        scale = singular_extremes(m)[0]
+        scale[2] = 1e-30
+        with pytest.raises(numkernel.KernelPrecisionError, match="solve slice 2 residual"):
+            solve_linear(m, b, scale)
 
 
 def _stable(n, seed, dtype):

@@ -16,7 +16,7 @@ from stabcert.models import (
     random_vector,
     upwind_shift,
 )
-from stabcert.numkernel import solve_linear, spectral_norm
+from stabcert.numkernel import singular_extremes, solve_linear, spectral_norm
 from stabcert.resolvent import (
     MAX_GRID_POINTS,
     ResolventSingularError,
@@ -128,10 +128,22 @@ class TestVerifyBoundRight:
             r = solve_linear(lam * eye - a, eye)
             assert spectral_norm((lam * eye - a) @ r - eye) <= 1e-9
 
+    @pytest.mark.parametrize("n_axis", [1, 2, 4, 128, 129])
+    def test_axis_takes_n_axis_or_one_more_points(self, n_axis):
+        # an odd count: the axis is antisymmetric and holds 0
+        report = verify_bound_right(member_for(-np.eye(2), NormModel.identity(2)),
+                                    n_axis=n_axis, n_interior=4)
+        assert len(report.grid) == (n_axis | 1) + 4
+        axis = np.array([lam.imag for lam in report.grid[:n_axis | 1]])
+        assert np.array_equal(axis, -axis[::-1]) and axis[n_axis // 2] == 0.0
+        assert all(lam.real == 0.0 for lam in report.grid[:n_axis | 1])
+
     def test_grid_size_is_capped_before_the_grid_is_built(self):
-        check_right_grid(None, MAX_GRID_POINTS - 16, 16)
-        with pytest.raises(ValueError, match="n_axis \\+ n_interior"):
-            check_right_grid(None, MAX_GRID_POINTS - 16, 17)
+        # the axis takes n_axis | 1 points: an even n_axis costs one more
+        check_right_grid(None, MAX_GRID_POINTS - 17, 17)
+        check_right_grid(None, MAX_GRID_POINTS - 16, 15)
+        with pytest.raises(ValueError, match="n_axis \\+ n_interior.*100001 points"):
+            check_right_grid(None, MAX_GRID_POINTS - 16, 16)
         cand = member_for(-np.eye(2), NormModel.identity(2))
         with pytest.raises(ValueError, match="strip points"):
             verify_bound_left_strip(cand, 0.1, n_grid=317)  # 317 x 317 > 100000
@@ -308,15 +320,17 @@ class TestAbscissaProfile:
 
 class TestPerPointWork:
     """Each scan point costs one SVD; the right scan adds one solve for its
-    proof vectors.  The one further SVD per scan is |A|."""
+    proof vectors.  The one further SVD per scan is |A|.  The scans stack
+    their shifts, so the counts are of matrices: the leading dimension of
+    each stack handed to the SVD and solve kernels."""
 
     def counted(self, monkeypatch, scan):
         counts = {"svd": 0, "solve": 0}
 
         def counting(key, fn):
-            def wrapper(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
+            def wrapper(m, *args, **kwargs):
+                counts[key] += 1 if np.ndim(m) == 2 else len(m)
+                return fn(m, *args, **kwargs)
             return wrapper
 
         svd = counting("svd", stabcert.numkernel.singular_extremes)
@@ -470,3 +484,106 @@ class TestConjugateSymmetry:
             rhs = bound * ry * y_norms
             slack = min(slack, float(np.min((rhs - ry ** 2) / np.maximum(rhs, 1e-300))))
         assert right.proof_slack == pytest.approx(slack, rel=0.0, abs=1e-12)
+
+
+def per_point_scan(aw, grid, wy=None):
+    """Reference for the stacked scans: one SVD and one solve per shift, in
+    grid order, a real A_w mirroring each point whose conjugate came earlier."""
+    mirror = np.isrealobj(aw)
+    aw = aw.astype(complex)
+    eye = np.eye(aw.shape[0], dtype=complex)
+    done, norms, proofs = {}, [], []
+    for lam in grid:
+        mate = lam.conjugate()
+        if mirror and mate in done:
+            nrm, cols = done[mate]
+        else:
+            shifted = lam * eye - aw
+            sigma_max, sigma_min = singular_extremes(shifted)
+            assert sigma_min > 16.0 * aw.shape[0] * np.finfo(float).eps * sigma_max
+            nrm, cols = 1.0 / sigma_min, None
+            mate_cols = None
+            if wy is not None:
+                paired = mirror and mate != lam
+                both = np.linalg.norm(solve_linear(
+                    shifted, np.hstack([wy, wy.conj()]) if paired else wy, sigma_max), axis=0)
+                cols = both[:wy.shape[1]]
+                mate_cols = both[wy.shape[1]:] if paired else cols
+            done[lam] = (nrm, mate_cols)
+        norms.append(nrm)
+        proofs.append(cols)
+    return norms, None if wy is None else np.array(proofs), len(done)
+
+
+SCAN_CASES = {
+    **{family: (make, False) for family, make in REAL_FAMILIES.items()},
+    "jordan-complex": (lambda n: jordan_block(n, -0.5 + 1.0j), False),
+    "random-stable-weighted": (REAL_FAMILIES["random-stable"], True),
+    "upwind-weighted": (REAL_FAMILIES["upwind"], True),
+}
+
+
+class TestStackedScans:
+    """The scans stack their shifts in blocks of a fixed byte budget; every
+    block size gives the per-point reference's report bit for bit."""
+
+    @staticmethod
+    def scans(cand):
+        return verify_bound_right(cand), verify_bound_left_strip(cand)
+
+    @pytest.mark.parametrize("case", sorted(SCAN_CASES))
+    def test_reports_equal_the_per_point_reference(self, monkeypatch, case):
+        make, weighted = SCAN_CASES[case]
+        n = 16
+        a = make(n)
+        nm = NormModel.from_weight(tridiagonal_weight(n)) if weighted else NormModel.identity(n)
+        cand = member_for(a, nm)
+        with monkeypatch.context() as patch:
+            patch.setattr(stabcert.resolvent, "_scan_norms", per_point_scan)
+            reference = self.scans(cand)
+        assert reference[0].evaluated < len(reference[0].grid) or case == "jordan-complex"
+        matrix_bytes = n * n * 16
+        for budget in (matrix_bytes, stabcert.resolvent._BLOCK_BYTES, 10 ** 9):
+            monkeypatch.setattr(stabcert.resolvent, "_BLOCK_BYTES", budget)
+            assert self.scans(cand) == reference, budget
+
+    @pytest.mark.parametrize("budget", [1, 10 ** 9])
+    @pytest.mark.parametrize("first", [-1.0, -2.0])
+    def test_first_singular_shift_in_grid_order_raises(self, monkeypatch, budget, first):
+        monkeypatch.setattr(stabcert.resolvent, "_BLOCK_BYTES", budget)
+        aw = np.diag([-1.0, -2.0, -3.0, -4.0])
+        other = -3.0 - first
+        # both eigenvalue shifts sit mid-block, behind regular and mirrored points
+        grid = [0.5j, -0.5j, 1.0 + 1.0j, complex(first), 0.25 + 0.0j, complex(other), 2.0j]
+        with pytest.raises(ResolventSingularError) as excinfo:
+            stabcert.resolvent._scan_norms(aw, grid)
+        assert excinfo.value.nearest_eigenvalue == first
+        assert str(excinfo.value) == (
+            f"shift {complex(first):.6e} is on the spectrum to working precision "
+            f"(nearest eigenvalue {complex(first):.6e})")
+        # the right scan's solves do not run ahead of the gate
+        with pytest.raises(ResolventSingularError) as excinfo:
+            stabcert.resolvent._scan_norms(aw, grid, np.ones((4, 3), dtype=complex))
+        assert excinfo.value.nearest_eigenvalue == first
+
+    @pytest.mark.parametrize("n, most", [(48, None), (128, 1)])
+    def test_stacks_stay_within_the_block_budget(self, monkeypatch, n, most):
+        a = heat_dirichlet(n)
+        cand = member_for(a, NormModel.identity(n))
+        stacks = []
+        svd = np.linalg.svd
+
+        def recording(m, *args, **kwargs):
+            stacks.append(m)
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(stabcert.numkernel.np.linalg, "svd", recording)
+        report = verify_bound_left_strip(cand, n_grid=6)
+        monkeypatch.undo()
+        shifted = [m for m in stacks if m.ndim == 3]
+        assert sum(len(m) for m in shifted) == report.evaluated
+        assert all(m.nbytes <= stabcert.resolvent._BLOCK_BYTES for m in shifted)
+        if most is None:  # 36 KiB per matrix: seven to a block
+            assert max(len(m) for m in shifted) == 7
+        else:
+            assert all(len(m) == most for m in shifted)
