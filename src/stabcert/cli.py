@@ -376,8 +376,7 @@ def cmd_certify(job: _Job) -> int:
 
 
 def cmd_refute(job: _Job) -> int:
-    stability_gate(job.a)
-    return job.finish(spectral_bound=float(spectral_bound(job.a)))
+    return job.finish(spectral_bound=float(np.max(stability_gate(job.a).real)))
 
 
 def cmd_q0(job: _Job) -> int:
@@ -582,14 +581,18 @@ def _recheck_one(path: str) -> tuple[str | None, list, list]:
         if lam.real < -REFUTE_REAL_PART_TOL or residual > scale:
             problems.append(f"witness fails: real part {lam.real!r}, residual {residual!r} "
                             f"(at most {scale!r})")
+    elif (witness := refute_stability(a)) is not None:  # the rule every verdict rests on
+        return None, [], [f"eigenvalue {witness.eigenvalue!r} has real part >= "
+                          f"-{REFUTE_REAL_PART_TOL:.0e}, but the report carries no witness"]
     elif command == "refute":
-        witness = refute_stability(a)
-        fields["witness"] = None if witness is None else witness.eigenvalue
+        fields["witness"] = None
         fields["spectral_bound"] = spectral_bound(a)
     else:
         name = next((key for key in ("certificate", "q0") if key in report), "candidate")
         try:
-            cand = membership_margin(matrix_from_json_dict(report[name]["q"]), a, nm, tol=tol)
+            qq = matrix_from_json_dict(report[name]["q"])
+            # a Q with Im Q = 0 reads as float64; the job's Q had the dtype of A and W
+            cand = membership_margin(qq.astype(np.result_type(qq, a, nm.w)), a, nm, tol=tol)
         except ValueError as exc:
             return None, [], [f"embedded candidate invalid ({exc})"]
         q = cand.q_norm

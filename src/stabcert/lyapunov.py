@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -76,6 +77,11 @@ class LyapunovCandidate:
     q_norm: float
     theta: float
     tol: float = DEFAULT_MEMBERSHIP_TOL
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """The spectrum of A, from its stability gate, decided once per candidate."""
+        return stability_gate(self.a)
 
     @property
     def is_member(self) -> bool:
@@ -147,7 +153,8 @@ def solve_algebraic(a, rhs) -> np.ndarray:
     Scaled Newton iteration for the matrix sign function (Roberts, Int. J.
     Control 1980; Benner & Quintana-Ortí, Numer. Algorithms 20, 1999):
     sign([[A, 0], [RHS, -A*]]) = [[-I, 0], [2Q, I]], reached by the steps
-    E <- (E/c + c E^-1)/2, Q <- (Q/c + c E^-* Q E^-1)/2 from E = A, Q = RHS.
+    E <- (E/c + c E^-1)/2, Q <- (Q/c + c E^-* Q E^-1)/2 from E = A - i b I, Q = RHS,
+    with b = Im(tr A)/n (none for b = 0), a shift that leaves A* Q + Q A unchanged.
     The scale c = |det E|^(1/n) is dropped once |E + I|_1 < 1e-2.  The
     iteration stops at |E + I|_1 <= 1e-13 n, or when that norm stops falling
     below 1e-6; more than SIGN_MAX_STEPS steps raise KernelPrecisionError.
@@ -165,7 +172,8 @@ def solve_algebraic(a, rhs) -> np.ndarray:
             f"right-hand side must be positive definite, min eigenvalue {lam_r[0]:.6e}"
         )
     n = aa.shape[0]
-    e, steps, prev, err = aa, [], math.inf, math.inf
+    shift = aa.trace().imag / n
+    e, steps, prev, err = aa - 1j * shift * np.eye(n) if shift else aa, [], math.inf, math.inf
     while err > 1e-13 * n and not prev <= err < 1e-6:
         if len(steps) == SIGN_MAX_STEPS:
             raise KernelPrecisionError(

@@ -18,7 +18,7 @@ import numpy as np
 from .lyapunov import LyapunovCandidate
 from .models import SplitMix64, random_vector, write_atomic
 from .numkernel import SingularMatrixError, as_matrix, singularity_gate, solve_linear
-from .semigroup import spectral_bound, stability_gate
+from .semigroup import spectral_bound
 from .space import NormModel, op_norm, whiten_operator
 
 __all__ = [
@@ -196,7 +196,7 @@ def verify_bound_right(
     cand.require_member()
     check_right_grid(omega_max, n_axis, n_interior)
     aa, nm = cand.a, cand.nm
-    stability_gate(aa)
+    cand.eigenvalues  # the stability gate, decided once per candidate
     bound = 2.0 * cand.q_norm
     nrm_a = op_norm(aa, nm)
     if omega_max is None:
@@ -249,7 +249,8 @@ def verify_bound_left_strip(
     the line Re lambda = -delta0; the precondition 2 delta0 |Q| < 1 keeps
     it finite.  On violation the error suggests the largest admissible
     delta0 for this member.  ``delta0=None`` takes 0.5 min(|s(A)|, 1/(2|Q|)),
-    and the report carries the offset scanned.
+    and the report carries the offset scanned.  s(A) comes from the
+    candidate's stability gate, so a refuted A raises UnstableGeneratorError.
     """
     cand.require_member()
     aa, nm, qn = cand.a, cand.nm, cand.q_norm
@@ -264,7 +265,7 @@ def verify_bound_left_strip(
     if n_grid * n_im > MAX_GRID_POINTS:
         raise ValueError(f"n_grid = {n_grid} takes {n_grid * n_im} strip points, "
                          f"more than {MAX_GRID_POINTS}")
-    s = spectral_bound(aa)
+    s = float(np.max(cand.eigenvalues.real))
     if delta0 is None:
         delta0 = 0.5 * min(abs(s), 1.0 / (2.0 * qn))
     lower = max(s, -1.0 / (2.0 * qn))

@@ -96,45 +96,44 @@ def spectral_bound(a) -> float:
     return float(np.max(np.linalg.eigvals(m).real))
 
 
-def refute_stability(a) -> Optional[Witness]:
-    """Return an eigenpair with Re lambda >= 0 when one exists, else None.
-
-    Such a pair refutes every PSD candidate at once: along the
-    eigenvector the Lyapunov form equals 2 Re(lambda) <Qv, v> >= 0, which
-    can never reach -|v|^2.  The real-part test allows -1e-10 of slack for
-    eigensolver round-off.
-    """
+def stability_gate(a) -> np.ndarray:
+    """The spectrum of A when every Re lambda < -1e-10, else UnstableGeneratorError
+    with a witness eigenpair, which refutes every PSD candidate: along it the
+    Lyapunov form is 2 Re(lambda) <Qv, v> >= 0 and never reaches -|v|^2.  The
+    slack covers round-off.  Only a refuted A takes a second solve, with
+    eigenvectors, for the witness: the largest real part (ties by imaginary
+    part) among those meeting the rule."""
     aa = as_matrix(a, "a")
+    eigs = np.linalg.eigvals(aa)
+    if np.all(eigs.real < -REFUTE_REAL_PART_TOL):
+        return eigs
     vals, vecs = np.linalg.eig(aa)
     hits = [i for i in range(len(vals)) if vals[i].real >= -REFUTE_REAL_PART_TOL]
-    if not hits:
-        return None
+    if not hits:  # the two solves differ in the last bits at the line
+        return eigs
     best = max(hits, key=lambda i: (vals[i].real, vals[i].imag))
     v = vecs[:, best]
-    return Witness(eigenvalue=complex(vals[best]), vector=v / np.linalg.norm(v))
+    raise UnstableGeneratorError(Witness(complex(vals[best]), v / np.linalg.norm(v)))
 
 
-def stability_gate(a) -> None:
-    """The stability precondition of every operation that needs a stable
-    generator: UnstableGeneratorError exactly when :func:`refute_stability`
-    finds a witness."""
-    witness = refute_stability(a)
-    if witness is not None:
-        raise UnstableGeneratorError(witness)
+def refute_stability(a) -> Optional[Witness]:
+    """The non-raising form of :func:`stability_gate`: its witness, or None."""
+    try:
+        stability_gate(a)
+    except UnstableGeneratorError as exc:
+        return exc.witness
+    return None
 
 
 def default_time_grid(a, horizon: float | None = None) -> np.ndarray:
     """64 log-spaced samples up to the horizon 20/|s|, starting at the least
     of 0.01, horizon/1000 and 1/rho(A), before the fastest mode decays by e.
-    Non-decaying generators need an explicit horizon, whose grid starts at
-    min(0.01, horizon/1000)."""
+    Without a horizon A must pass the stability gate; an explicit horizon's
+    grid starts at min(0.01, horizon/1000)."""
     start = 0.01
     if horizon is None:
-        eigs = np.linalg.eigvals(as_matrix(a, "a"))
-        s = float(np.max(eigs.real))
-        if s >= 0.0:
-            raise ValueError("spectral bound is nonnegative; pass an explicit horizon")
-        horizon = 20.0 / abs(s)
+        eigs = stability_gate(a)
+        horizon = 20.0 / abs(float(np.max(eigs.real)))
         start = min(start, 1.0 / float(np.max(np.abs(eigs))))
     if not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -190,8 +189,7 @@ def certified_decay(a, nm: NormModel) -> tuple[float, float]:
     3s/4, well inside the decaying regime.
     """
     m = as_matrix(a, "a")
-    stability_gate(m)
-    s = spectral_bound(m)
+    s = float(np.max(stability_gate(m).real))
     horizon = 20.0 / abs(s)
     for _ in range(7):
         t_end = default_time_grid(m, horizon=horizon)[-1]

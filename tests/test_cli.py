@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from stabcert.cli import _EXIT_CODES, _RULES, _VERDICTS, _recheck_one, main
+from stabcert.lyapunov import membership_margin
 from stabcert.models import (
     heat_dirichlet,
     matrix_from_json_dict,
+    matrix_to_json_dict,
     random_stable,
     save_matrix,
 )
@@ -37,6 +39,14 @@ def count_linalg(monkeypatch, *names):
 
         monkeypatch.setattr(np.linalg, name, counting)
     return counts
+
+
+# (eig, eigvals) calls of a stable job on heat n=8: the algebraic solve gates A
+# once, and that candidate's spectrum serves both resolvent scans; leftinv's
+# default time grid gates A once more, and q0's decay model and its growth
+# estimate take two before the algebraic solve
+STABLE_EIGENSOLVES = {"certify": (0, 1), "refute": (0, 1), "perturb": (0, 1),
+                      "leftinv": (0, 2), "resolvent": (0, 2), "q0": (0, 3)}
 
 
 class TestCertify:
@@ -72,6 +82,13 @@ class TestCertify:
         assert report["verdict"] == "refuted"
         lam = report["witness"]["eigenvalue"]
         assert lam[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("lam", ["-0.5+1i", "-0.5+0.3i", "-0.5+3i"])
+    def test_complex_jordan_block_solves_like_the_real_one(self, tmp_path, lam):
+        # the real block -0.5 passes at n = 24; the imaginary shift solves the same equation
+        assert run(["certify", "--family", "jordan", f"--lambda={lam}", "--n", "24",
+                    "--out-dir", tmp_path]) == 0
+        assert run(["recheck", tmp_path / "certify-jordan-n24.json"]) == 0
 
     def test_missing_file_is_operational_error(self, tmp_path, capsys):
         code = run(["certify", "--file", tmp_path / "notamatrix.json"])
@@ -237,17 +254,21 @@ class TestRefutationContract:
         assert report["verdict"] == "refuted"
         assert run(["recheck", tmp_path / "q0-jordan-n3.json"]) == 0
 
-    @pytest.mark.parametrize("command, extra", [
-        ("certify", []),
-        ("perturb", ["--random-trials", "2"]),
-        ("leftinv", []),
-    ], ids=["certify", "perturb", "leftinv"])
-    def test_a_stable_job_decides_stability_once(self, tmp_path, monkeypatch, command,
-                                                  extra):
-        counts = count_linalg(monkeypatch, "eig")
-        assert run([command, "--family", "heat", "--n", "8", *extra,
-                    "--out-dir", tmp_path]) == 0
-        assert counts == {"eig": 1}
+    @pytest.mark.parametrize("command, family, code, eigensolves", [
+        *[(command, ["heat", "--n", "8"], 0, counts)
+          for command, counts in STABLE_EIGENSOLVES.items()],
+        *[(command, ["jordan", "--lambda", "1", "--n", "3"], 2, (1, 1))
+          for command in STABLE_EIGENSOLVES],
+    ], ids=[*STABLE_EIGENSOLVES, *(f"{command}-unstable" for command in STABLE_EIGENSOLVES)])
+    def test_eigensolves_per_job(self, tmp_path, monkeypatch, command, family, code,
+                                 eigensolves):
+        # (eig, eigvals) per job.  A stable job takes no eig.  A refuted job's
+        # first gate takes one eigvals and one eig for its witness, and the job
+        # stops there.
+        counts = count_linalg(monkeypatch, "eig", "eigvals")
+        extra = ["--random-trials", "2"] if command == "perturb" else []
+        assert run([command, "--family", *family, *extra, "--out-dir", tmp_path]) == code
+        assert (counts["eig"], counts["eigvals"]) == eigensolves
 
 
 class TestResolvent:
@@ -325,11 +346,8 @@ class TestResolvent:
         assert scans["strip"]["evaluated"] == scans["strip"]["points"]
 
 
-    def test_auto_delta0_is_decided_by_the_strip_scan(self, tmp_path, monkeypatch):
-        counts = count_linalg(monkeypatch, "eig", "eigvals")
+    def test_auto_delta0_is_decided_by_the_strip_scan(self, tmp_path):
         assert run(["resolvent", "--family", "heat", "--n", "8", "--out-dir", tmp_path]) == 0
-        # the job's refutation and the right scan's gate; the strip's spectral bound
-        assert counts == {"eig": 2, "eigvals": 1}
         report = read_report(tmp_path / "resolvent-heat-n8.json")
         q_norm = report["candidate"]["q_norm"]
         s = float(np.max(np.linalg.eigvals(heat_dirichlet(8, 1.0)).real))
@@ -690,8 +708,6 @@ class TestGenAndRecheck:
         report = read_report(path)
         # swap the embedded candidate for an indefinite matrix
         forged = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-        from stabcert.models import matrix_to_json_dict
-
         report["certificate"]["q"] = matrix_to_json_dict(forged)
         path.write_text(json.dumps(report))
         assert run(["recheck", path]) == 2
@@ -751,6 +767,40 @@ def test_recheck_rederives_the_verdict_of_a_forged_report(tmp_path, monkeypatch,
     path.write_text(json.dumps(report))
     assert run(["recheck", path]) == 2
     assert f"{path}: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("generator, q, tol, eigenvalue", [
+    # s(A) = -5e-11 is inside the refutation window, and Q has margin 0
+    (np.diag([-5e-11, -1.0, -1.0, -1.0]), np.diag([1e10, 0.5, 0.5, 0.5]), 1e-8, "-5e-11"),
+    # Q = I/2 has margin 1.5 for this A: a member only under the forged tol
+    (np.diag([0.5, -1.0, -1.0, -1.0]), 0.5 * np.eye(4), 2.0, "0.5"),
+], ids=["window", "unstable"])
+def test_recheck_applies_the_refutation_rule_to_a_report_without_witness(
+        tmp_path, capsys, generator, q, tol, eigenvalue):
+    # a certified report on a generator the stability gate refutes, every
+    # derived field forged to match the forged A and Q
+    run(["certify", "--family", "heat", "--n", "4", "--out-dir", tmp_path])
+    path = tmp_path / "certify-heat-n4.json"
+    assert run(["recheck", path]) == 0
+    report = read_report(path)
+    cand = membership_margin(q, generator, NormModel.identity(4), tol=tol)
+    epsilon, m = 1.0 / (2.0 * cand.q_norm), math.sqrt(cand.q_norm / cand.theta)
+    report["generator"] = matrix_to_json_dict(generator)
+    report["config"]["tol"] = tol
+    block = report["certificate"]
+    block.update(q=matrix_to_json_dict(q), margin=cand.margin, q_norm=cand.q_norm,
+                 theta=cand.theta, member=cand.is_member, tol=tol, epsilon=epsilon, M=m,
+                 worst_ratio=1.0 / m, grid_pass=True)
+    block["grid"].update(t_max=10.0 / epsilon, worst_t=0.0)
+    path.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert run(["recheck", path]) == 2
+    out = capsys.readouterr().out
+    assert f"{path}: FAIL" in out
+    assert f"eigenvalue ({eigenvalue}+0j) has real part >= -1e-10" in out
+    # the command itself refutes that generator
+    save_matrix(tmp_path / "a.json", generator)
+    assert run(["certify", "--file", tmp_path / "a.json", "--out-dir", tmp_path]) == 2
 
 
 @pytest.mark.parametrize("argv, stem, names", [

@@ -37,6 +37,7 @@ from stabcert.semigroup import (
     envelope_witness_search,
     lower_envelope,
     spectral_bound,
+    stability_gate,
 )
 from stabcert.space import (
     NormModel,
@@ -237,6 +238,9 @@ class TestRefuteStability:
         # Q = diag(1e10, 1/2) has margin 0 for this A, so only the stability gate refuses
         pytest.param(lambda a, nm: verify_bound_right(
             membership_margin(np.diag([1e10, 0.5]), a, nm)), id="verify_bound_right"),
+        pytest.param(lambda a, nm: verify_bound_left_strip(
+            membership_margin(np.diag([1e10, 0.5]), a, nm)), id="verify_bound_left_strip"),
+        pytest.param(lower_envelope, id="lower_envelope"),  # its default time grid
     ])
     def test_refutation_window_gates_every_stable_operation(self, operation):
         # s(A) = -5e-11 is negative but inside the -1e-10 refutation window
@@ -245,6 +249,31 @@ class TestRefuteStability:
         with pytest.raises(UnstableGeneratorError, match="real part >= -1e-10") as excinfo:
             operation(a, NormModel.identity(2))
         assert excinfo.value.witness.eigenvalue == -5e-11
+
+    @pytest.mark.parametrize("a", [heat_dirichlet(8, 1.0), jordan_block(4, -0.5 + 1j),
+                                   random_stable(6, 0.5, 3)], ids=["heat", "jordan", "random"])
+    def test_gate_returns_the_spectrum_and_takes_eig_only_to_refute(self, monkeypatch, a):
+        expected, calls = np.linalg.eigvals(a), []
+        for name in ("eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, lambda *args, f=getattr(np.linalg, name),
+                                name=name: calls.append(name) or f(*args))
+        assert np.array_equal(stability_gate(a), expected)
+        assert calls == ["eigvals"]
+        with pytest.raises(UnstableGeneratorError):
+            stability_gate(-a)
+        assert calls == ["eigvals", "eigvals", "eig"]
+
+    def test_candidate_spectrum_is_decided_once_for_both_scans(self, monkeypatch):
+        a, nm = heat_dirichlet(6, 1.0), NormModel.identity(6)
+        cand = membership_margin(solve_algebraic(a, nm.w), a, nm)
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m, f=np.linalg.eigvals:
+                            calls.append(m.shape) or f(m))
+        monkeypatch.setattr(np.linalg, "eig", lambda m: pytest.fail("eig on a stable A"))
+        verify_bound_left_strip(cand)
+        verify_bound_right(cand)
+        assert calls == [(6, 6)]
+        assert np.array_equal(cand.eigenvalues, np.linalg.eigvals(a))
 
 
 class TestSolveAlgebraic:
@@ -276,6 +305,16 @@ class TestSolveAlgebraic:
     def test_rejects_indefinite_rhs(self):
         with pytest.raises(ValueError, match="positive definite"):
             solve_algebraic(-np.eye(2), np.diag([1.0, -1.0]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31), n=st.integers(2, 20), c=st.floats(-10.0, 10.0),
+           jordan=st.booleans())
+    def test_imaginary_shift_leaves_the_solution(self, seed, n, c, jordan):
+        # (A + i c I)* Q + Q (A + i c I) = A* Q + Q A for a real c
+        a = jordan_block(n, -0.5) if jordan else random_stable(n, 0.5, seed)
+        q = solve_algebraic(a, np.eye(n))
+        shifted = solve_algebraic(a + 1j * c * np.eye(n), np.eye(n))
+        assert spectral_norm(shifted - q) <= 1e-12 * spectral_norm(q)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**31), n=st.integers(2, 6))
