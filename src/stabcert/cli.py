@@ -28,7 +28,6 @@ from .lyapunov import (
     CERTIFICATE_POINTS,
     CERTIFICATE_SLACK,
     DEFAULT_MEMBERSHIP_TOL,
-    REFUTE_REAL_PART_TOL,
     LyapunovCandidate,
     certificate,
     check_quadrature,
@@ -49,7 +48,7 @@ from .models import (
     save_matrix,
     write_atomic,
 )
-from .numkernel import KernelPrecisionError, expm, spectral_norm
+from .numkernel import KernelPrecisionError, expm, singular_extremes
 from .perturb import RadiusExceededError, admissible_radius, max_alpha, verify_perturbation
 from .resolvent import (
     DEFAULT_SCAN_TOL,
@@ -67,6 +66,7 @@ from .semigroup import (
     envelope_witness_search,
     left_invertibility_witness,
     lower_envelope,
+    refutation_slack,
     spectral_bound,
     stability_gate,
 )
@@ -84,16 +84,6 @@ _EXIT_CODES = {
     "certified": 0, "not_refuted": 0, "pass": 0,
     "inconclusive": 1,
     "refuted": 2, "fail": 2, "rejected": 2,
-}
-# The verdicts each command can write; ``recheck`` fails a report carrying
-# any other.
-_VERDICTS = {
-    "certify": {"certified", "inconclusive", "refuted"},
-    "refute": {"not_refuted", "refuted"},
-    "q0": {"pass", "inconclusive", "refuted"},
-    "resolvent": {"pass", "fail", "refuted"},
-    "perturb": {"pass", "fail", "rejected", "refuted"},
-    "leftinv": {"pass", "fail", "refuted"},
 }
 
 
@@ -120,25 +110,30 @@ def _left_invertible(report: dict) -> bool:
         w["m0"] >= math.exp(-sp["witness_rate"] * w["t0"]) * (1.0 - WITNESS_SLACK))
 
 
-# The one verdict rule of each command, read off the report blocks.  The
-# command applies it to the blocks it writes and ``recheck`` to the blocks it
-# has recomputed, so the two agree by construction.  A ``witness`` block (an
-# eigenvalue with nonnegative real part) refutes every command.
+# The one verdict rule of each command, read off the report blocks: the
+# first verdict whose test holds, where None always holds.  The command
+# applies it to the blocks it writes and ``recheck`` to the blocks it has
+# recomputed, so the two agree by construction.  A command writes only the
+# verdicts of its rule and ``refuted``: a ``witness`` block (an eigenvalue
+# with nonnegative real part) refutes every command.
 _RULES = {
-    command: lambda report, decide=decide: (
-        "refuted" if "witness" in report else decide(report))
-    for command, decide in {
-        "certify": lambda r: ("certified" if "certificate" in r and r["certificate"]["member"]
-                              and r["certificate"]["grid_pass"] else "inconclusive"),
-        "refute": lambda r: "not_refuted",
-        "q0": lambda r: "pass" if r["q0"]["member"] else "inconclusive",
-        "resolvent": lambda r: ("pass" if r["scans"]["right"]["pass"]
-                                and r["scans"]["strip"]["pass"] else "fail"),
-        "perturb": lambda r: ("rejected" if "excess" in r["perturbation"]
-                              else "pass" if _perturbation_passes(r) else "fail"),
-        "leftinv": lambda r: "pass" if _left_invertible(r) else "fail",
-    }.items()
+    "certify": (("certified", lambda r: "certificate" in r and r["certificate"]["member"]
+                 and r["certificate"]["grid_pass"]), ("inconclusive", None)),
+    "refute": (("not_refuted", None),),
+    "q0": (("pass", lambda r: r["q0"]["member"]), ("inconclusive", None)),
+    "resolvent": (("pass", lambda r: r["scans"]["right"]["pass"] and r["scans"]["strip"]["pass"]),
+                  ("fail", None)),
+    "perturb": (("rejected", lambda r: "excess" in r["perturbation"]),
+                ("pass", _perturbation_passes), ("fail", None)),
+    "leftinv": (("pass", _left_invertible), ("fail", None)),
 }
+
+
+def _verdict(report: dict) -> str:
+    if "witness" in report:
+        return "refuted"
+    return next(verdict for verdict, holds in _RULES[report["command"]]
+                if holds is None or holds(report))
 
 
 class _CliUsageError(ValueError):
@@ -341,7 +336,7 @@ class _Job:
         """Write the report atomically under the verdict its command's rule
         gives the blocks; the verdict alone fixes the exit code."""
         report = {**self.report, **blocks}
-        verdict = report["verdict"] = _RULES[report["command"]](report)
+        verdict = report["verdict"] = _verdict(report)
         report["timings"] = {"total_s": time.perf_counter() - self.started}
         path = _out_path(self.args, self.args.out or f"{report['command']}-{_tag(self.spec)}.json")
         write_atomic(path, json.dumps(report, separators=(",", ":")) + "\n")
@@ -568,22 +563,22 @@ def _recheck_one(path: str) -> tuple[str | None, list, list]:
         nm = NormModel.identity(a.shape[0])
     tol = float(report.get("config", {}).get("tol", DEFAULT_MEMBERSHIP_TOL))
     verdict = report.get("verdict")
-    if verdict not in _VERDICTS.get(command, ()):
+    if command not in _RULES or verdict not in {"refuted", *dict(_RULES[command])}:
         return None, [], [f"verdict {verdict!r} is not one that {command!r} writes"]
-    problems, fields = [], {}
+    problems, fields, slack = [], {}, refutation_slack(a)
 
     if "witness" in report:
         block = report["witness"]
         lam = complex(block["eigenvalue"][0], block["eigenvalue"][1])
         v = matrix_from_json_dict(block["vector"]).reshape(-1)
         residual = fields["witness.residual"] = np.linalg.norm(a @ v - lam * v)
-        scale = _WITNESS_RESIDUAL_TOL * (1.0 + spectral_norm(a)) * np.linalg.norm(v)
-        if lam.real < -REFUTE_REAL_PART_TOL or residual > scale:
+        scale = _WITNESS_RESIDUAL_TOL * (1.0 + singular_extremes(a)[0]) * np.linalg.norm(v)
+        if lam.real < -slack or residual > scale:
             problems.append(f"witness fails: real part {lam.real!r}, residual {residual!r} "
                             f"(at most {scale!r})")
     elif (witness := refute_stability(a)) is not None:  # the rule every verdict rests on
         return None, [], [f"eigenvalue {witness.eigenvalue!r} has real part >= "
-                          f"-{REFUTE_REAL_PART_TOL:.0e}, but the report carries no witness"]
+                          f"-{slack:g}, but the report carries no witness"]
     elif command == "refute":
         fields["witness"] = None
         fields["spectral_bound"] = spectral_bound(a)
@@ -663,7 +658,7 @@ def _recheck_one(path: str) -> tuple[str | None, list, list]:
             reported = reported.get(key) if isinstance(reported, dict) else None
         if not _agrees(value, reported):
             problems.append(f"{name}: recomputed {value!r} vs reported {reported!r}")
-    derived = _RULES[command](report)
+    derived = _verdict(report)
     if derived != verdict:
         problems.append(f"verdict {verdict!r}, but the embedded data give {derived!r}")
     return derived, list(fields), problems

@@ -25,7 +25,6 @@ __all__ = [
     "as_matrix",
     "hermitian_part",
     "hermitian_gate",
-    "spectral_norm",
     "expm",
     "hermitian_eig",
     "singular_extremes",
@@ -75,13 +74,6 @@ def as_matrix(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
-
-
-def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value (2-norm); 0.0 for empty input."""
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
 
 
 def _pade_coefficients(m: int) -> tuple[float, ...]:

@@ -34,6 +34,7 @@ __all__ = [
     "EnvelopeFit",
     "spectral_bound",
     "refute_stability",
+    "refutation_slack",
     "stability_gate",
     "default_time_grid",
     "growth_bound_estimate",
@@ -61,12 +62,13 @@ class Witness(NamedTuple):
 
 
 class UnstableGeneratorError(RuntimeError):
-    """The generator has an eigenvalue with Re lambda >= -REFUTE_REAL_PART_TOL,
-    so no Lyapunov member exists; carries that refuting eigenpair."""
+    """The generator has an eigenvalue with Re lambda >= -slack, the
+    :func:`refutation_slack` of A, so no Lyapunov member exists; carries that
+    refuting eigenpair."""
 
-    def __init__(self, witness: Witness):
+    def __init__(self, witness: Witness, slack: float):
         super().__init__(f"eigenvalue {witness.eigenvalue:.6e} has real part >= "
-                         f"-{REFUTE_REAL_PART_TOL:.0e}: no Lyapunov member exists")
+                         f"-{slack:g}: no Lyapunov member exists")
         self.witness = witness
 
 
@@ -96,8 +98,14 @@ def spectral_bound(a) -> float:
     return float(np.max(np.linalg.eigvals(m).real))
 
 
+def refutation_slack(a) -> float:
+    """REFUTE_REAL_PART_TOL |A|_1: the rule's room below Re lambda = 0 scales
+    with A, so scaling A by a power of two keeps its verdict."""
+    return REFUTE_REAL_PART_TOL * float(np.linalg.norm(a, 1))
+
+
 def stability_gate(a) -> np.ndarray:
-    """The spectrum of A when every Re lambda < -1e-10, else UnstableGeneratorError
+    """The spectrum of A when every Re lambda < -1e-10 |A|_1, else UnstableGeneratorError
     with a witness eigenpair, which refutes every PSD candidate: along it the
     Lyapunov form is 2 Re(lambda) <Qv, v> >= 0 and never reaches -|v|^2.  The
     slack covers round-off.  Only a refuted A takes a second solve, with
@@ -105,15 +113,16 @@ def stability_gate(a) -> np.ndarray:
     part) among those meeting the rule."""
     aa = as_matrix(a, "a")
     eigs = np.linalg.eigvals(aa)
-    if np.all(eigs.real < -REFUTE_REAL_PART_TOL):
+    slack = refutation_slack(aa)
+    if np.all(eigs.real < -slack):
         return eigs
     vals, vecs = np.linalg.eig(aa)
-    hits = [i for i in range(len(vals)) if vals[i].real >= -REFUTE_REAL_PART_TOL]
+    hits = [i for i in range(len(vals)) if vals[i].real >= -slack]
     if not hits:  # the two solves differ in the last bits at the line
         return eigs
     best = max(hits, key=lambda i: (vals[i].real, vals[i].imag))
     v = vecs[:, best]
-    raise UnstableGeneratorError(Witness(complex(vals[best]), v / np.linalg.norm(v)))
+    raise UnstableGeneratorError(Witness(complex(vals[best]), v / np.linalg.norm(v)), slack)
 
 
 def refute_stability(a) -> Optional[Witness]:

@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from stabcert.cli import _EXIT_CODES, _RULES, _VERDICTS, _recheck_one, main
+import stabcert.resolvent
+
+from stabcert.cli import _EXIT_CODES, _RULES, _recheck_one, _verdict, main
 from stabcert.lyapunov import membership_margin
 from stabcert.models import (
     heat_dirichlet,
@@ -192,7 +194,7 @@ class TestExitCodeTable:
         assert run([*argv, "--out-dir", tmp_path]) == code
         path = tmp_path / f"{report}.json"
         assert read_report(path)["verdict"] == verdict
-        assert _RULES[argv[0]](read_report(path)) == verdict
+        assert _verdict(read_report(path)) == verdict
         assert run(["recheck", path]) == 0
 
 
@@ -253,6 +255,37 @@ class TestRefutationContract:
         report = read_report(tmp_path / "q0-jordan-n3.json")
         assert report["verdict"] == "refuted"
         assert run(["recheck", tmp_path / "q0-jordan-n3.json"]) == 0
+
+    @pytest.mark.parametrize("k", [-200, -60, 0, 60, 200])
+    @pytest.mark.parametrize("family", [["heat"], ["upwind"], ["jordan", "--lambda", "-1"],
+                                        ["random-stable", "--seed", "3"]],
+                             ids=["heat", "upwind", "jordan", "random-stable"])
+    def test_scaling_by_a_power_of_two_keeps_the_verdict(self, tmp_path, family, k):
+        # 2^k A is exact and as stable as A: the refutation slack 1e-10 |A|_1
+        # scales with it
+        assert run(["gen", "--family", *family, "--n", "8", "--out-dir", tmp_path,
+                    "--out", "a.json"]) == 0
+        a = matrix_from_json_dict(read_report(tmp_path / "a.json"))
+        save_matrix(tmp_path / "scaled.json", a * 2.0 ** k)
+        assert run(["certify", "--file", tmp_path / "scaled.json", "--out-dir", tmp_path]) == 0
+        assert run(["recheck", tmp_path / "certify-file-scaled.json"]) == 0
+
+    @pytest.mark.parametrize("argv, stem, code", [
+        (["--family", "heat", "--length", "1e6", "--n", "8"], "certify-heat-n8", 0),
+        (["--file", "tiny.json"], "certify-file-tiny", 0),
+        (["--family", "random-stable", "--margin", "1e-11", "--n", "8"],
+         "certify-random-stable-n8-s0", 2),
+    ], ids=["heat-length-1e6", "tiny-1x1", "gap-below-slack"])
+    def test_the_slack_is_measured_against_the_scale_of_a(self, tmp_path, monkeypatch,
+                                                         argv, stem, code):
+        # heat's -9.8e-12 and [[-0.99e-10]] are far below 1e-10 |A|_1, while
+        # random-stable's gap of 1e-11 is within 1e-10 |A|_1 = 6.4e-10 of zero
+        monkeypatch.chdir(tmp_path)
+        save_matrix("tiny.json", np.array([[-0.99e-10]]))
+        assert run(["certify", *argv, "--out-dir", tmp_path]) == code
+        assert read_report(tmp_path / f"{stem}.json")["verdict"] == (
+            "certified" if code == 0 else "refuted")
+        assert run(["recheck", tmp_path / f"{stem}.json"]) == 0
 
     @pytest.mark.parametrize("command, family, code, eigensolves", [
         *[(command, ["heat", "--n", "8"], 0, counts)
@@ -368,19 +401,21 @@ class TestResolvent:
     ])
     def test_scan_arguments_are_checked_before_any_svd(self, tmp_path, capsys, monkeypatch,
                                                        flag, value, message):
-        svds = []
-        svd = np.linalg.svd
+        # every SVD of a scan goes through _scan_norms; the Lyapunov solve
+        # before the scans checks its residual with SVDs of its own
+        scans = []
+        scan_norms = stabcert.resolvent._scan_norms
 
-        def counting(*args, **kwargs):
-            svds.append(args[0].shape)
-            return svd(*args, **kwargs)
+        def counting(aw, grid, *args, **kwargs):
+            scans.append(len(grid))
+            return scan_norms(aw, grid, *args, **kwargs)
 
-        monkeypatch.setattr("stabcert.numkernel.np.linalg.svd", counting)
+        monkeypatch.setattr(stabcert.resolvent, "_scan_norms", counting)
         argv = ["resolvent", "--family", "heat", "--n", "6", "--out-dir", tmp_path]
         assert run(argv + [flag, value]) == 1
         assert message in capsys.readouterr().err
-        assert not svds
-        assert run(argv) == 0 and svds  # the counter sees the scans of a good job
+        assert not scans
+        assert run(argv) == 0 and scans  # the counter sees the scans of a good job
 
 
 class TestPerturb:
@@ -668,9 +703,9 @@ class TestGenAndRecheck:
         assert "'certified' is not one that 'leftinv' writes" in capsys.readouterr().out
 
     def test_verdict_table_covers_exactly_the_exit_code_table(self):
-        assert set().union(*_VERDICTS.values()) == set(_EXIT_CODES)
-        assert set(_RULES) == set(_VERDICTS)
-        assert all("refuted" in verdicts for verdicts in _VERDICTS.values())
+        verdicts = {verdict for rule in _RULES.values() for verdict, _ in rule}
+        assert {"refuted"} | verdicts == set(_EXIT_CODES)
+        assert all(rule[-1][1] is None for rule in _RULES.values())
 
     def test_recheck_rejects_non_reports(self, tmp_path):
         path = tmp_path / "nonsense.json"

@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from stabcert.models import (
     random_vector,
     upwind_shift,
 )
-from stabcert.numkernel import KernelPrecisionError, expm, singular_extremes, spectral_norm
+from stabcert.numkernel import KernelPrecisionError, expm, singular_extremes
 from stabcert.perturb import admissible_radius, max_alpha, verify_perturbation
 from stabcert.resolvent import verify_bound_left_strip, verify_bound_right
 from stabcert.semigroup import (
@@ -36,6 +37,7 @@ from stabcert.semigroup import (
     default_time_grid,
     envelope_witness_search,
     lower_envelope,
+    refutation_slack,
     spectral_bound,
     stability_gate,
 )
@@ -250,6 +252,18 @@ class TestRefuteStability:
             operation(a, NormModel.identity(2))
         assert excinfo.value.witness.eigenvalue == -5e-11
 
+    @pytest.mark.parametrize("k", [-200, -40, 0, 40, 200])
+    def test_the_window_scales_with_a(self, k):
+        # the window is 1e-10 |A|_1: 2^k A keeps the verdict of A, and the
+        # error names the slack it used
+        for s, refuted in ((-5e-11, True), (-2e-10, False)):
+            a = np.diag([s, -1.0]) * 2.0 ** k
+            assert refutation_slack(a) == 1e-10 * 2.0 ** k
+            assert (refute_stability(a) is not None) == refuted
+        slack = re.escape(f"real part >= -{1e-10 * 2.0 ** k:g}")
+        with pytest.raises(UnstableGeneratorError, match=slack):
+            stability_gate(np.diag([-5e-11, -1.0]) * 2.0 ** k)
+
     @pytest.mark.parametrize("a", [heat_dirichlet(8, 1.0), jordan_block(4, -0.5 + 1j),
                                    random_stable(6, 0.5, 3)], ids=["heat", "jordan", "random"])
     def test_gate_returns_the_spectrum_and_takes_eig_only_to_refute(self, monkeypatch, a):
@@ -293,7 +307,7 @@ class TestSolveAlgebraic:
         assert np.allclose(q, oracle, rtol=1e-12)
         ref = scipy.linalg.solve_continuous_lyapunov(a.conj().T, -np.eye(2))
         assert np.allclose(q, ref, rtol=1e-9)
-        residual = spectral_norm(a.conj().T @ q + q @ a + np.eye(2))
+        residual = np.linalg.norm(a.conj().T @ q + q @ a + np.eye(2), 2)
         assert residual <= 1e-8
 
     def test_unstable_raises_with_witness(self):
@@ -301,6 +315,13 @@ class TestSolveAlgebraic:
             solve_algebraic(jordan_block(2, 0.3), np.eye(2))
         assert excinfo.value.witness is not None
         assert excinfo.value.witness.eigenvalue.real >= 0.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_an_overflowing_residual_is_refused(self):
+        # Q = 1e300 / 2e-9 overflows; the residual check refuses the
+        # non-finite residual instead of comparing a nan with its bound
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_algebraic(np.array([[-1e-9]]), np.array([[1e300]]))
 
     def test_rejects_indefinite_rhs(self):
         with pytest.raises(ValueError, match="positive definite"):
@@ -314,7 +335,7 @@ class TestSolveAlgebraic:
         a = jordan_block(n, -0.5) if jordan else random_stable(n, 0.5, seed)
         q = solve_algebraic(a, np.eye(n))
         shifted = solve_algebraic(a + 1j * c * np.eye(n), np.eye(n))
-        assert spectral_norm(shifted - q) <= 1e-12 * spectral_norm(q)
+        assert np.linalg.norm(shifted - q, 2) <= 1e-12 * np.linalg.norm(q, 2)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**31), n=st.integers(2, 6))
@@ -337,7 +358,7 @@ SIZED_FAMILIES = {
 
 
 def lyapunov_residual(a, q, rhs):
-    return spectral_norm(a.conj().T @ q + q @ a + rhs) / spectral_norm(rhs)
+    return np.linalg.norm(a.conj().T @ q + q @ a + rhs, 2) / np.linalg.norm(rhs, 2)
 
 
 class TestSignFunctionSolve:
@@ -348,7 +369,7 @@ class TestSignFunctionSolve:
         rhs = np.eye(n)
         q = solve_algebraic(a, rhs)
         ref = scipy.linalg.solve_continuous_lyapunov(a.conj().T, -rhs)
-        assert spectral_norm(q - ref) <= 1e-9 * spectral_norm(ref)
+        assert np.linalg.norm(q - ref, 2) <= 1e-9 * np.linalg.norm(ref, 2)
         assert lyapunov_residual(a, q, rhs) <= 1e-8
 
     def test_weighted_rhs_matches_bartels_stewart(self):
@@ -357,14 +378,14 @@ class TestSignFunctionSolve:
         q = solve_algebraic(a, nm.w)
         # a complex A: scipy's solver mishandles a real A with a complex RHS
         ref = scipy.linalg.solve_continuous_lyapunov(a.astype(complex).conj().T, -nm.w)
-        assert spectral_norm(q - ref) <= 1e-9 * spectral_norm(ref)
+        assert np.linalg.norm(q - ref, 2) <= 1e-9 * np.linalg.norm(ref, 2)
 
     def test_matches_kronecker_oracle_at_small_n(self):
         for family, make in SIZED_FAMILIES.items():
             a = make(12)
             q = solve_algebraic(a, np.eye(12))
             oracle = kron_lyapunov_oracle(a, np.eye(12))
-            assert spectral_norm(q - oracle) <= 1e-12 * spectral_norm(oracle), family
+            assert np.linalg.norm(q - oracle, 2) <= 1e-12 * np.linalg.norm(oracle, 2), family
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**31), n=st.integers(1, 64),
