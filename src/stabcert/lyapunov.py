@@ -159,7 +159,8 @@ def solve_algebraic(a, rhs) -> np.ndarray:
     iteration stops at |E + I|_1 <= 1e-13 n, or when that norm stops falling
     below 1e-6; more than SIGN_MAX_STEPS steps raise KernelPrecisionError.
     O(n^3) time, O(n^2) memory.  A second Q pass on the residual equation
-    refines the result, which must meet |A* Q + Q A + RHS| <= 1e-8 |RHS|.
+    refines the result, which must be finite and meet
+    |A* Q + Q A + RHS| <= 1e-8 |RHS|; either failure raises KernelPrecisionError.
     """
     aa = as_matrix(a, "a")
     rr = as_matrix(rhs, "rhs")
@@ -174,26 +175,29 @@ def solve_algebraic(a, rhs) -> np.ndarray:
     n = aa.shape[0]
     shift = aa.trace().imag / n
     e, steps, prev, err = aa - 1j * shift * np.eye(n) if shift else aa, [], math.inf, math.inf
-    while err > 1e-13 * n and not prev <= err < 1e-6:
-        if len(steps) == SIGN_MAX_STEPS:
-            raise KernelPrecisionError(
-                f"sign iteration did not converge in {SIGN_MAX_STEPS} steps (|E + I|_1 {err:.1e})"
-            )
-        e_inv = np.linalg.inv(e)
-        c = 1.0 if err < 1e-2 else math.exp(np.linalg.slogdet(e)[1] / n)
-        e = 0.5 * (e / c + c * e_inv)
-        steps.append((c, e_inv))
-        prev, err = err, float(np.linalg.norm(e + np.eye(n), 1))
-    q = np.zeros(rr.shape, dtype=np.result_type(aa, rr))
-    for _ in range(2):  # the second pass solves for the correction
-        d = aa.conj().T @ q + q @ aa + rr
-        for c, e_inv in steps:
-            d = 0.5 * (d / c + c * (e_inv.conj().T @ d @ e_inv))
-        q = q + hermitian_part(0.5 * d)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # Q is checked below
+        while err > 1e-13 * n and not prev <= err < 1e-6:
+            if len(steps) == SIGN_MAX_STEPS:
+                raise KernelPrecisionError(f"sign iteration did not converge in {SIGN_MAX_STEPS}"
+                                           f" steps (|E + I|_1 {err:.1e})")
+            e_inv = np.linalg.inv(e)
+            c = 1.0 if err < 1e-2 else math.exp(np.linalg.slogdet(e)[1] / n)
+            e = 0.5 * (e / c + c * e_inv)
+            steps.append((c, e_inv))
+            prev, err = err, float(np.linalg.norm(e + np.eye(n), 1))
+        q = np.zeros(rr.shape, dtype=np.result_type(aa, rr))
+        for _ in range(2):  # the second pass solves for the correction
+            d = aa.conj().T @ q + q @ aa + rr
+            for c, e_inv in steps:
+                d = 0.5 * (d / c + c * (e_inv.conj().T @ d @ e_inv))
+            q = q + hermitian_part(0.5 * d)
+    if not np.isfinite(q).all():
+        raise KernelPrecisionError("Lyapunov solution overflows float64: |Q| is not representable")
     residual = singular_extremes(aa.conj().T @ q + q @ aa + rr)[0]
     if residual > 1e-8 * singular_extremes(rr)[0]:
         raise KernelPrecisionError(
-            f"Lyapunov residual {residual:.3e} exceeds 1e-8 * |RHS|"
+            f"Lyapunov residual {residual:.3e} exceeds 1e-8 * |RHS| at "
+            f"|Q| = {singular_extremes(q)[0]:.3e} (1/eps = {1.0 / np.finfo(float).eps:.1e})"
         )
     return q
 

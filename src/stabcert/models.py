@@ -243,14 +243,18 @@ def matrix_from_json_dict(doc) -> np.ndarray:
 
 
 def matrix_to_json_dict(m) -> dict:
-    arr = np.ascontiguousarray(m, dtype=complex)
+    """Row-major ``data_real`` numbers when no entry has a nonzero imaginary
+    part, else ``data`` [re, im] pairs.  Either layout decodes to the same
+    matrix, whose real parts keep their sign bits."""
+    arr = np.asarray(m)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
-    return {
-        "rows": int(arr.shape[0]),
-        "cols": int(arr.shape[1]),
-        "data": arr.reshape(-1).view(np.float64).reshape(-1, 2).tolist(),
-    }
+    doc = {"rows": int(arr.shape[0]), "cols": int(arr.shape[1])}
+    if np.any(arr.imag):
+        doc["data"] = np.asarray(arr, dtype=complex).ravel().view(np.float64).reshape(-1, 2).tolist()
+    else:
+        doc["data_real"] = np.asarray(arr.real, dtype=np.float64).ravel().tolist()
+    return doc
 
 
 def load_matrix(path) -> np.ndarray:

@@ -110,6 +110,23 @@ class TestCertify:
         assert run(["certify", "--file", path, "--out-dir", tmp_path]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_solution_beyond_the_float_range_is_named(self, tmp_path, capsys):
+        # Q = 1/(2 |a|) = 2.5e308 overflows
+        save_matrix(tmp_path / "a.json", np.array([[-2e-309]]))
+        assert run(["certify", "--file", tmp_path / "a.json", "--out-dir", tmp_path]) == 1
+        assert capsys.readouterr().err == (
+            "error: Lyapunov solution overflows float64: |Q| is not representable\n")
+
+    def test_a_residual_failure_names_the_size_of_q(self, tmp_path, capsys):
+        # |Q| of the jordan block grows like 2^(2n) and passes 1/eps at n = 32
+        assert run(["certify", "--family", "jordan", "--lambda=-0.5", "--n", "32",
+                    "--out-dir", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Lyapunov residual ")
+        q_norm = float(err.split("|Q| = ")[1].split()[0])
+        assert q_norm > 1.0 / np.finfo(float).eps
+
     def test_family_and_file_conflict(self, capsys):
         code = run(["certify", "--family", "heat", "--file", "x.json"])
         assert code == 1
@@ -727,12 +744,19 @@ class TestGenAndRecheck:
         assert run(["recheck", path]) == 1
         assert "not a readable report" in capsys.readouterr().out
 
-    def test_recheck_of_a_generator_beyond_the_float_range_is_unreadable(self, tmp_path,
-                                                                         capsys):
-        assert run(["certify", "--family", "heat", "--n", "2", "--out-dir", tmp_path]) == 0
-        path = tmp_path / "certify-heat-n2.json"
+    @pytest.mark.parametrize("generator, stem, keys", [
+        (["--family", "heat"], "certify-heat-n2", ["data_real"]),
+        (["--family", "jordan", "--lambda=-0.5+1i"], "certify-jordan-n2", ["data", 0]),
+    ], ids=["data_real", "data"])
+    def test_recheck_of_a_generator_beyond_the_float_range_is_unreadable(
+            self, tmp_path, capsys, generator, stem, keys):
+        assert run(["certify", *generator, "--n", "2", "--out-dir", tmp_path]) == 0
+        path = tmp_path / f"{stem}.json"
         report = read_report(path)
-        report["generator"]["data"][0][0] = 10 ** 400
+        entries = report["generator"]
+        for key in keys:
+            entries = entries[key]
+        entries[0] = 10 ** 400  # the first real part, in either layout
         path.write_text(json.dumps(report))
         assert run(["recheck", path]) == 1
         assert "not a readable report" in capsys.readouterr().out
@@ -865,6 +889,64 @@ def test_recheck_ok_line_names_the_fields_it_compared(tmp_path, capsys, argv, st
     assert head == f"{path}: ok ({read_report(path)['verdict']}"
     assert listed.split() == _recheck_one(str(path))[1]
     assert set(names) <= set(listed.split())
+
+
+def as_pairs(doc) -> int:
+    """Rewrite every ``data_real`` matrix document inside ``doc`` as [x, 0.0]
+    ``data`` pairs, the layout older versions wrote; the count rewritten."""
+    if isinstance(doc, dict) and "data_real" in doc:
+        doc["data"] = [[x, 0.0] for x in doc.pop("data_real")]
+        return 1
+    children = doc.values() if isinstance(doc, dict) else doc if isinstance(doc, list) else ()
+    return sum(as_pairs(child) for child in children)
+
+
+@pytest.mark.parametrize("argv, stem", [
+    *[([command, "--family", "heat", "--n", "4", *flags], f"{command}-heat-n4")
+      for command, flags in [("certify", []), ("refute", []), ("q0", []), ("resolvent", []),
+                             ("perturb", ["--random-trials", "3"]), ("leftinv", [])]],
+    (["certify", "--family", "jordan", "--lambda", "1", "--n", "3"], "certify-jordan-n3"),
+], ids=["certify", "refute", "q0", "resolvent", "perturb", "leftinv", "refuted"])
+def test_a_report_in_the_pair_layout_rechecks_alike(tmp_path, capsys, argv, stem):
+    run([*argv, "--out-dir", tmp_path])
+    path = tmp_path / f"{stem}.json"
+    report = read_report(path)
+    assert as_pairs(report) >= 1
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert run(["recheck", path]) == 0
+    listed = capsys.readouterr().out.split("): ")[1]
+    assert run(["recheck", legacy]) == 0
+    assert capsys.readouterr().out.split("): ")[1] == listed
+
+
+def test_a_matrix_is_written_as_data_real_exactly_when_it_is_real(tmp_path):
+    def layout(doc):
+        return set(doc) - {"rows", "cols"}
+
+    for family in (["heat"], ["upwind"], ["jordan", "--lambda=-1"], ["random-stable"]):
+        assert run(["certify", "--family", *family, "--n", "4", "--out-dir", tmp_path,
+                    "--out", "real.json"]) == 0
+        report = read_report(tmp_path / "real.json")
+        assert layout(report["generator"]) == layout(report["certificate"]["q"]) == {"data_real"}
+    # a generator with a nonzero imaginary part, whose Q is complex too
+    save_matrix(tmp_path / "a.json", np.array([[-1.0, 1j], [0.0, -2.0]]))
+    assert run(["certify", "--file", tmp_path / "a.json", "--out-dir", tmp_path,
+                "--out", "complex.json"]) == 0
+    report = read_report(tmp_path / "complex.json")
+    assert layout(report["generator"]) == layout(report["certificate"]["q"]) == {"data"}
+    # the layout follows the values: the shifted jordan block's Q is real to the last bit
+    assert run(["certify", "--family", "jordan", "--lambda=-0.5+1i", "--n", "2",
+                "--out-dir", tmp_path, "--out", "shifted.json"]) == 0
+    report = read_report(tmp_path / "shifted.json")
+    assert layout(report["generator"]) == {"data"}
+    assert layout(report["certificate"]["q"]) == {"data_real"}
+    assert run(["perturb", "--family", "heat", "--n", "4", "--random-trials", "3",
+                "--out-dir", tmp_path]) == 0
+    report = read_report(tmp_path / "perturb-heat-n4.json")
+    assert layout(report["candidate"]["q"]) == {"data_real"}
+    assert layout(report["perturbation"]["worst_b"]) == {"data"}
 
 
 class TestDesktopScale:

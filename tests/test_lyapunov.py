@@ -318,9 +318,9 @@ class TestSolveAlgebraic:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_an_overflowing_residual_is_refused(self):
-        # Q = 1e300 / 2e-9 overflows; the residual check refuses the
-        # non-finite residual instead of comparing a nan with its bound
-        with pytest.raises(ValueError, match="non-finite"):
+        # Q = 1e300 / 2e-9 overflows; the solve names the overflow instead
+        # of comparing a nan residual with its bound
+        with pytest.raises(KernelPrecisionError, match="Lyapunov solution overflows float64"):
             solve_algebraic(np.array([[-1e-9]]), np.array([[1e300]]))
 
     def test_rejects_indefinite_rhs(self):

@@ -246,12 +246,20 @@ class TestMatrixJson:
                   elements=st.complex_numbers(allow_nan=False, allow_infinity=False)
                   | st.builds(complex, _EDGE_FLOATS, _EDGE_FLOATS)))
     def test_encoding_matches_entry_by_entry_and_round_trips(self, m):
-        for arr in (m, m.T, m[:, 0]):
+        for arr in (m, m.T, m[:, 0], m.real):
             doc = matrix_to_json_dict(arr)
-            # the entry-by-entry encoding the array view replaced
-            reference = [[float(v.real), float(v.imag)] for v in np.ravel(arr)]
-            assert all(type(x) is float for pair in doc["data"] for x in pair)
-            assert json.dumps(doc["data"]) == json.dumps(reference)
+            # data_real exactly when every imaginary part is zero (-0.0 included),
+            # each layout matching its entry-by-entry encoding
+            if np.any(arr.imag):
+                assert set(doc) == {"rows", "cols", "data"}
+                reference = [[float(v.real), float(v.imag)] for v in np.ravel(arr)]
+                assert all(type(x) is float for pair in doc["data"] for x in pair)
+                assert json.dumps(doc["data"]) == json.dumps(reference)
+            else:
+                assert set(doc) == {"rows", "cols", "data_real"}
+                reference = [float(v.real) for v in np.ravel(arr)]
+                assert all(type(x) is float for x in doc["data_real"])
+                assert json.dumps(doc["data_real"]) == json.dumps(reference)
             back = matrix_from_json_dict(json.loads(json.dumps(doc)))
             assert back.shape == (doc["rows"], doc["cols"])
             # float64 exactly when every imaginary part is zero (-0.0 included)
@@ -271,7 +279,7 @@ class TestMatrixJson:
         save_matrix(path, m)
         assert np.array_equal(load_matrix(path), m)
         doc = json.loads(path.read_text())
-        assert set(doc) == {"rows", "cols", "data"}
+        assert set(doc) == {"rows", "cols", "data_real"}
 
     def test_failed_write_leaves_target_and_no_temporary(self, tmp_path, monkeypatch):
         path = tmp_path / "m.json"
