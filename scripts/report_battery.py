@@ -5,12 +5,15 @@ the reports of two batteries.
     python scripts/report_battery.py run SRC OUT [N ...]
     python scripts/report_battery.py compare A B
 
-``run`` starts one ``python -m stabcert`` process per job, with
+``run`` starts one ``python -m stabcert`` process per job in OUT, with
 ``PYTHONPATH=SRC`` and one OpenBLAS thread (reports are byte-identical for
 a fixed BLAS build and thread count).  The jobs are the six math commands
-(``perturb`` with ``--random-trials 4``) on seven generators at every size
-N (default 3 8 24 48): 168 jobs.  Each job writes its report and CSVs into
-``OUT/<job>/``, and the exit codes go to ``OUT/exit_codes.json``.
+(``perturb`` with ``--random-trials 4``) on eight generators at every size
+N (default 3 8 24 48): 192 jobs.  One generator runs under a weighted
+norm: the SPD weight W_ij = 2^-|i-j|, which ``run`` writes to
+``OUT/weight-n<N>.json`` and passes by that relative name, since reports
+echo it.  Each job writes its report and CSVs into ``OUT/<job>/``, and the
+exit codes go to ``OUT/exit_codes.json``.
 
 ``compare`` exits 0 when the two batteries hold the same files, every JSON
 file is equal outside ``timings`` and ``config.out_dir`` (which echoes the
@@ -36,6 +39,8 @@ GENERATORS = {
     "jordan+1": ["--family", "jordan", "--lambda=1"],
     "jordan+0.5": ["--family", "jordan", "--lambda=0.5"],
     "jordan-0.5+1i": ["--family", "jordan", "--lambda=-0.5+1i"],
+    "random-stable-s3-weighted": ["--family", "random-stable", "--seed", "3",
+                                  "--norm-file", "weight-n{n}.json"],
 }
 SIZES = [3, 8, 24, 48]
 EXIT_CODES = "exit_codes.json"
@@ -43,15 +48,20 @@ EXIT_CODES = "exit_codes.json"
 
 def run(src: Path, out: Path, sizes: list) -> int:
     env = {**os.environ, "PYTHONPATH": str(src.resolve()), "OPENBLAS_NUM_THREADS": "1"}
+    out.mkdir(parents=True, exist_ok=True)
     codes = {}
     for n in sizes:
+        weight = [2.0 ** -abs(i - j) for i in range(n) for j in range(n)]
+        (out / f"weight-n{n}.json").write_text(json.dumps(
+            {"rows": n, "cols": n, "data_real": weight}) + "\n")
         for label, generator in GENERATORS.items():
             for command, flags in COMMANDS.items():
                 job = f"{command}-{label}-n{n}"
-                argv = [sys.executable, "-m", "stabcert", command, *generator, "--n", str(n),
-                        *flags, "--out-dir", str(out / job)]
-                codes[job] = subprocess.run(argv, env=env, capture_output=True).returncode
-    out.mkdir(parents=True, exist_ok=True)
+                argv = [sys.executable, "-m", "stabcert", command,
+                        *(arg.format(n=n) for arg in generator), "--n", str(n),
+                        *flags, "--out-dir", job]
+                codes[job] = subprocess.run(argv, cwd=out, env=env,
+                                            capture_output=True).returncode
     (out / EXIT_CODES).write_text(json.dumps(codes, indent=1) + "\n")
     tally = collections.Counter(codes.values())
     print(f"{len(codes)} jobs, exit codes "

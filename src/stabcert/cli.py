@@ -53,6 +53,7 @@ from .perturb import RadiusExceededError, admissible_radius, max_alpha, verify_p
 from .resolvent import (
     DEFAULT_SCAN_TOL,
     MAX_GRID_POINTS,
+    check_left_strip,
     check_right_grid,
     export_scan_csv,
     resolvent_norm,
@@ -398,7 +399,8 @@ def cmd_resolvent(job: _Job) -> int:
         delta0 = None if args.delta0 == "auto" else float(args.delta0)
     except ValueError as exc:
         raise _CliUsageError(f"--delta0 expects a number or 'auto': {exc}") from exc
-    # every argument check of both scans comes before the first scan's SVD
+    # every argument check of both scans comes before the Lyapunov solve
+    check_left_strip(delta0, args.n_grid)
     check_right_grid(args.omega_max, args.n_axis, args.n_interior)
     cand = job.candidate()
     strip = verify_bound_left_strip(cand, delta0, n_grid=args.n_grid)
@@ -503,10 +505,14 @@ def cmd_leftinv(job: _Job) -> int:
     if args.t_grid:
         try:
             start, stop, count = args.t_grid.split(",")
-            count = int(count)
+            start, stop, count = float(start), float(stop), int(count)
+            if not 0.0 < start < stop < math.inf:
+                raise ValueError(f"need 0 < start < stop < inf, got {start!r} and {stop!r}")
+            if count < 2:
+                raise ValueError(f"count {count} is below 2")
             if count > MAX_GRID_POINTS:  # before the grid is allocated
                 raise ValueError(f"count {count} exceeds {MAX_GRID_POINTS} grid points")
-            t_grid = np.logspace(math.log10(float(start)), math.log10(float(stop)), count)
+            t_grid = np.logspace(math.log10(start), math.log10(stop), count)
         except ValueError as exc:
             raise _CliUsageError(f"--t-grid expects start,stop,count: {exc}") from exc
     cand = job.candidate()

@@ -19,12 +19,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .numkernel import (KernelPrecisionError, as_matrix, expm, hermitian_eig, hermitian_part,
-                        singular_extremes)
+from .numkernel import (KernelPrecisionError, as_matrix, expm, hermitian_eig, hermitian_gate,
+                        hermitian_part, singular_extremes)
 from .semigroup import (REFUTE_REAL_PART_TOL, Witness, certified_decay, gramian_quadrature,
                         refute_stability, stability_gate)
-from .space import (NormModel, RieszMap, dual_map_norm, form_eigenvalues, op_norm, whiten_form,
-                    whiten_operator)
+from .space import NormModel, RieszMap, dual_map_norm, op_norm, whiten_form, whiten_operator
 
 __all__ = [
     "DEFAULT_MEMBERSHIP_TOL",
@@ -124,23 +123,22 @@ def membership_margin(
     the whitened Q gives the PSD gate, theta and |Q|; non-PSD input is
     rejected as a distinct error before any membership question is asked.
     """
-    qq = as_matrix(q, "q")
+    qq = hermitian_gate(q, "q")
     aa = as_matrix(a, "a").copy()
     aa.flags.writeable = False
     if qq.shape != aa.shape or qq.shape[0] != nm.n:
         raise ValueError(f"dimension mismatch: q {qq.shape}, a {aa.shape}, w {nm.w.shape}")
-    lam_q = form_eigenvalues(qq, nm)
+    lam_q = hermitian_eig(whiten_form(qq, nm))[0]
     q_norm = max(abs(lam_q[0]), abs(lam_q[-1]))
     if lam_q[0] < -1e-10 * q_norm:
         raise NotPositiveSemidefiniteError(
             f"candidate has whitened eigenvalue {lam_q[0]:.6e}; not positive semidefinite"
         )
-    qs = hermitian_part(qq)
     return LyapunovCandidate(
-        q=qs,
+        q=qq,
         a=aa,
         nm=nm,
-        margin=_residual_margin(qs, aa, nm),
+        margin=_residual_margin(qq, aa, nm),
         q_norm=float(q_norm),
         theta=float(lam_q[0]),
         tol=tol,
@@ -163,7 +161,7 @@ def solve_algebraic(a, rhs) -> np.ndarray:
     |A* Q + Q A + RHS| <= 1e-8 |RHS|; either failure raises KernelPrecisionError.
     """
     aa = as_matrix(a, "a")
-    rr = as_matrix(rhs, "rhs")
+    rr = hermitian_gate(rhs, "right-hand side")
     if aa.shape != rr.shape:
         raise ValueError(f"shape mismatch: a {aa.shape}, rhs {rr.shape}")
     stability_gate(aa)  # before any decomposition: it is a job's refutation
@@ -244,7 +242,7 @@ def construct_q0(
         # so panels are chosen finer here than for plain value integrals
         stiffness = max(op_norm(aa, nm), abs(s_hat))
         panels = max(64, int(math.ceil(t_max * 2.0 * stiffness / 1.5)))
-    q0 = hermitian_part(gramian_quadrature(aa, p, t_max, panels) / riesz.theta)
+    q0 = gramian_quadrature(aa, p, t_max, panels) / riesz.theta
     return membership_margin(q0, aa, nm, tol=tol)
 
 

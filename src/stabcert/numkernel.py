@@ -139,28 +139,30 @@ def expm(a, t: float) -> np.ndarray:
 
 
 def hermitian_gate(h, name: str = "matrix") -> np.ndarray:
-    """Hermitian part of a nearly Hermitian matrix.
+    """Hermitian part of a matrix a caller claims is Hermitian.
 
-    Frobenius asymmetry beyond 1e-12 of the Frobenius norm is rejected
-    since it signals a caller bug rather than round-off drift.
-    """
+    Frobenius asymmetry beyond 1e-12 of the Frobenius norm is rejected since
+    it signals a caller bug rather than round-off drift.  Both norms are of
+    2^-e H, 2^e just above the largest real or imaginary part (Blue, ACM TOMS
+    4, 1978), so no scale over- or underflows them: 2^k H passes as H does."""
     m = as_matrix(h, name)
-    scale = np.linalg.norm(m, "fro")
-    drift = np.linalg.norm(m - m.conj().T, "fro")
-    if drift > 1e-12 * max(scale, 1e-300):
+    e = math.frexp(float(np.abs(m.view(np.float64)).max(initial=0.0)))[1]
+    s = np.ldexp(m.view(np.float64), -e).view(m.dtype)
+    scale = np.linalg.norm(s, "fro")
+    drift = np.linalg.norm(s - s.conj().T, "fro")
+    if drift > 1e-12 * scale:
         raise NonHermitianError(
-            f"{name} is not Hermitian: asymmetry {drift:.3e} vs scale {scale:.3e}"
+            f"{name} is not Hermitian: asymmetry {drift / scale:.3e} of its Frobenius norm"
         )
     return hermitian_part(m)
 
 
 def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a (nearly) Hermitian matrix, symmetrized by
-    :func:`hermitian_gate` first.  Returns eigenvalues in ascending order
-    and the unitary matrix of eigenvectors.
+    """Eigendecomposition of the Hermitian part of a matrix that is Hermitian
+    by construction or has passed :func:`hermitian_gate`: no claim is tested.
+    Returns ascending eigenvalues and the unitary matrix of eigenvectors.
     """
-    w, v = np.linalg.eigh(hermitian_gate(h))
-    return w, v
+    return np.linalg.eigh(hermitian_part(as_matrix(h)))
 
 
 def _first_failure(failed) -> tuple[int, str]:

@@ -26,6 +26,7 @@ __all__ = [
     "ScanReport",
     "resolvent_norm",
     "check_right_grid",
+    "check_left_strip",
     "verify_bound_right",
     "verify_bound_left_strip",
     "abscissa_profile",
@@ -174,6 +175,19 @@ def check_right_grid(omega_max: float | None, n_axis: int, n_interior: int) -> N
                          f"({points} points)")
 
 
+def check_left_strip(delta0: float | None, n_grid: int) -> None:
+    """The argument checks of :func:`verify_bound_left_strip` that need no
+    member: a caller can make them before its Lyapunov solve."""
+    if delta0 is not None and not 0.0 < delta0 < math.inf:
+        raise ValueError(f"delta0 must be positive and finite, got {delta0}")
+    if n_grid < 1:
+        raise ValueError(f"n_grid must be >= 1, got {n_grid}")
+    points = n_grid * (n_grid | 1)  # the imaginary axis takes n_grid | 1 points
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"n_grid = {n_grid} takes {points} strip points, "
+                         f"more than {MAX_GRID_POINTS}")
+
+
 def verify_bound_right(
     cand: LyapunovCandidate,
     omega_max: float | None = None,
@@ -253,18 +267,13 @@ def verify_bound_left_strip(
     candidate's stability gate, so a refuted A raises UnstableGeneratorError.
     """
     cand.require_member()
+    check_left_strip(delta0, n_grid)
     aa, nm, qn = cand.a, cand.nm, cand.q_norm
-    if delta0 is not None and not 0.0 < 2.0 * delta0 * qn < 1.0:
+    if delta0 is not None and 2.0 * delta0 * qn >= 1.0:
         raise ValueError(
-            f"2 * delta0 * |Q| = {2.0 * delta0 * qn:.6e} is not in (0, 1); scale the member up "
+            f"2 * delta0 * |Q| = {2.0 * delta0 * qn:.6e} is not below 1; scale the member up "
             f"to widen the admissible region, or use 0 < delta0 <= {(1.0 - 1e-6) / (2.0 * qn):.6e}"
         )
-    if n_grid < 1:
-        raise ValueError(f"n_grid must be >= 1, got {n_grid}")
-    n_im = n_grid | 1  # an odd count puts a point on the real axis
-    if n_grid * n_im > MAX_GRID_POINTS:
-        raise ValueError(f"n_grid = {n_grid} takes {n_grid * n_im} strip points, "
-                         f"more than {MAX_GRID_POINTS}")
     s = float(np.max(cand.eigenvalues.real))
     if delta0 is None:
         delta0 = 0.5 * min(abs(s), 1.0 / (2.0 * qn))
@@ -275,7 +284,7 @@ def verify_bound_left_strip(
         )
     re_pts = np.linspace(lower, -delta0, n_grid + 1)[1:]
     im_extent = 10.0 * op_norm(aa, nm)
-    im_pts = _symmetric_axis(im_extent, n_im)
+    im_pts = _symmetric_axis(im_extent, n_grid | 1)  # an odd count puts a point on 0
     grid = [complex(re, im) for re in re_pts for im in im_pts]
 
     norms, _, evaluated = _scan_norms(whiten_operator(aa, nm), grid)

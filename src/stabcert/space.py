@@ -52,7 +52,7 @@ class NormModel:
     @classmethod
     def from_weight(cls, w) -> "NormModel":
         ww = hermitian_gate(w, "norm weight")
-        lam, v = np.linalg.eigh(ww)
+        lam, v = hermitian_eig(ww)
         if lam[0] <= 0.0:
             raise ValueError(
                 f"norm weight must be positive definite, min eigenvalue {lam[0]:.3e}"

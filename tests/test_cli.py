@@ -1,10 +1,12 @@
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
 
+import stabcert.numkernel
 import stabcert.resolvent
 
 from stabcert.cli import _EXIT_CODES, _RULES, _recheck_one, _verdict, main
@@ -41,6 +43,30 @@ def count_linalg(monkeypatch, *names):
 
         monkeypatch.setattr(np.linalg, name, counting)
     return counts
+
+
+def count_gates(monkeypatch):
+    """Count the ``hermitian_gate`` calls from here on, in every ``stabcert.*``
+    namespace that binds the gate."""
+    original = stabcert.numkernel.hermitian_gate
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "stabcert" and getattr(module, "hermitian_gate", None) is original:
+            monkeypatch.setattr(module, "hermitian_gate", counting)
+    return calls
+
+
+# hermitian_gate passes of a job on heat n=8 and of one recheck of its report:
+# the candidate's Q and the algebraic solve's right-hand side W; q0 adds P
+# once in each of strong_positivity_theta and dual_map_norm, and a recheck
+# gates the embedded Q alone
+GATE_PASSES = {"certify": (2, 1), "refute": (0, 0), "perturb": (2, 1),
+               "leftinv": (2, 1), "resolvent": (2, 1), "q0": (4, 1)}
 
 
 # (eig, eigvals) calls of a stable job on heat n=8: the algebraic solve gates A
@@ -215,6 +241,19 @@ class TestExitCodeTable:
         assert run(["recheck", path]) == 0
 
 
+# flag values that exit 1 on jordan(+1) and jordan(-1) at n = 3 alike
+FLAG_ERRORS = [
+    ("perturb", []),
+    ("perturb", ["--random-trials", "2", "--alpha", "nan"]),
+    ("q0", ["--tmax", "nan"]),
+    *[("resolvent", flags) for flags in (["--n-grid", "0"], ["--n-grid", "100000"],
+                                         ["--delta0", "0"], ["--delta0=-1"], ["--delta0", "nan"],
+                                         ["--n-axis", "0"], ["--omega-max", "nan"])],
+    *[("leftinv", ["--t-grid", grid]) for grid in ("1,2", "2,1,8", "1,1,8", "0.1,1,0",
+                                                    "0.1,1,1", "0.1,inf,8")],
+]
+
+
 class TestRefutationContract:
     @pytest.mark.parametrize("command", ["resolvent", "perturb", "leftinv", "certify",
                                          "refute", "q0"])
@@ -229,15 +268,19 @@ class TestRefutationContract:
         assert report["witness"]["eigenvalue"][0] >= 0.0
         assert run(["recheck", path]) == 0
 
-    @pytest.mark.parametrize("command, extra", [
-        ("perturb", []),
-        ("leftinv", ["--t-grid", "1,2"]),
-    ], ids=["perturb", "leftinv"])
-    def test_usage_errors_come_before_refutation(self, tmp_path, command, extra):
-        code = run([command, "--family", "jordan", "--n", "3", "--lambda", "1", *extra,
-                    "--out-dir", tmp_path])
-        assert code == 1
-        assert list(tmp_path.iterdir()) == []
+    @pytest.mark.parametrize("command, extra", FLAG_ERRORS,
+                             ids=[" ".join([command, *extra]) for command, extra in FLAG_ERRORS])
+    def test_usage_errors_come_before_refutation(self, tmp_path, capsys, command, extra):
+        # every flag is checked before the stability gate: an unstable
+        # generator gets the stable one's error, not a refuted report
+        errors = []
+        for lam in ("1", "-1"):
+            code = run([command, "--family", "jordan", "--n", "3", f"--lambda={lam}", *extra,
+                        "--out-dir", tmp_path])
+            assert code == 1
+            assert list(tmp_path.iterdir()) == []
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] != ""
 
     @pytest.mark.parametrize("argv", [
         ["certify", "--n", "4"],
@@ -319,6 +362,22 @@ class TestRefutationContract:
         extra = ["--random-trials", "2"] if command == "perturb" else []
         assert run([command, "--family", *family, *extra, "--out-dir", tmp_path]) == code
         assert (counts["eig"], counts["eigvals"]) == eigensolves
+
+    @pytest.mark.parametrize("command, extra", [
+        *[(command, []) for command in GATE_PASSES if command != "perturb"],
+        ("perturb", ["--random-trials", "2"]),
+        ("perturb", ["--random-trials", "5"]),
+    ], ids=[*(c for c in GATE_PASSES if c != "perturb"), "perturb-2", "perturb-5"])
+    def test_gate_passes_per_job_and_recheck(self, tmp_path, monkeypatch, command, extra):
+        # the gate runs where a caller hands in a matrix it claims is
+        # Hermitian, never on a residual, whitened form or Gramian the package
+        # built, so perturb's count does not grow with its trials
+        calls = count_gates(monkeypatch)
+        assert run([command, "--family", "heat", "--n", "8", *extra,
+                    "--out-dir", tmp_path]) == 0
+        job = len(calls)
+        assert run(["recheck", tmp_path / f"{command}-heat-n8.json"]) == 0
+        assert (job, len(calls) - job) == GATE_PASSES[command]
 
 
 class TestResolvent:
@@ -628,6 +687,25 @@ class TestNormFile:
         assert report["verdict"] == "certified"
         # recheck must succeed from the embedded weight alone
         assert run(["recheck", tmp_path / "certify-heat-n4.json"]) == 0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_a_nonhermitian_weight_is_refused_at_every_scale(self, tmp_path, capsys, scale):
+        save_matrix(tmp_path / "a.json", -np.eye(2))
+        save_matrix(tmp_path / "w.json", scale * np.array([[1.0, 0.0], [0.5, 1.0]]))
+        assert run(["certify", "--file", tmp_path / "a.json", "--norm-file",
+                    tmp_path / "w.json", "--out-dir", tmp_path]) == 1
+        assert capsys.readouterr().err == (
+            "error: norm weight is not Hermitian: asymmetry 4.714e-01 of its Frobenius norm\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "w.json"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_huge_hermitian_weight_certifies_and_rechecks(self, tmp_path):
+        save_matrix(tmp_path / "a.json", -np.eye(2))
+        save_matrix(tmp_path / "w.json", 1e200 * np.eye(2))
+        assert run(["certify", "--file", tmp_path / "a.json", "--norm-file",
+                    tmp_path / "w.json", "--out-dir", tmp_path]) == 0
+        assert run(["recheck", tmp_path / "certify-file-a.json"]) == 0
 
     def test_dimension_mismatch_is_operational(self, tmp_path, capsys):
         save_matrix(tmp_path / "w.json", np.eye(3, dtype=complex))

@@ -166,8 +166,14 @@ class TestHermitianEig:
             assert np.linalg.norm(h - (v * w) @ v.conj().T, 2) <= 1e-9 * scale
 
     def test_rejects_plainly_nonhermitian(self):
+        # hermitian_eig tests no claim: it solves the Hermitian part, and the
+        # claim is refused by the gate alone
+        m = np.array([[0.0, 1.0], [0.0, 0.0]])
+        w, v = hermitian_eig(m)
+        assert np.array_equal(w, [-0.5, 0.5])
+        assert np.allclose((v * w) @ v.conj().T, [[0.0, 0.5], [0.5, 0.0]], atol=1e-15)
         with pytest.raises(NonHermitianError):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            hermitian_gate(m)
 
 
 class TestHermitianGate:
@@ -182,6 +188,26 @@ class TestHermitianGate:
     def test_rejects_asymmetry_beyond_tolerance_and_names_the_input(self):
         with pytest.raises(NonHermitianError, match="weight is not Hermitian"):
             hermitian_gate(np.array([[1.0, 1e-6], [0.0, 1.0]]), "weight")
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31), n=st.integers(2, 8), k=st.integers(-900, 900),
+           real=st.booleans())
+    def test_the_decision_is_exact_at_every_scale(self, seed, n, k, real):
+        h, m = random_hermitian(n, seed), random_matrix(n, seed + 1)
+        if real:
+            h, m = h.real, m.real
+        assert np.linalg.norm(m - m.conj().T) > 1e-12 * np.linalg.norm(m)
+        assert np.array_equal(hermitian_gate(2.0 ** k * h), 2.0 ** k * hermitian_gate(h))
+        with pytest.raises(NonHermitianError):
+            hermitian_gate(2.0 ** k * m)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
+    def test_neither_norm_overflows_or_underflows(self, scale):
+        with pytest.raises(NonHermitianError, match="asymmetry 4.714e-01 of its Frobenius"):
+            hermitian_gate(scale * np.array([[1.0, 0.0], [0.5, 1.0]]))
+        assert np.array_equal(hermitian_gate(scale * np.eye(2)), scale * np.eye(2))
+        assert np.array_equal(hermitian_gate(np.zeros((2, 2))), np.zeros((2, 2)))
 
 
 class TestSingularExtremes:
