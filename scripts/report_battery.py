@@ -8,12 +8,14 @@ the reports of two batteries.
 ``run`` starts one ``python -m stabcert`` process per job in OUT, with
 ``PYTHONPATH=SRC`` and one OpenBLAS thread (reports are byte-identical for
 a fixed BLAS build and thread count).  The jobs are the six math commands
-(``perturb`` with ``--random-trials 4``) on eight generators at every size
-N (default 3 8 24 48): 192 jobs.  One generator runs under a weighted
-norm: the SPD weight W_ij = 2^-|i-j|, which ``run`` writes to
-``OUT/weight-n<N>.json`` and passes by that relative name, since reports
-echo it.  Each job writes its report and CSVs into ``OUT/<job>/``, and the
-exit codes go to ``OUT/exit_codes.json``.
+(``perturb`` with ``--random-trials 4``) on eight generators, plus ``leftinv
+--t-grid 0.01,20,64`` on upwind, at every size N (default 3 8 24 48): 196
+jobs.  The hand-made grid has no point at exactly twice another, so its
+reports must not move when the default grid does.  One generator runs
+under a weighted norm: the SPD weight W_ij = 2^-|i-j|, which ``run``
+writes to ``OUT/weight-n<N>.json`` and passes by that relative name,
+since reports echo it.  Each job writes its report and CSVs into
+``OUT/<job>/``, and the exit codes go to ``OUT/exit_codes.json``.
 
 ``compare`` exits 0 when the two batteries hold the same files, every JSON
 file is equal outside ``timings`` and ``config.out_dir`` (which echoes the
@@ -42,6 +44,8 @@ GENERATORS = {
     "random-stable-s3-weighted": ["--family", "random-stable", "--seed", "3",
                                   "--norm-file", "weight-n{n}.json"],
 }
+T_GRID_JOB = ("leftinv-t-grid-upwind",
+              ["leftinv", *GENERATORS["upwind"], "--t-grid", "0.01,20,64"])
 SIZES = [3, 8, 24, 48]
 EXIT_CODES = "exit_codes.json"
 
@@ -54,14 +58,15 @@ def run(src: Path, out: Path, sizes: list) -> int:
         weight = [2.0 ** -abs(i - j) for i in range(n) for j in range(n)]
         (out / f"weight-n{n}.json").write_text(json.dumps(
             {"rows": n, "cols": n, "data_real": weight}) + "\n")
-        for label, generator in GENERATORS.items():
-            for command, flags in COMMANDS.items():
-                job = f"{command}-{label}-n{n}"
-                argv = [sys.executable, "-m", "stabcert", command,
-                        *(arg.format(n=n) for arg in generator), "--n", str(n),
-                        *flags, "--out-dir", job]
-                codes[job] = subprocess.run(argv, cwd=out, env=env,
-                                            capture_output=True).returncode
+        jobs = [(f"{command}-{label}-n{n}", [command, *generator, *flags])
+                for label, generator in GENERATORS.items()
+                for command, flags in COMMANDS.items()]
+        jobs.append((f"{T_GRID_JOB[0]}-n{n}", T_GRID_JOB[1]))
+        for job, args in jobs:
+            argv = [sys.executable, "-m", "stabcert", *(arg.format(n=n) for arg in args),
+                    "--n", str(n), "--out-dir", job]
+            codes[job] = subprocess.run(argv, cwd=out, env=env,
+                                        capture_output=True).returncode
     (out / EXIT_CODES).write_text(json.dumps(codes, indent=1) + "\n")
     tally = collections.Counter(codes.values())
     print(f"{len(codes)} jobs, exit codes "

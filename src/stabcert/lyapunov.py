@@ -187,7 +187,7 @@ def solve_algebraic(a, rhs) -> np.ndarray:
         for _ in range(2):  # the second pass solves for the correction
             d = aa.conj().T @ q + q @ aa + rr
             for c, e_inv in steps:
-                d = 0.5 * (d / c + c * (e_inv.conj().T @ d @ e_inv))
+                d = 0.5 * (d / c) + 0.5 * (c * (e_inv.conj().T @ d @ e_inv))
             q = q + hermitian_part(0.5 * d)
     if not np.isfinite(q).all():
         raise KernelPrecisionError("Lyapunov solution overflows float64: |Q| is not representable")

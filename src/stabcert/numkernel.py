@@ -13,6 +13,7 @@ machinery is deliberately out.
 
 from __future__ import annotations
 
+import collections
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "hermitian_part",
     "hermitian_gate",
     "expm",
+    "expm_grid",
     "hermitian_eig",
     "singular_extremes",
     "singularity_gate",
@@ -73,7 +75,9 @@ def as_matrix(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
+    """(A + A^H) / 2, halved before the sum so that no finite A overflows it;
+    halving is exact, so the bits are those of 0.5 (A + A^H) in the normal range."""
+    return 0.5 * a + 0.5 * a.conj().T
 
 
 def _pade_coefficients(m: int) -> tuple[float, ...]:
@@ -136,6 +140,32 @@ def expm(a, t: float) -> np.ndarray:
     for _ in range(squarings):
         result = result @ result
     return result
+
+
+def expm_grid(a, grid):
+    """Yield exp(t a) for each t of an increasing grid, bit for bit
+    :func:`expm` of each t.
+
+    When |t a|_1 > theta_13, expm(a, t) squares at least once, and halving t
+    is exact, so expm(a, t/2) scales to the same X, builds the same Pade
+    approximant and stops one squaring short: a point whose exact half came
+    earlier takes that sample's square (barring subnormal entries, where the
+    halving rounds).  Every other point takes its own expm call.  Samples at
+    or below half the current time can no longer be squared and are dropped,
+    so at most one octave of matrices is alive."""
+    m = as_matrix(a, "a")
+    window = collections.deque()  # (s, exp(s a)) for the grid times s in (t/2, t]
+    for t in grid:
+        half = 0.5 * t
+        while window and window[0][0] < half:
+            window.popleft()
+        if window and window[0][0] == half and np.linalg.norm(m * t, 1) > _PADE_THETA[13]:
+            e = window.popleft()[1]
+            e = e @ e
+        else:
+            e = expm(m, t)
+        window.append((t, e))
+        yield e
 
 
 def hermitian_gate(h, name: str = "matrix") -> np.ndarray:

@@ -20,6 +20,7 @@ from .numkernel import (
     KernelPrecisionError,
     as_matrix,
     expm,
+    expm_grid,
     gauss_legendre_nodes,
     hermitian_part,
     singular_extremes,
@@ -135,10 +136,13 @@ def refute_stability(a) -> Optional[Witness]:
 
 
 def default_time_grid(a, horizon: float | None = None) -> np.ndarray:
-    """64 log-spaced samples up to the horizon 20/|s|, starting at the least
-    of 0.01, horizon/1000 and 1/rho(A), before the fastest mode decays by e.
+    """64 samples ending exactly at the horizon 20/|s|, K per octave, built
+    by ``math.ldexp`` from the top octave so that t[j + K] == 2 t[j] exactly
+    (``expm_grid`` then squares its way up the grid).  K is the largest
+    count whose grid reaches down to the least of 0.01, horizon/1000 and
+    1/rho(A), before the fastest mode decays by e (K = 1 if none does).
     Without a horizon A must pass the stability gate; an explicit horizon's
-    grid starts at min(0.01, horizon/1000)."""
+    grid reaches down to min(0.01, horizon/1000)."""
     start = 0.01
     if horizon is None:
         eigs = stability_gate(a)
@@ -147,7 +151,13 @@ def default_time_grid(a, horizon: float | None = None) -> np.ndarray:
     if not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     start = min(start, horizon / 1000.0)
-    return np.logspace(math.log10(start), math.log10(horizon), _GRID_POINTS)
+
+    def point(r: int, k: int) -> float:  # r steps of 2^(-1/k) below the horizon
+        return math.ldexp(horizon * 2.0 ** (-(r % k) / k), -(r // k))
+
+    last = _GRID_POINTS - 1
+    k = max((k for k in range(1, _GRID_POINTS) if point(last, k) <= start), default=1)
+    return np.array([point(r, k) for r in range(last, -1, -1)])
 
 
 def _validated_grid(t_grid) -> np.ndarray:
@@ -172,7 +182,7 @@ def growth_bound_estimate(a, nm: NormModel, t_grid) -> SpectralSummary:
         raise ValueError(f"time grid needs >= 8 points, got {grid.size}")
     # whitening each T(t), not A once: exp(t A_w) loses the structure that
     # keeps exp(t A) accurate deep into the decay for triangular generators
-    norms = [op_norm(expm(m, t), nm) for t in grid]
+    norms = [op_norm(e, nm) for e in expm_grid(m, grid)]
     return SpectralSummary(
         s=spectral_bound(m),
         omega0_hat=float(min(math.log(v) / t for v, t in zip(norms, grid) if v > 0.0)),
@@ -189,23 +199,24 @@ def certified_decay(a, nm: NormModel) -> tuple[float, float]:
     padded by a safety factor of 2.
 
     The horizon starts at 20/|s| and doubles until the decay is visible at
-    its end: each horizon is probed at one time, the last point t_end of its
-    ``default_time_grid``, and passes when |T(t_end)| has underflowed to 0.0
-    or log|T(t_end)| / t_end <= s/2.  Only the horizon that passes (or the
-    8th, after 7 failed probes) is sampled on its 64-point grid.  A probe
-    that passes by its value is one of that grid's samples and the estimate
-    is their minimum, so the estimate is then at most s/2 and s_hat at most
-    3s/4, well inside the decaying regime.
+    its end: each horizon H is probed at one time, H itself (the last point
+    of its ``default_time_grid``), and passes when |T(H)| has underflowed
+    to 0.0 or log|T(H)| / H <= s/2.  Only the horizon that passes (or the
+    8th, after 7 failed probes) is sampled on its 64-point grid.  The probed
+    horizons double, so ``expm_grid`` squares each probe into the next.  A
+    probe that passes by its value is one of that grid's samples and the
+    estimate is their minimum, so the estimate is then at most s/2 and s_hat
+    at most 3s/4, well inside the decaying regime.
     """
     m = as_matrix(a, "a")
     s = float(np.max(stability_gate(m).real))
-    horizon = 20.0 / abs(s)
-    for _ in range(7):
-        t_end = default_time_grid(m, horizon=horizon)[-1]
-        v = op_norm(expm(m, t_end), nm)
-        if v == 0.0 or math.log(v) / t_end <= 0.5 * s:
+    probes = 20.0 / abs(s) * 2.0 ** np.arange(7)
+    horizon = 2.0 * probes[-1]
+    for t, e in zip(probes, expm_grid(m, probes)):
+        v = op_norm(e, nm)
+        if v == 0.0 or math.log(v) / t <= 0.5 * s:
+            horizon = t
             break
-        horizon *= 2.0
     grid = default_time_grid(m, horizon=horizon)
     summary = growth_bound_estimate(m, nm, grid)
     if summary.omega0_hat >= 0.0:
@@ -289,8 +300,8 @@ def lower_envelope(a, nm: NormModel, t_grid=None) -> EnvelopeFit:
     a_w = whiten_operator(m, nm)  # exp(t A_w) is accurate above the sqrt(eps) stop
     nrm_a = singular_extremes(a_w)[0]
     samples = []
-    for t in grid:
-        sigma_max, sigma_min = singular_extremes(expm(a_w, t))
+    for t, e in zip(grid, expm_grid(a_w, grid)):
+        sigma_max, sigma_min = singular_extremes(e)
         if sigma_min <= math.sqrt(_EPS) * sigma_max:
             break
         noise = 64.0 * _EPS * sigma_max

@@ -45,10 +45,10 @@ def count_linalg(monkeypatch, *names):
     return counts
 
 
-def count_gates(monkeypatch):
-    """Count the ``hermitian_gate`` calls from here on, in every ``stabcert.*``
-    namespace that binds the gate."""
-    original = stabcert.numkernel.hermitian_gate
+def count_calls(monkeypatch, kernel):
+    """Count the calls of the named ``numkernel`` function from here on, in
+    every ``stabcert.*`` namespace that binds it."""
+    original = getattr(stabcert.numkernel, kernel)
     calls = []
 
     def counting(*args, **kwargs):
@@ -56,8 +56,8 @@ def count_gates(monkeypatch):
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "stabcert" and getattr(module, "hermitian_gate", None) is original:
-            monkeypatch.setattr(module, "hermitian_gate", counting)
+        if name.split(".")[0] == "stabcert" and getattr(module, kernel, None) is original:
+            monkeypatch.setattr(module, kernel, counting)
     return calls
 
 
@@ -75,6 +75,17 @@ GATE_PASSES = {"certify": (2, 1), "refute": (0, 0), "perturb": (2, 1),
 # estimate take two before the algebraic solve
 STABLE_EIGENSOLVES = {"certify": (0, 1), "refute": (0, 1), "perturb": (0, 1),
                       "leftinv": (0, 2), "resolvent": (0, 2), "q0": (0, 3)}
+
+
+# expm calls of a q0 and a leftinv job at n = 40 (random-stable seed 3): a
+# default-grid sample with |t A|_1 > theta_13 squares the sample at t/2, and
+# each of q0's doubling horizon probes squares the last, so only the samples
+# below theta_13, the first probe and the Gramian's six take an expm
+EXPM_FAMILIES = {"heat": ["heat"], "upwind": ["upwind"], "jordan": ["jordan", "--lambda", "-1"],
+                 "random-stable": ["random-stable", "--seed", "3"]}
+EXPM_CALLS = {("q0", "heat"): 13, ("q0", "upwind"): 43, ("q0", "jordan"): 43,
+              ("q0", "random-stable"): 32, ("leftinv", "heat"): 18, ("leftinv", "upwind"): 49,
+              ("leftinv", "jordan"): 49, ("leftinv", "random-stable"): 25}
 
 
 class TestCertify:
@@ -372,12 +383,20 @@ class TestRefutationContract:
         # the gate runs where a caller hands in a matrix it claims is
         # Hermitian, never on a residual, whitened form or Gramian the package
         # built, so perturb's count does not grow with its trials
-        calls = count_gates(monkeypatch)
+        calls = count_calls(monkeypatch, "hermitian_gate")
         assert run([command, "--family", "heat", "--n", "8", *extra,
                     "--out-dir", tmp_path]) == 0
         job = len(calls)
         assert run(["recheck", tmp_path / f"{command}-heat-n8.json"]) == 0
         assert (job, len(calls) - job) == GATE_PASSES[command]
+
+    @pytest.mark.parametrize("command, family", list(EXPM_CALLS),
+                             ids=[f"{c}-{f}" for c, f in EXPM_CALLS])
+    def test_expm_calls_per_job(self, tmp_path, monkeypatch, command, family):
+        calls = count_calls(monkeypatch, "expm")
+        assert run([command, "--family", *EXPM_FAMILIES[family], "--n", "40",
+                    "--out-dir", tmp_path]) == 0
+        assert len(calls) == EXPM_CALLS[command, family]
 
 
 class TestResolvent:
@@ -706,6 +725,17 @@ class TestNormFile:
         assert run(["certify", "--file", tmp_path / "a.json", "--norm-file",
                     tmp_path / "w.json", "--out-dir", tmp_path]) == 0
         assert run(["recheck", tmp_path / "certify-file-a.json"]) == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_weight_near_the_float64_limit_certifies_and_rechecks(self, tmp_path, capsys):
+        # W + W^H and the sign iteration's sum of two terms would overflow at
+        # 1.5e308: both halve before they add
+        save_matrix(tmp_path / "a.json", -np.eye(2))
+        save_matrix(tmp_path / "w.json", 1.5e308 * np.eye(2))
+        assert run(["certify", "--file", tmp_path / "a.json", "--norm-file",
+                    tmp_path / "w.json", "--out-dir", tmp_path]) == 0
+        assert run(["recheck", tmp_path / "certify-file-a.json"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_dimension_mismatch_is_operational(self, tmp_path, capsys):
         save_matrix(tmp_path / "w.json", np.eye(3, dtype=complex))

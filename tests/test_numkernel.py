@@ -1,5 +1,6 @@
 import cmath
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from stabcert.numkernel import (
     SingularMatrixError,
     as_matrix,
     expm,
+    expm_grid,
     gauss_legendre_nodes,
     hermitian_eig,
     hermitian_gate,
+    hermitian_part,
     singular_extremes,
     singularity_gate,
     solve_linear,
@@ -26,9 +29,11 @@ from stabcert.models import (
     jordan_block,
     random_hermitian,
     random_matrix,
+    random_psd,
     random_stable,
     upwind_shift,
 )
+from stabcert.semigroup import default_time_grid
 from stabcert.space import NormModel, whiten_operator
 
 
@@ -142,6 +147,68 @@ class TestPadeKernel:
         assert np.array_equal(expm(np.zeros((5, 5)), t), np.eye(5, dtype=complex))
 
 
+def _grid_generator(family: str, n: int) -> np.ndarray:
+    """A generator whose default time grid ``expm_grid`` walks; the weighted
+    case is the whitened operator ``lower_envelope`` exponentiates."""
+    if family == "random-stable-spd":
+        nm = NormModel.from_weight(random_psd(n, 11) / n + np.eye(n))
+        return whiten_operator(random_stable(n, 0.5, 3), nm)
+    return {"heat": heat_dirichlet(n), "upwind": upwind_shift(n),
+            "jordan": jordan_block(n, -1.0), "jordan-complex": jordan_block(n, -0.5 + 1j),
+            "random-stable": random_stable(n, 0.5, 3)}[family]
+
+
+class TestExpmGrid:
+    @pytest.mark.parametrize("n", [8, 40])
+    @pytest.mark.parametrize("family", ["heat", "upwind", "jordan", "jordan-complex",
+                                        "random-stable", "random-stable-spd"])
+    def test_every_default_grid_sample_is_bitwise_expm(self, family, n):
+        a = _grid_generator(family, n)
+        grid = default_time_grid(a)
+        samples = list(expm_grid(a, grid))
+        assert len(samples) == grid.size == 64
+        for t, e in zip(grid, samples):
+            assert np.array_equal(e, expm(a, t))
+
+    def _counting_expm(self, monkeypatch):
+        calls, original = [], numkernel.expm
+
+        def counting(a, t):
+            calls.append(t)
+            return original(a, t)
+
+        monkeypatch.setattr(numkernel, "expm", counting)
+        return calls
+
+    def test_a_logspace_grid_takes_one_expm_per_point(self, monkeypatch):
+        calls = self._counting_expm(monkeypatch)
+        grid = np.logspace(math.log10(0.01), math.log10(20.0), 64)
+        list(expm_grid(upwind_shift(8), grid))
+        assert calls == list(grid)
+
+    def test_only_samples_below_theta_13_take_expm(self, monkeypatch):
+        # a point squares its half exactly when |t A|_1 > theta_13
+        a = heat_dirichlet(40)
+        grid = default_time_grid(a)
+        calls = self._counting_expm(monkeypatch)
+        list(expm_grid(a, grid))
+        theta = numkernel._PADE_THETA[13]
+        k = int(np.flatnonzero(grid == 2.0 * grid[0])[0])
+        assert calls == [t for j, t in enumerate(grid)
+                         if j < k or np.linalg.norm(a * t, 1) <= theta]
+        assert len(calls) == 18
+
+    def test_at_most_one_octave_of_samples_stays_alive(self):
+        a = upwind_shift(40)
+        grid = default_time_grid(a)
+        k = int(np.flatnonzero(grid == 2.0 * grid[0])[0])
+        refs = []
+        for e in expm_grid(a, grid):
+            refs.append(weakref.ref(e))
+            del e
+            assert sum(r() is not None for r in refs) <= k + 1
+
+
 class TestHermitianEig:
     def test_identity(self):
         w, v = hermitian_eig(np.eye(3))
@@ -208,6 +275,17 @@ class TestHermitianGate:
             hermitian_gate(scale * np.array([[1.0, 0.0], [0.5, 1.0]]))
         assert np.array_equal(hermitian_gate(scale * np.eye(2)), scale * np.eye(2))
         assert np.array_equal(hermitian_gate(np.zeros((2, 2))), np.zeros((2, 2)))
+
+
+class TestHermitianPart:
+    @pytest.mark.filterwarnings("error")
+    def test_halves_before_the_sum_so_no_finite_matrix_overflows(self):
+        assert np.array_equal(hermitian_part(np.full((2, 2), 1.5e308)), np.full((2, 2), 1.5e308))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_bits_as_the_sum_halved_in_the_normal_range(self, seed):
+        m = random_matrix(7, seed)
+        assert np.array_equal(hermitian_part(m), 0.5 * (m + m.conj().T))
 
 
 class TestSingularExtremes:

@@ -127,6 +127,44 @@ class TestGrowthBound:
         assert summary.omega0_hat >= summary.s - 1e-9
 
 
+def _octave(grid: np.ndarray) -> int:
+    """K, the points per octave of an octave-structured grid."""
+    return int(np.flatnonzero(grid == 2.0 * grid[0])[0])
+
+
+class TestDefaultTimeGrid:
+    @pytest.mark.parametrize("a", [
+        heat_dirichlet(8), heat_dirichlet(40), heat_dirichlet(128), upwind_shift(40),
+        jordan_block(40, -1.0), jordan_block(8, -0.5 + 1j), random_stable(40, 0.5, 3),
+    ], ids=["heat-n8", "heat-n40", "heat-n128", "upwind", "jordan", "jordan-complex",
+            "random-stable"])
+    def test_k_points_per_octave_end_at_the_horizon(self, a):
+        eigs = np.linalg.eigvals(a)
+        horizon = 20.0 / abs(float(np.max(eigs.real)))
+        old_start = min(0.01, horizon / 1000.0, 1.0 / float(np.max(np.abs(eigs))))
+        grid = default_time_grid(a)
+        k = _octave(grid)
+        assert grid.size == 64 and grid[-1] == horizon
+        assert np.all(np.diff(grid) > 0.0)
+        assert all(grid[j + k] == 2.0 * grid[j] for j in range(64 - k))
+        # K is the largest count whose grid reaches down to the old start
+        assert grid[0] <= old_start < horizon * 2.0 ** (-63 / (k + 1))
+
+    def test_an_explicit_horizon_reaches_down_to_min_of_001_and_a_thousandth(self):
+        for horizon, start in ((50.0, 0.01), (2.0, 0.002)):
+            grid = default_time_grid(-np.eye(2), horizon=horizon)
+            k = _octave(grid)
+            assert grid[-1] == horizon
+            assert grid[0] <= start < horizon * 2.0 ** (-63 / (k + 1))
+
+    def test_a_range_beyond_63_octaves_takes_one_point_per_octave(self):
+        # a horizon above 0.01 * 2^63 (that of A = -2e-16 I, say) spans more
+        # than 63 octaves down to 0.01
+        grid = default_time_grid(-np.eye(2), horizon=1e20)
+        assert _octave(grid) == 1
+        assert np.array_equal(grid, 1e20 * 2.0 ** np.arange(-63.0, 1.0))
+
+
 class TestDatkoIntegral:
     def test_scalar(self):
         nm = NormModel.identity(2)
