@@ -20,13 +20,18 @@ since reports echo it.  Each job writes its report and CSVs into
 ``compare`` exits 0 when the two batteries hold the same files, every JSON
 file is equal outside ``timings`` and ``config.out_dir`` (which echoes the
 output path), and every other file is equal byte for byte.  Otherwise it
-lists the paths that differ and exits 1.
+lists the paths that differ and exits 1.  A matrix document compares by
+its decoded value, bit for bit, whichever of the layouts ``f64le``,
+``c128le``, ``data_real`` and ``data`` holds it; as in the decoder, a
+matrix is real when every imaginary part is zero.
 """
 
 import argparse
+import base64
 import collections
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +53,7 @@ T_GRID_JOB = ("leftinv-t-grid-upwind",
               ["leftinv", *GENERATORS["upwind"], "--t-grid", "0.01,20,64"])
 SIZES = [3, 8, 24, 48]
 EXIT_CODES = "exit_codes.json"
+LAYOUTS = {"f64le": 1, "c128le": 2, "data_real": 1, "data": 2}  # floats per entry
 
 
 def run(src: Path, out: Path, sizes: list) -> int:
@@ -74,9 +80,33 @@ def run(src: Path, out: Path, sizes: list) -> int:
     return 0
 
 
+def _canonical(doc):
+    """``doc`` with each matrix document's payload replaced by the hex of its
+    decoded float64 values, the real parts alone when every imaginary part
+    is zero (-0.0 included)."""
+    if isinstance(doc, list):
+        return [_canonical(item) for item in doc]
+    if not isinstance(doc, dict):
+        return doc
+    key = next((key for key in LAYOUTS if key in doc), None)
+    if key is None or not {"rows", "cols"} <= doc.keys():
+        return {name: _canonical(value) for name, value in doc.items()}
+    payload = doc[key]
+    if isinstance(payload, str):
+        raw = base64.b64decode(payload, validate=True)
+        values = struct.unpack(f"<{len(raw) // 8}d", raw)
+    else:
+        values = [float(x) for entry in payload for x in (entry if LAYOUTS[key] == 2 else [entry])]
+    kind = "complex" if LAYOUTS[key] == 2 and any(values[1::2]) else "real"
+    if kind == "real":
+        values = values[::LAYOUTS[key]]
+    rest = {name: value for name, value in doc.items() if name != key}
+    return {**rest, kind: struct.pack(f"<{len(values)}d", *values).hex()}
+
+
 def _comparable(path: Path) -> bytes:
     """The bytes that must agree: a JSON document without ``timings`` and
-    ``config.out_dir``, any other file as it is."""
+    ``config.out_dir``, its matrices canonical, any other file as it is."""
     data = path.read_bytes()
     if path.suffix != ".json":
         return data
@@ -85,7 +115,7 @@ def _comparable(path: Path) -> bytes:
         doc.pop("timings", None)
         if isinstance(doc.get("config"), dict):
             doc["config"].pop("out_dir", None)
-    return json.dumps(doc).encode()
+    return json.dumps(_canonical(doc)).encode()
 
 
 def compare(a: Path, b: Path) -> int:

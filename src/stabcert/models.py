@@ -7,6 +7,7 @@ identical (n, margin, seed) yields identical matrices on any platform.
 
 from __future__ import annotations
 
+import binascii
 import contextlib
 import itertools
 import json
@@ -44,6 +45,10 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+# the matrix JSON payload keys, the binary ones with their element types
+_BINARY_DTYPES = {"f64le": np.dtype("<f8"), "c128le": np.dtype("<c16")}
+_LAYOUTS = ("f64le", "c128le", "data", "data_real")
 
 
 class MatrixFormatError(ValueError):
@@ -198,11 +203,52 @@ def _decode_entry(entry, k: int, pairs: bool) -> list:
         raise MatrixFormatError(f"entry at offset {k} is beyond the float range") from None
 
 
+def _decode_binary(text, key: str, total: int) -> np.ndarray:
+    """The ``total`` values of a base64 ``f64le`` or ``c128le`` string, as
+    float64 (complex128 entries as [re, im] pairs).  The length is checked
+    before anything is decoded, so a short string under a large header
+    allocates nothing."""
+    dtype = _BINARY_DTYPES[key]
+    size = total * dtype.itemsize
+    length = 4 * -(-size // 3)  # padded to whole 4-character groups
+    if not isinstance(text, str):
+        raise MatrixFormatError(f"{key} must be a base64 string, got {type(text).__name__}")
+    if len(text) != length:
+        raise MatrixFormatError(f"{key} has {len(text)} base64 characters, expected "
+                                f"{length} for rows*cols = {total}")
+    try:
+        raw = binascii.a2b_base64(text, strict_mode=True)
+    except (binascii.Error, ValueError) as exc:
+        raise MatrixFormatError(f"{key} is not valid base64 ({exc})") from None
+    if len(raw) != size:
+        raise MatrixFormatError(f"{key} holds {len(raw)} bytes, expected {size}")
+    return np.frombuffer(raw, dtype).astype(dtype.type).view(np.float64)
+
+
+def _decode_decimal(entries, key: str, total: int) -> np.ndarray:
+    """The ``total`` values of ``data`` [re, im] pairs (as a flat float64
+    array) or ``data_real`` numbers, by one numpy call when every entry is a
+    regular pair or number of exact int and float type, else by
+    ``_decode_entry`` one entry at a time."""
+    if not isinstance(entries, list) or len(entries) != total:
+        got = len(entries) if isinstance(entries, list) else type(entries).__name__
+        raise MatrixFormatError(f"{key} has {got} entries, expected rows*cols = {total}")
+    pairs = key == "data"
+    flat = entries
+    if pairs and set(map(type, entries)) == {list} and set(map(len, entries)) == {2}:
+        flat = list(itertools.chain.from_iterable(entries))
+    if len(flat) == (2 if pairs else 1) * total and set(map(type, flat)) <= {int, float}:
+        with contextlib.suppress(OverflowError):  # the fallback names the entry
+            return np.array(flat, dtype=float)
+    return np.array([x for k, entry in enumerate(entries)
+                     for x in _decode_entry(entry, k, pairs)], dtype=float)
+
+
 def matrix_from_json_dict(doc) -> np.ndarray:
-    """``rows``, ``cols`` and row-major ``data`` [re, im] pairs or ``data_real``
-    numbers, by one numpy call when every entry is a regular pair or number of
-    exact int and float type, else by ``_decode_entry`` one entry at a time.
-    The matrix is float64 when every imaginary part is zero, else complex128."""
+    """``rows``, ``cols`` and exactly one row-major payload: base64 bytes
+    (``f64le`` little-endian float64, ``c128le`` complex128), or decimal
+    ``data`` [re, im] pairs or ``data_real`` numbers.  The matrix is float64
+    when every imaginary part is zero, else complex128."""
     if not isinstance(doc, dict):
         raise MatrixFormatError(f"matrix document must be an object, got {type(doc).__name__}")
     try:
@@ -214,47 +260,33 @@ def matrix_from_json_dict(doc) -> np.ndarray:
         raise MatrixFormatError(f"rows/cols must be positive integers, got {rows!r}/{cols!r}")
     if rows > MAX_N or cols > MAX_N:
         raise MatrixFormatError(f"rows/cols {rows}/{cols} exceed the size limit n <= {MAX_N}")
-    pairs = "data" in doc
-    if pairs == ("data_real" in doc):
-        raise MatrixFormatError("matrix document needs exactly one of 'data' or 'data_real'")
-    key = "data" if pairs else "data_real"
-    entries = doc[key]
-    total = rows * cols
-    if not isinstance(entries, list) or len(entries) != total:
-        got = len(entries) if isinstance(entries, list) else type(entries).__name__
-        raise MatrixFormatError(f"{key} has {got} entries, expected rows*cols = {total}")
-    width = 2 if pairs else 1
-    flat = entries
-    if pairs and set(map(type, entries)) == {list} and set(map(len, entries)) == {2}:
-        flat = list(itertools.chain.from_iterable(entries))
-    values = None
-    if len(flat) == width * total and set(map(type, flat)) <= {int, float}:
-        with contextlib.suppress(OverflowError):  # the fallback names the entry
-            values = np.array(flat, dtype=float)
-    if values is None:
-        values = np.array([x for k, entry in enumerate(entries)
-                           for x in _decode_entry(entry, k, pairs)], dtype=float)
+    keys = [key for key in _LAYOUTS if key in doc]
+    if len(keys) != 1:
+        raise MatrixFormatError("matrix document needs exactly one of "
+                                + ", ".join(map(repr, _LAYOUTS)))
+    key = keys[0]
+    decode = _decode_binary if key in _BINARY_DTYPES else _decode_decimal
+    values = decode(doc[key], key, rows * cols)
+    width = 2 if key in ("data", "c128le") else 1
     finite = np.isfinite(values)
     if not finite.all():
         raise MatrixFormatError(f"non-finite entry at offset {int(np.argmin(finite)) // width}")
-    if pairs and np.any(values[1::2]):
+    if width == 2 and np.any(values[1::2]):
         return values.view(complex).reshape(rows, cols)
     return np.ascontiguousarray(values[::width]).reshape(rows, cols)
 
 
 def matrix_to_json_dict(m) -> dict:
-    """Row-major ``data_real`` numbers when no entry has a nonzero imaginary
-    part, else ``data`` [re, im] pairs.  Either layout decodes to the same
-    matrix, whose real parts keep their sign bits."""
+    """Row-major ``f64le`` when no entry has a nonzero imaginary part, else
+    ``c128le``: standard base64 of the little-endian float64 or complex128
+    bytes, so every bit round-trips, -0.0 and subnormals included."""
     arr = np.asarray(m)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
-    doc = {"rows": int(arr.shape[0]), "cols": int(arr.shape[1])}
-    if np.any(arr.imag):
-        doc["data"] = np.asarray(arr, dtype=complex).ravel().view(np.float64).reshape(-1, 2).tolist()
-    else:
-        doc["data_real"] = np.asarray(arr.real, dtype=np.float64).ravel().tolist()
-    return doc
+    key = "c128le" if np.any(arr.imag) else "f64le"
+    data = np.ascontiguousarray(arr if key == "c128le" else arr.real, dtype=_BINARY_DTYPES[key])
+    return {"rows": int(arr.shape[0]), "cols": int(arr.shape[1]),
+            key: binascii.b2a_base64(data, newline=False).decode("ascii")}
 
 
 def load_matrix(path) -> np.ndarray:

@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import os
@@ -29,6 +30,25 @@ def run(args):
 def read_report(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def as_decimal(doc, layout: str) -> int:
+    """Rewrite every base64 matrix document inside ``doc`` in a decimal
+    layout older versions wrote: an ``f64le`` matrix as ``layout``
+    (``data_real`` numbers or [x, 0.0] ``data`` pairs), a ``c128le`` matrix
+    as ``data`` pairs; the count rewritten."""
+    if isinstance(doc, dict) and {"f64le", "c128le"} & doc.keys():
+        key = "f64le" if "f64le" in doc else "c128le"
+        values = np.frombuffer(base64.b64decode(doc.pop(key)), "<f8").tolist()
+        if key == "c128le":
+            doc["data"] = [values[k:k + 2] for k in range(0, len(values), 2)]
+        elif layout == "data_real":
+            doc["data_real"] = values
+        else:
+            doc["data"] = [[x, 0.0] for x in values]
+        return 1
+    children = doc.values() if isinstance(doc, dict) else doc if isinstance(doc, list) else ()
+    return sum(as_decimal(child, layout) for child in children)
 
 
 def count_linalg(monkeypatch, *names):
@@ -862,12 +882,31 @@ class TestGenAndRecheck:
         path = tmp_path / f"{stem}.json"
         report = read_report(path)
         entries = report["generator"]
+        assert as_decimal(entries, keys[0]) == 1
         for key in keys:
             entries = entries[key]
-        entries[0] = 10 ** 400  # the first real part, in either layout
+        entries[0] = 10 ** 400  # the first real part, in either decimal layout
         path.write_text(json.dumps(report))
         assert run(["recheck", path]) == 1
         assert "not a readable report" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("generator, stem, key", [
+        (["--family", "heat"], "certify-heat-n2", "f64le"),
+        (["--family", "jordan", "--lambda=-0.5+1i"], "certify-jordan-n2", "c128le"),
+    ], ids=["f64le", "c128le"])
+    def test_recheck_of_a_nonfinite_binary_generator_is_unreadable(
+            self, tmp_path, capsys, generator, stem, key):
+        assert run(["certify", *generator, "--n", "2", "--out-dir", tmp_path]) == 0
+        path = tmp_path / f"{stem}.json"
+        report = read_report(path)
+        values = np.frombuffer(base64.b64decode(report["generator"][key]), "<f8").copy()
+        values[-1] = np.inf  # the last entry's last part, in either binary layout
+        report["generator"][key] = base64.b64encode(values.tobytes()).decode()
+        path.write_text(json.dumps(report))
+        assert run(["recheck", path]) == 1
+        out = capsys.readouterr().out
+        assert "not a readable report" in out
+        assert "non-finite entry at offset 3" in out
 
     def test_recheck_flags_invalid_embedded_candidate(self, tmp_path, capsys):
         assert run(["certify", "--family", "heat", "--n", "4", "--out-dir", tmp_path]) == 0
@@ -999,29 +1038,21 @@ def test_recheck_ok_line_names_the_fields_it_compared(tmp_path, capsys, argv, st
     assert set(names) <= set(listed.split())
 
 
-def as_pairs(doc) -> int:
-    """Rewrite every ``data_real`` matrix document inside ``doc`` as [x, 0.0]
-    ``data`` pairs, the layout older versions wrote; the count rewritten."""
-    if isinstance(doc, dict) and "data_real" in doc:
-        doc["data"] = [[x, 0.0] for x in doc.pop("data_real")]
-        return 1
-    children = doc.values() if isinstance(doc, dict) else doc if isinstance(doc, list) else ()
-    return sum(as_pairs(child) for child in children)
-
-
+@pytest.mark.parametrize("layout", ["data_real", "data"])
 @pytest.mark.parametrize("argv, stem", [
     *[([command, "--family", "heat", "--n", "4", *flags], f"{command}-heat-n4")
       for command, flags in [("certify", []), ("refute", []), ("q0", []), ("resolvent", []),
                              ("perturb", ["--random-trials", "3"]), ("leftinv", [])]],
     (["certify", "--family", "jordan", "--lambda", "1", "--n", "3"], "certify-jordan-n3"),
 ], ids=["certify", "refute", "q0", "resolvent", "perturb", "leftinv", "refuted"])
-def test_a_report_in_the_pair_layout_rechecks_alike(tmp_path, capsys, argv, stem):
+def test_a_report_in_a_decimal_layout_rechecks_alike(tmp_path, capsys, argv, stem, layout):
     run([*argv, "--out-dir", tmp_path])
     path = tmp_path / f"{stem}.json"
     report = read_report(path)
-    assert as_pairs(report) >= 1
+    assert as_decimal(report, layout) >= 1
     legacy = tmp_path / "legacy.json"
     legacy.write_text(json.dumps(report))
+    assert "f64le" not in legacy.read_text() and "c128le" not in legacy.read_text()
     capsys.readouterr()
     assert run(["recheck", path]) == 0
     listed = capsys.readouterr().out.split("): ")[1]
@@ -1029,7 +1060,7 @@ def test_a_report_in_the_pair_layout_rechecks_alike(tmp_path, capsys, argv, stem
     assert capsys.readouterr().out.split("): ")[1] == listed
 
 
-def test_a_matrix_is_written_as_data_real_exactly_when_it_is_real(tmp_path):
+def test_a_matrix_is_written_as_f64le_exactly_when_it_is_real(tmp_path):
     def layout(doc):
         return set(doc) - {"rows", "cols"}
 
@@ -1037,24 +1068,24 @@ def test_a_matrix_is_written_as_data_real_exactly_when_it_is_real(tmp_path):
         assert run(["certify", "--family", *family, "--n", "4", "--out-dir", tmp_path,
                     "--out", "real.json"]) == 0
         report = read_report(tmp_path / "real.json")
-        assert layout(report["generator"]) == layout(report["certificate"]["q"]) == {"data_real"}
+        assert layout(report["generator"]) == layout(report["certificate"]["q"]) == {"f64le"}
     # a generator with a nonzero imaginary part, whose Q is complex too
     save_matrix(tmp_path / "a.json", np.array([[-1.0, 1j], [0.0, -2.0]]))
     assert run(["certify", "--file", tmp_path / "a.json", "--out-dir", tmp_path,
                 "--out", "complex.json"]) == 0
     report = read_report(tmp_path / "complex.json")
-    assert layout(report["generator"]) == layout(report["certificate"]["q"]) == {"data"}
+    assert layout(report["generator"]) == layout(report["certificate"]["q"]) == {"c128le"}
     # the layout follows the values: the shifted jordan block's Q is real to the last bit
     assert run(["certify", "--family", "jordan", "--lambda=-0.5+1i", "--n", "2",
                 "--out-dir", tmp_path, "--out", "shifted.json"]) == 0
     report = read_report(tmp_path / "shifted.json")
-    assert layout(report["generator"]) == {"data"}
-    assert layout(report["certificate"]["q"]) == {"data_real"}
+    assert layout(report["generator"]) == {"c128le"}
+    assert layout(report["certificate"]["q"]) == {"f64le"}
     assert run(["perturb", "--family", "heat", "--n", "4", "--random-trials", "3",
                 "--out-dir", tmp_path]) == 0
     report = read_report(tmp_path / "perturb-heat-n4.json")
-    assert layout(report["candidate"]["q"]) == {"data_real"}
-    assert layout(report["perturbation"]["worst_b"]) == {"data"}
+    assert layout(report["candidate"]["q"]) == {"f64le"}
+    assert layout(report["perturbation"]["worst_b"]) == {"c128le"}
 
 
 class TestDesktopScale:

@@ -1,4 +1,7 @@
+import base64
 import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +33,8 @@ from stabcert.semigroup import spectral_bound
 
 # signed zeros, subnormals and the edge of the float range
 _EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
-                                1.7e308, -1.7e308, 1.0, -1.0])
+                                1.7e308, -1.7e308, 1.7976931348623157e308,
+                                -1.7976931348623157e308, 1.0, -1.0])
 
 
 def test_splitmix64_reference_stream():
@@ -248,24 +252,91 @@ class TestMatrixJson:
     def test_encoding_matches_entry_by_entry_and_round_trips(self, m):
         for arr in (m, m.T, m[:, 0], m.real):
             doc = matrix_to_json_dict(arr)
-            # data_real exactly when every imaginary part is zero (-0.0 included),
-            # each layout matching its entry-by-entry encoding
+            # f64le exactly when every imaginary part is zero (-0.0 included),
+            # each layout the base64 of its entry-by-entry little-endian bytes
             if np.any(arr.imag):
-                assert set(doc) == {"rows", "cols", "data"}
-                reference = [[float(v.real), float(v.imag)] for v in np.ravel(arr)]
-                assert all(type(x) is float for pair in doc["data"] for x in pair)
-                assert json.dumps(doc["data"]) == json.dumps(reference)
+                assert set(doc) == {"rows", "cols", "c128le"}
+                reference = b"".join(struct.pack("<dd", v.real, v.imag) for v in np.ravel(arr))
+                assert doc["c128le"] == base64.b64encode(reference).decode()
             else:
-                assert set(doc) == {"rows", "cols", "data_real"}
-                reference = [float(v.real) for v in np.ravel(arr)]
-                assert all(type(x) is float for x in doc["data_real"])
-                assert json.dumps(doc["data_real"]) == json.dumps(reference)
+                assert set(doc) == {"rows", "cols", "f64le"}
+                reference = b"".join(struct.pack("<d", v.real) for v in np.ravel(arr))
+                assert doc["f64le"] == base64.b64encode(reference).decode()
             back = matrix_from_json_dict(json.loads(json.dumps(doc)))
             assert back.shape == (doc["rows"], doc["cols"])
             # float64 exactly when every imaginary part is zero (-0.0 included)
             assert back.dtype == (complex if np.any(arr.imag) else np.float64)
             expected = np.ascontiguousarray(arr if np.any(arr.imag) else arr.real)
             assert back.tobytes() == expected.reshape(back.shape).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6).map(
+                      lambda shape: (shape[0], 2 * shape[1])),
+                  elements=st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS),
+           st.booleans())
+    def test_binary_layouts_round_trip_every_bit(self, parts, pairs):
+        # as a complex matrix, each two columns of ``parts`` are [re, im]
+        m = parts.view(np.complex128) if pairs else parts
+        back = matrix_from_json_dict(json.loads(json.dumps(matrix_to_json_dict(m))))
+        expected = m if np.any(m.imag) else m.real
+        assert back.dtype == expected.dtype
+        assert np.array_equal(back.view(np.int64), np.ascontiguousarray(expected).view(np.int64))
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"rows": 1, "cols": 2, "f64le": "!" * 24}, "not valid base64"),
+        ({"rows": 1, "cols": 2, "f64le": "AAAAAAAA8D8=" + "=" * 12}, "not valid base64"),
+        ({"rows": 1, "cols": 1, "c128le": "A" * 24}, "holds 18 bytes, expected 16"),
+        ({"rows": 1, "cols": 2, "f64le": "AAAAAAAA8D8="}, "has 12 base64 characters, expected 24"),
+        ({"rows": MAX_N, "cols": MAX_N, "f64le": "AAAAAAAA8D8="},
+         "has 12 base64 characters, expected 699052 for rows\\*cols = 65536"),
+        ({"rows": MAX_N, "cols": MAX_N, "c128le": ""}, "has 0 base64 characters"),
+        ({"rows": 1, "cols": 1, "f64le": [1.0]}, "must be a base64 string, got list"),
+        ({"rows": 1, "cols": 1, "f64le": "AAAAAAAA8D\u00e9="}, "not valid base64"),
+    ], ids=["alphabet", "padding", "unpadded", "length", "large-header", "empty",
+            "not-a-string", "non-ascii"])
+    def test_malformed_binary_is_refused_without_a_large_allocation(self, doc, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(MatrixFormatError, match=message):
+                matrix_from_json_dict(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_a_length_mismatch_is_refused_before_decoding(self, monkeypatch):
+        def no_decoding(*args, **kwargs):
+            raise AssertionError("decoded before the length check")
+
+        monkeypatch.setattr("stabcert.models.binascii.a2b_base64", no_decoding)
+        for doc in ({"rows": MAX_N, "cols": MAX_N, "f64le": "AAAAAAAA8D8="},
+                    {"rows": 1, "cols": 2, "c128le": "AAAAAAAA8D8="}):
+            with pytest.raises(MatrixFormatError, match="base64 characters"):
+                matrix_from_json_dict(doc)
+
+    @pytest.mark.parametrize("key, values, offset", [
+        ("f64le", [1.0, 2.0, float("nan")], 2),
+        ("f64le", [float("-inf"), 0.0, 1.0], 0),
+        ("c128le", [1.0, 0.0, 2.0, float("inf"), 3.0, 0.0], 1),
+        ("c128le", [1.0, 0.0, 2.0, 1.0, float("nan"), 0.0], 2),
+    ])
+    def test_nonfinite_bits_are_refused_with_their_offset(self, key, values, offset):
+        raw = struct.pack(f"<{len(values)}d", *values)
+        doc = {"rows": 1, "cols": 3, key: base64.b64encode(raw).decode()}
+        with pytest.raises(MatrixFormatError, match=f"non-finite entry at offset {offset}$"):
+            matrix_from_json_dict(doc)
+
+    @pytest.mark.parametrize("extra", [{"data_real": [1.0]}, {"data": [[1.0, 0.0]]},
+                                       {"c128le": "AAAAAAAA8D8AAAAAAAAAAA=="}])
+    def test_more_than_one_layout_is_refused(self, extra):
+        with pytest.raises(MatrixFormatError, match="exactly one of"):
+            matrix_from_json_dict({"rows": 1, "cols": 1, "f64le": "AAAAAAAA8D8=", **extra})
+
+    def test_a_real_c128le_document_reads_as_float64(self):
+        raw = struct.pack("<4d", -0.0, 0.0, 1.5, -0.0)
+        got = matrix_from_json_dict({"rows": 2, "cols": 1, "c128le": base64.b64encode(raw).decode()})
+        assert got.dtype == np.float64
+        assert got.tobytes() == struct.pack("<2d", -0.0, 1.5)
 
     def test_malformed_file_diagnostics(self, tmp_path):
         bad = tmp_path / "notamatrix.json"
@@ -279,7 +350,7 @@ class TestMatrixJson:
         save_matrix(path, m)
         assert np.array_equal(load_matrix(path), m)
         doc = json.loads(path.read_text())
-        assert set(doc) == {"rows", "cols", "data_real"}
+        assert set(doc) == {"rows", "cols", "f64le"}
 
     def test_failed_write_leaves_target_and_no_temporary(self, tmp_path, monkeypatch):
         path = tmp_path / "m.json"

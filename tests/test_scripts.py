@@ -1,4 +1,6 @@
+import base64
 import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -30,14 +32,24 @@ def test_refinement_study_lower_bound_constants_decrease_in_n():
     for values in columns:
         assert all(x > y for x, y in zip(values, values[1:])), values
 
+def _base64(*values):
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode()
 
 
-def _battery(root, margin=-0.5, total_s=0.1, csv="re_lambda\n-1.0\n", code=0):
+# Q = [-1.5, 0.0] and its last bit flipped, as each layout writes it
+Q_F64LE = {"rows": 1, "cols": 2, "f64le": _base64(-1.5, 0.0)}
+Q_FLIPPED = {"rows": 1, "cols": 2, "f64le": _base64(-1.5000000000000002, 0.0)}
+Q_LAYOUTS = [{"rows": 1, "cols": 2, "data_real": [-1.5, 0.0]},
+             {"rows": 1, "cols": 2, "data": [[-1.5, -0.0], [0, 0.0]]},
+             {"rows": 1, "cols": 2, "c128le": _base64(-1.5, 0.0, 0.0, -0.0)}]
+
+
+def _battery(root, margin=-0.5, total_s=0.1, csv="re_lambda\n-1.0\n", code=0, q=Q_F64LE):
     """A one-job battery as ``report_battery.py run`` lays it out."""
     (root / "job").mkdir(parents=True)
     (root / "exit_codes.json").write_text(json.dumps({"job": code}))
     report = {"command": "certify", "config": {"tol": 1e-8, "out_dir": str(root / "job")},
-              "candidate": {"margin": margin}, "timings": {"total_s": total_s}}
+              "candidate": {"margin": margin, "q": q}, "timings": {"total_s": total_s}}
     (root / "job" / "certify.json").write_text(json.dumps(report))
     (root / "job" / "scan.csv").write_text(csv)
     return root
@@ -49,7 +61,11 @@ def _battery(root, margin=-0.5, total_s=0.1, csv="re_lambda\n-1.0\n", code=0):
     ({"margin": -0.25}, "job/certify.json"),
     ({"csv": "re_lambda\n-2.0\n"}, "job/scan.csv"),
     ({"code": 2}, "exit_codes.json"),
-], ids=["equal", "timings-and-out-dir", "margin", "csv", "exit-code"])
+    *[({"q": q}, None) for q in Q_LAYOUTS],  # the same bits in another layout
+    ({"q": Q_FLIPPED}, "job/certify.json"),
+    ({"q": {"rows": 1, "cols": 2, "data_real": [-1.5, -0.0]}}, "job/certify.json"),
+], ids=["equal", "timings-and-out-dir", "margin", "csv", "exit-code", "data_real", "data",
+        "c128le", "flipped-bit", "negative-zero"])
 def test_report_battery_compare(tmp_path, change, differs):
     a, b = _battery(tmp_path / "a"), _battery(tmp_path / "b", **change)
     result = subprocess.run([sys.executable, str(SCRIPTS / "report_battery.py"), "compare",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabcert import semigroup
+from stabcert import numkernel, semigroup
 from stabcert.models import (
     heat_dirichlet,
     jordan_block,
@@ -388,19 +388,22 @@ def test_certified_decay_reuses_the_growth_bound_samples(a, weight):
 
 def test_certified_decay_samples_one_grid(monkeypatch):
     """One probe per horizon tried, then the 64-point grid of the passing
-    one: upwind at n = 40 tries 5 horizons, whose grids hold 320 samples."""
+    one: upwind at n = 40 tries 5 horizons, whose grids hold 320 samples.
+    Every sample comes through ``numkernel.expm_grid``, which calls
+    ``numkernel.expm`` wherever it cannot square an earlier sample: 37
+    times here, within the 64 + 7 of one grid and its probes."""
     counts = {"expm": 0, "growth_bound_estimate": 0}
-    for name in counts:
-        original = getattr(semigroup, name)
+    for module, name in ((numkernel, "expm"), (semigroup, "growth_bound_estimate")):
+        original = getattr(module, name)
 
         def counting(*args, name=name, original=original):
             counts[name] += 1
             return original(*args)
 
-        monkeypatch.setattr(semigroup, name, counting)
+        monkeypatch.setattr(module, name, counting)
     certified_decay(upwind_shift(40), NormModel.identity(40))
     assert counts["growth_bound_estimate"] == 1
-    assert counts["expm"] <= 64 + 7
+    assert counts["expm"] == 37
 
 
 def test_certified_decay_past_underflow():
