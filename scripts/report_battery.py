@@ -53,7 +53,8 @@ T_GRID_JOB = ("leftinv-t-grid-upwind",
               ["leftinv", *GENERATORS["upwind"], "--t-grid", "0.01,20,64"])
 SIZES = [3, 8, 24, 48]
 EXIT_CODES = "exit_codes.json"
-LAYOUTS = {"f64le": 1, "c128le": 2, "data_real": 1, "data": 2}  # floats per entry
+# floats per entry of each matrix layout that stabcert.models reads
+LAYOUTS = {"f64le": 1, "c128le": 2, "data_real": 1, "data": 2}
 
 
 def run(src: Path, out: Path, sizes: list) -> int:

@@ -7,7 +7,7 @@ identical (n, margin, seed) yields identical matrices on any platform.
 
 from __future__ import annotations
 
-import binascii
+import base64
 import contextlib
 import itertools
 import json
@@ -46,7 +46,8 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-# the matrix JSON payload keys, the binary ones with their element types
+# the matrix JSON payload keys, the binary ones with their element types;
+# scripts/report_battery.py LAYOUTS mirrors them with the standard library
 _BINARY_DTYPES = {"f64le": np.dtype("<f8"), "c128le": np.dtype("<c16")}
 _LAYOUTS = ("f64le", "c128le", "data", "data_real")
 
@@ -217,8 +218,8 @@ def _decode_binary(text, key: str, total: int) -> np.ndarray:
         raise MatrixFormatError(f"{key} has {len(text)} base64 characters, expected "
                                 f"{length} for rows*cols = {total}")
     try:
-        raw = binascii.a2b_base64(text, strict_mode=True)
-    except (binascii.Error, ValueError) as exc:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
         raise MatrixFormatError(f"{key} is not valid base64 ({exc})") from None
     if len(raw) != size:
         raise MatrixFormatError(f"{key} holds {len(raw)} bytes, expected {size}")
@@ -286,7 +287,7 @@ def matrix_to_json_dict(m) -> dict:
     key = "c128le" if np.any(arr.imag) else "f64le"
     data = np.ascontiguousarray(arr if key == "c128le" else arr.real, dtype=_BINARY_DTYPES[key])
     return {"rows": int(arr.shape[0]), "cols": int(arr.shape[1]),
-            key: binascii.b2a_base64(data, newline=False).decode("ascii")}
+            key: base64.b64encode(data).decode("ascii")}
 
 
 def load_matrix(path) -> np.ndarray:

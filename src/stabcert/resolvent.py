@@ -11,7 +11,6 @@ a failed global optimizer could certify silently.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -334,21 +333,10 @@ def abscissa_profile(
     return profile
 
 
-def _reprs(values: list) -> list:
-    """repr of each float, each distinct value formatted once.  The memo is
-    keyed by the bits, since -0.0 == 0.0 but their reprs differ."""
-    bits = np.asarray(values, dtype=np.float64).view(np.int64).tolist()
-    text = {b: repr(x) for b, x in dict(zip(bits, values)).items()}
-    return [text[b] for b in bits]
-
-
 def export_scan_csv(report: ScanReport, path) -> None:
     """Write one row per grid point: re_lambda, im_lambda, resolvent_norm,
-    bound, ratio.  Plain '.' decimals, shortest round-trip floats.  The
-    grid and bound columns repeat a few values (a strip takes one per line),
-    which are formatted once each."""
-    grid, norms, bounds = report.grid, report.norms, report.pointwise_bounds
-    rows = zip(_reprs([lam.real for lam in grid]), _reprs([lam.imag for lam in grid]),
-               map(repr, norms), _reprs(bounds), map(repr, map(operator.truediv, norms, bounds)))
-    lines = ["re_lambda,im_lambda,resolvent_norm,bound,ratio", *map(",".join, rows)]
+    bound, ratio.  Plain '.' decimals, shortest round-trip floats."""
+    lines = ["re_lambda,im_lambda,resolvent_norm,bound,ratio"]
+    for lam, nrm, bnd in zip(report.grid, report.norms, report.pointwise_bounds):
+        lines.append(f"{lam.real!r},{lam.imag!r},{nrm!r},{bnd!r},{nrm / bnd!r}")
     write_atomic(path, "\n".join(lines) + "\n")

@@ -20,7 +20,6 @@ from stabcert.numkernel import singular_extremes, solve_linear
 from stabcert.resolvent import (
     MAX_GRID_POINTS,
     ResolventSingularError,
-    ScanReport,
     abscissa_profile,
     check_right_grid,
     export_scan_csv,
@@ -400,26 +399,6 @@ class TestCsvExport:
             assert float(fields[2]) == nrm
             assert float(fields[4]) == pytest.approx(nrm / float(fields[3]), rel=1e-15)
             assert all(ch not in line for ch in (" ", ";"))
-
-    @pytest.mark.parametrize("scan", ["strip", "right", "signed-zeros"])
-    def test_bytes_match_the_row_by_row_reference(self, tmp_path, scan):
-        a = random_stable(6, 0.5, 5)
-        nm = NormModel.identity(6)
-        if scan == "strip":
-            report = verify_bound_left_strip(member_for(a, nm), n_grid=8)
-        elif scan == "right":
-            report = verify_bound_right(member_for(a, nm), n_axis=9, n_interior=4)
-        else:  # -0.0 == 0.0, but each keeps its own repr in the memoized columns
-            grid = [complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0), 0j]
-            report = ScanReport(kind="right-half-plane", grid=grid, norms=[1.0, 2.0, 3.0, 4.0],
-                                pointwise_bounds=[2.0, 2.0, 5e-324, 2.0], bound=2.0,
-                                worst_ratio=1.0, passed=True, argmax=0j)
-        path = tmp_path / "scan.csv"
-        export_scan_csv(report, path)
-        rows = [f"{lam.real!r},{lam.imag!r},{nrm!r},{bnd!r},{nrm / bnd!r}"
-                for lam, nrm, bnd in zip(report.grid, report.norms, report.pointwise_bounds)]
-        reference = "re_lambda,im_lambda,resolvent_norm,bound,ratio\n" + "\n".join(rows) + "\n"
-        assert path.read_text() == reference
 
 
 def tridiagonal_weight(n):
