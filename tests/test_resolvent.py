@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -562,16 +564,52 @@ class TestStackedScans:
         with pytest.raises(ResolventSingularError) as excinfo:
             stabcert.resolvent._scan_norms(aw, grid, np.ones((4, 3), dtype=complex))
         assert excinfo.value.nearest_eigenvalue == first
+        # two shifts per block on three CPUs: one block per run, the calling
+        # thread's [0.5j, 1+1j], then workers' [first, 0.25] and [other, 2j]
+        monkeypatch.setattr(stabcert.resolvent, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(stabcert.resolvent, "_BLOCK_BYTES", 2 * 16 * aw.size)
+        threads = threading.active_count()
+        lone = [0.75 + 0.0j if lam == first else lam for lam in grid]
+        regular = [0.75 + 0.0j if lam.imag == 0.0 and lam.real < 0.0 else lam for lam in grid]
+        assert len(stabcert.resolvent._scan_norms(aw, regular)[0]) == len(grid)
+        assert threading.active_count() == threads
+        for shifts, raised in ((lone, other), (grid, first)):
+            for wy in (None, np.ones((4, 3), dtype=complex)):
+                with pytest.raises(ResolventSingularError) as excinfo:
+                    stabcert.resolvent._scan_norms(aw, shifts, wy)
+                assert excinfo.value.nearest_eigenvalue == raised
+                assert threading.active_count() == threads
 
-    @pytest.mark.parametrize("n, most", [(48, None), (128, 1)])
-    def test_stacks_stay_within_the_block_budget(self, monkeypatch, n, most):
+    @pytest.mark.parametrize("case", sorted(SCAN_CASES))
+    def test_reports_do_not_depend_on_the_cpu_count(self, monkeypatch, case):
+        make, weighted = SCAN_CASES[case]
+        n = 16
+        a = make(n)
+        nm = NormModel.from_weight(tridiagonal_weight(n)) if weighted else NormModel.identity(n)
+        cand = member_for(a, nm)
+        monkeypatch.setattr(stabcert.resolvent, "_BLOCK_BYTES", 2 * n * n * 16)
+        reports = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads interleave as often as they can
+        try:
+            for cpus in (1, 2, 3, 64):  # 64: up to 63 worker threads at once
+                monkeypatch.setattr(stabcert.resolvent, "_cpu_count", lambda: cpus)
+                reports.append(self.scans(cand))
+        finally:
+            sys.setswitchinterval(switch)
+        assert all(report == reports[0] for report in reports[1:])
+
+    @pytest.mark.parametrize("n, most, runs", [(32, 16, 2), (48, 7, 1), (128, 1, 1)])
+    def test_stacks_stay_within_the_block_budget(self, monkeypatch, n, most, runs):
         a = heat_dirichlet(n)
         cand = member_for(a, NormModel.identity(n))
-        stacks = []
+        monkeypatch.setattr(stabcert.resolvent, "_cpu_count", lambda: 2)
+        stacks, threads = [], set()
         svd = np.linalg.svd
 
         def recording(m, *args, **kwargs):
             stacks.append(m)
+            threads.add(threading.current_thread())
             return svd(m, *args, **kwargs)
 
         monkeypatch.setattr(stabcert.numkernel.np.linalg, "svd", recording)
@@ -580,7 +618,6 @@ class TestStackedScans:
         shifted = [m for m in stacks if m.ndim == 3]
         assert sum(len(m) for m in shifted) == report.evaluated
         assert all(m.nbytes <= stabcert.resolvent._BLOCK_BYTES for m in shifted)
-        if most is None:  # 36 KiB per matrix: seven to a block
-            assert max(len(m) for m in shifted) == 7
-        else:
-            assert all(len(m) == most for m in shifted)
+        assert max(len(m) for m in shifted) == most  # 36 KiB per matrix at n = 48
+        # two CPUs take two runs up to order 32, and the calling thread one of them
+        assert len(threads) == runs and threading.current_thread() in threads
