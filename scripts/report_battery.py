@@ -20,10 +20,12 @@ since reports echo it.  Each job writes its report and CSVs into
 ``compare`` exits 0 when the two batteries hold the same files, every JSON
 file is equal outside ``timings`` and ``config.out_dir`` (which echoes the
 output path), and every other file is equal byte for byte.  Otherwise it
-lists the paths that differ and exits 1.  A matrix document compares by
-its decoded value, bit for bit, whichever of the layouts ``f64le``,
-``c128le``, ``data_real`` and ``data`` holds it; as in the decoder, a
-matrix is real when every imaginary part is zero.
+lists the paths that differ, each JSON file in both batteries followed by
+the dotted paths of its fields that differ (a matrix or a list is one
+field, as in ``certificate.grid.evaluated``), and exits 1.  A matrix
+document compares by its decoded value, bit for bit, whichever of the
+layouts ``f64le``, ``c128le``, ``data_real`` and ``data`` holds it; as in
+the decoder, a matrix is real when every imaginary part is zero.
 """
 
 import argparse
@@ -105,27 +107,45 @@ def _canonical(doc):
     return {**rest, kind: struct.pack(f"<{len(values)}d", *values).hex()}
 
 
-def _comparable(path: Path) -> bytes:
-    """The bytes that must agree: a JSON document without ``timings`` and
-    ``config.out_dir``, its matrices canonical, any other file as it is."""
-    data = path.read_bytes()
-    if path.suffix != ".json":
-        return data
-    doc = json.loads(data)
+def _document(path: Path):
+    """A JSON report without ``timings`` and ``config.out_dir``, its
+    matrices canonical."""
+    doc = json.loads(path.read_bytes())
     if isinstance(doc, dict):
         doc.pop("timings", None)
         if isinstance(doc.get("config"), dict):
             doc["config"].pop("out_dir", None)
-    return json.dumps(_canonical(doc)).encode()
+    return _canonical(doc)
+
+
+def _comparable(path: Path) -> bytes:
+    """The bytes that must agree: a JSON file's :func:`_document`, any other
+    file as it is."""
+    return json.dumps(_document(path)).encode() if path.suffix == ".json" else path.read_bytes()
+
+
+def _fields(a, b, path=""):
+    """The dotted paths of the fields in which two documents differ; a
+    matrix (a mapping with ``rows`` and ``cols``) and a list are one field."""
+    if not (isinstance(a, dict) and isinstance(b, dict)) or {"rows", "cols"} <= a.keys():
+        return [] if json.dumps(a) == json.dumps(b) else [path or "."]
+    fields = []
+    for name in sorted(a.keys() | b.keys()):
+        field = f"{path}.{name}" if path else name
+        fields += _fields(a[name], b[name], field) if name in a and name in b else [field]
+    return fields
 
 
 def compare(a: Path, b: Path) -> int:
     files = [{p.relative_to(root) for p in root.rglob("*") if p.is_file()} for root in (a, b)]
+    common = files[0] & files[1]
     differ = sorted(files[0] ^ files[1])
-    differ += sorted(rel for rel in files[0] & files[1]
-                     if _comparable(a / rel) != _comparable(b / rel))
+    differ += sorted(rel for rel in common if _comparable(a / rel) != _comparable(b / rel))
     for rel in differ:
         print(f"differs: {rel}")
+        if rel.suffix == ".json" and rel in common:
+            for field in _fields(_document(a / rel), _document(b / rel)):
+                print(f"  {field}")
     if differ:
         return 1
     codes = json.loads((a / EXIT_CODES).read_text()) if (a / EXIT_CODES).is_file() else {}

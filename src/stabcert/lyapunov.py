@@ -192,7 +192,7 @@ def solve_algebraic(a, rhs) -> np.ndarray:
     if not np.isfinite(q).all():
         raise KernelPrecisionError("Lyapunov solution overflows float64: |Q| is not representable")
     residual = singular_extremes(aa.conj().T @ q + q @ aa + rr)[0]
-    if residual > 1e-8 * singular_extremes(rr)[0]:
+    if residual > 1e-8 * lam_r[-1]:  # |RHS| of a PD RHS
         raise KernelPrecisionError(
             f"Lyapunov residual {residual:.3e} exceeds 1e-8 * |RHS| at "
             f"|Q| = {singular_extremes(q)[0]:.3e} (1/eps = {1.0 / np.finfo(float).eps:.1e})"
@@ -246,15 +246,6 @@ def construct_q0(
     return membership_margin(q0, aa, nm, tol=tol)
 
 
-def _propagated(step: np.ndarray, count: int):
-    """T_w(k delta) for k < count: the identity, then one ``step`` product per
-    point.  Each product is a new array, so a kept point is never changed."""
-    tw = np.eye(step.shape[0], dtype=step.dtype)
-    for _ in range(count):
-        yield tw
-        tw = step @ tw
-
-
 def _norm_bound(t: np.ndarray) -> float:
     """min(|T|_F, sqrt(|T|_1 |T|_inf)), an O(n^2) upper bound of |T|_2."""
     mag = np.abs(t)
@@ -273,17 +264,16 @@ def certificate(cand: LyapunovCandidate) -> StabilityCertificate:
     propagated over the grid (Moler & Van Loan, SIAM Rev. 45, 2003):
     T_w(k delta) = T_w(delta) T_w((k-1) delta), one exponential per call.
 
-    Only the worst ratio is reported, so an SVD is taken only where a cheap
-    bound cannot rule a point out.  A first pass bounds every ratio by
+    Only the worst ratio is reported, so one pass in time order takes an
+    SVD only where the bound
     b_k = (1 + 8 n eps) min(|T_w|_F, sqrt(|T_w|_1 |T_w|_inf)) / (M e^{-eps t_k}),
-    the factor covering the rounding of both norms, and takes the exact
-    ratio at the largest b_k.  A second pass over the same, bitwise
-    repeatable, propagation takes the exact ratio wherever b_k reaches the
-    best exact ratio so far.  A skipped point has ratio <= b_k < best, so it
-    can neither win nor tie, and ``worst_t`` is the earliest time of the
-    largest ratio, as over the full grid.  Members sitting exactly on the
-    tolerance boundary can exceed the envelope by O(margin * t), which the
-    grid check reports honestly.
+    whose factor covers the rounding of both norms, reaches the best exact
+    ratio so far.  A skipped point has ratio <= b_k < best, so it can
+    neither win nor tie, and as only a strictly larger ratio replaces the
+    best, ``worst_t`` is the earliest time of the largest ratio, as over
+    the full grid.  Members sitting exactly on the tolerance boundary can
+    exceed the envelope by O(margin * t), which the grid check reports
+    honestly.
     """
     cand.require_member()
     if cand.theta <= 0.0:
@@ -297,20 +287,15 @@ def certificate(cand: LyapunovCandidate) -> StabilityCertificate:
     envelopes = [overshoot * math.exp(-epsilon * t) for t in grid]
     step = expm(whiten_operator(cand.a, cand.nm), float(grid[1]))
     inflate = 1.0 + 8.0 * cand.nm.n * _EPS
-    bounds, top, kept = [], 0, None
-    for k, tw in enumerate(_propagated(step, len(grid))):
-        bounds.append(inflate * _norm_bound(tw) / envelopes[k])
-        if kept is None or bounds[k] > bounds[top]:
-            top, kept = k, tw
-    worst, best, evaluated = top, singular_extremes(kept)[0] / envelopes[top], 1
-    last = max(k for k, b in enumerate(bounds) if b >= best)  # best only rises
-    for k, tw in enumerate(_propagated(step, last + 1)):
-        if k == top or bounds[k] < best:
-            continue
-        ratio = singular_extremes(tw)[0] / envelopes[k]
-        evaluated += 1
-        if ratio > best or (ratio == best and k < worst):
-            best, worst = ratio, k
+    tw, best, worst, evaluated = np.eye(step.shape[0], dtype=step.dtype), -math.inf, 0, 0
+    for k, envelope in enumerate(envelopes):
+        if k:
+            tw = step @ tw
+        if inflate * _norm_bound(tw) / envelope >= best:
+            ratio = singular_extremes(tw)[0] / envelope
+            evaluated += 1
+            if ratio > best:
+                best, worst = ratio, k
     return StabilityCertificate(
         epsilon=epsilon,
         overshoot=overshoot,

@@ -59,7 +59,7 @@ class NormModel:
             )
         sqrt_w = (v * np.sqrt(lam)) @ v.conj().T
         inv_sqrt_w = (v / np.sqrt(lam)) @ v.conj().T
-        if singular_extremes(sqrt_w @ sqrt_w - ww)[0] > 1e-10 * singular_extremes(ww)[0]:
+        if singular_extremes(sqrt_w @ sqrt_w - ww)[0] > 1e-10 * lam[-1]:  # |W| of a PD W
             raise ValueError("square root of norm weight failed its residual check")
         if singular_extremes(inv_sqrt_w @ sqrt_w - np.eye(ww.shape[0]))[0] > 1e-10:
             raise ValueError("inverse root of norm weight failed its residual check")

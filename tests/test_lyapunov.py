@@ -327,6 +327,19 @@ class TestSolveAlgebraic:
         with pytest.raises(ValueError, match="positive definite"):
             solve_algebraic(-np.eye(2), np.diag([1.0, -1.0]))
 
+    def test_a_solve_takes_one_svd(self, monkeypatch):
+        # |RHS| is the top eigenvalue of the positive-definiteness gate, so
+        # the residual check is the only SVD
+        calls, svd = [], np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        solve_algebraic(random_stable(6, 0.5, 3), random_psd(6, 5) + np.eye(6))
+        assert len(calls) == 1
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31), n=st.integers(2, 20), c=st.floats(-10.0, 10.0),
            jordan=st.booleans())
@@ -523,6 +536,37 @@ class TestCertificate:
         assert cert.worst_t == cert.t_grid[worst]
         assert cert.grid_pass == (ratios[worst] <= 1.0 + 1e-8)
         assert 1 <= cert.evaluated <= 200
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(family=st.sampled_from(["random-stable", "upwind", "jordan"]), n=st.integers(2, 8),
+           scale=st.floats(0.5, 2.0), seed=st.integers(0, 2**31), weighted=st.booleans())
+    def test_single_pass_matches_an_svd_at_every_point(self, family, n, scale, seed, weighted):
+        """The single pass reports the worst ratio, its time and the verdict an
+        SVD at every one of the 200 points gives, bit for bit."""
+        a = {"random-stable": lambda: random_stable(n, scale, seed),
+             "upwind": lambda: upwind_shift(n, scale),
+             "jordan": lambda: jordan_block(n, -scale)}[family]()
+        nm = (NormModel.from_weight(random_psd(n, seed) / n + np.eye(n)) if weighted
+              else NormModel.identity(n))
+        cert = certificate(membership_margin(solve_algebraic(a, nm.w), a, nm))
+        ratios = [singular_extremes(tw)[0] / (cert.overshoot * math.exp(-cert.epsilon * t))
+                  for t, tw in zip(cert.t_grid, _propagation(cert, a, nm))]
+        worst = int(np.argmax(ratios))
+        assert (cert.worst_ratio, cert.worst_t) == (ratios[worst], cert.t_grid[worst])
+        assert cert.grid_pass == (ratios[worst] <= 1.0 + 1e-8)
+        assert 1 <= cert.evaluated <= 200
+
+    @pytest.mark.parametrize("a", [heat_dirichlet(4), heat_dirichlet(10),
+                                   -np.diag([1.0, 2.0, 3.0])],
+                             ids=["heat-4", "heat-10", "diagonal-3"])
+    def test_the_earliest_time_wins_a_tie(self, a):
+        """On x86-64 with OpenBLAS these grids reach their largest ratio at two
+        or more points, bit for bit; ``worst_t`` is the earliest of them."""
+        nm = NormModel.identity(a.shape[0])
+        cert = certificate(membership_margin(solve_algebraic(a, nm.w), a, nm))
+        ratios = [singular_extremes(tw)[0] / (cert.overshoot * math.exp(-cert.epsilon * t))
+                  for t, tw in zip(cert.t_grid, _propagation(cert, a, nm))]
+        assert cert.worst_t == cert.t_grid[ratios.index(max(ratios))]
 
 
 def _certificate_case(family, weighted, n=64):

@@ -58,12 +58,12 @@ def _battery(root, margin=-0.5, total_s=0.1, csv="re_lambda\n-1.0\n", code=0, q=
 @pytest.mark.parametrize("change, differs", [
     ({}, None),
     ({"total_s": 9.0}, None),  # timings and config.out_dir alone may differ
-    ({"margin": -0.25}, "job/certify.json"),
+    ({"margin": -0.25}, "job/certify.json candidate.margin"),
     ({"csv": "re_lambda\n-2.0\n"}, "job/scan.csv"),
-    ({"code": 2}, "exit_codes.json"),
+    ({"code": 2}, "exit_codes.json job"),
     *[({"q": q}, None) for q in Q_LAYOUTS],  # the same bits in another layout
-    ({"q": Q_FLIPPED}, "job/certify.json"),
-    ({"q": {"rows": 1, "cols": 2, "data_real": [-1.5, -0.0]}}, "job/certify.json"),
+    ({"q": Q_FLIPPED}, "job/certify.json candidate.q"),
+    ({"q": {"rows": 1, "cols": 2, "data_real": [-1.5, -0.0]}}, "job/certify.json candidate.q"),
 ], ids=["equal", "timings-and-out-dir", "margin", "csv", "exit-code", "data_real", "data",
         "c128le", "flipped-bit", "negative-zero"])
 def test_report_battery_compare(tmp_path, change, differs):
@@ -72,4 +72,5 @@ def test_report_battery_compare(tmp_path, change, differs):
                              str(a), str(b)], capture_output=True, text=True, timeout=60)
     assert result.returncode == (0 if differs is None else 1)
     if differs is not None:
-        assert result.stdout.split() == ["differs:", str(Path(differs))]
+        # the file, then the dotted path of each field that differs
+        assert result.stdout.split() == ["differs:", *differs.split()]

@@ -95,6 +95,20 @@ def test_norm_model_root_invariants():
     assert np.allclose(nm.inv_sqrt_w @ nm.sqrt_w, np.eye(5), atol=1e-10)
 
 
+def test_norm_model_takes_two_svds(monkeypatch):
+    # |W| is the top eigenvalue of the root's eigensolve; the SVDs are the
+    # two residual checks
+    calls, svd = [], np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    NormModel.from_weight(random_psd(5, 11) + 0.5 * np.eye(5))
+    assert len(calls) == 2
+
+
 def test_riesz_map_requires_strong_positivity():
     nm = NormModel.identity(2)
     r = RieszMap.from_matrix(2.0 * np.eye(2), nm)
