@@ -13,8 +13,9 @@ machinery is deliberately out.
 
 from __future__ import annotations
 
-import collections
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -28,17 +29,24 @@ __all__ = [
     "hermitian_gate",
     "expm",
     "expm_grid",
+    "expm_stacks",
     "hermitian_eig",
     "singular_extremes",
     "singularity_gate",
     "solve_linear",
     "gauss_legendre_nodes",
+    "gil_free_depth",
+    "run_on_cpus",
 ]
 
 SOLVER_RESIDUAL_TOL = 1e-10
 
 _EPS = float(np.finfo(np.float64).eps)
 _DTYPES = (np.dtype(np.float64), np.dtype(np.complex128))
+# bytes of samples per stack ``expm_stacks`` yields: for a real generator the
+# 64-point default grid is one stack up to n = 32 and stacks of 28 at n = 48,
+# deep enough for two GIL-free SVD runs, and one sample per stack from n = 256
+_GRID_BYTES = 512 * 1024
 
 
 class SingularMatrixError(ValueError):
@@ -95,32 +103,32 @@ _PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
 _PADE_COEFFS = {m: _pade_coefficients(m) for m in _PADE_THETA}
 
 
-def expm(a, t: float) -> np.ndarray:
-    """Matrix exponential of ``t * a`` by Pade scaling and squaring.
+def _one_norms(x: np.ndarray):
+    """1-norm of a matrix, or of each slice of a stack, summed as
+    ``np.linalg.norm(x, 1)`` sums it: a slice's norm is bit for bit the one
+    the slice alone gets."""
+    return np.abs(x).sum(axis=-2).max(axis=-1)
 
-    Higham's Algorithm 2.3 (SIAM J. Matrix Anal. Appl. 26, 2005; see also
-    Moler & Van Loan, SIAM Rev. 45, 2003).  With X = t a, the lowest degree
-    m in {3, 5, 7, 9} with |X|_1 <= theta_m is used unscaled; otherwise X is
-    halved s times until |X|_1 <= theta_13 = 5.37 and m = 13.  The [m/m]
-    approximant r_m = q_m(X)^-1 p_m(X) comes from one solve (q_m is well
-    conditioned for |X|_1 <= theta_m) and is squared s times.  The backward
-    error is at the unit roundoff.  ``t = 0`` returns the identity exactly.
-    """
-    m = as_matrix(a, "a")
-    if not t >= 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    n = m.shape[0]
-    ident = np.eye(n, dtype=m.dtype)
-    if t == 0.0:
-        return ident
 
-    x = m * t
-    norm = float(np.linalg.norm(x, 1))
-    degree = next((d for d, theta in _PADE_THETA.items() if norm <= theta), 13)
-    squarings = 0
-    if norm > _PADE_THETA[13]:
-        squarings = int(math.ceil(math.log2(norm / _PADE_THETA[13])))
+def _pade_order(norm: float) -> tuple[int, int]:
+    """(m, s) of Higham's Algorithm 2.3 for |X|_1 = ``norm``: the lowest degree
+    m in {3, 5, 7, 9} with |X|_1 <= theta_m, else m = 13 after s halvings
+    bring |X|_1 to theta_13 or below."""
+    if norm <= _PADE_THETA[13]:
+        return next(d for d, theta in _PADE_THETA.items() if norm <= theta), 0
+    return 13, int(math.ceil(math.log2(norm / _PADE_THETA[13])))
+
+
+def _pade_exp(m: np.ndarray, ts: np.ndarray, degree: int, squarings: int) -> np.ndarray:
+    """exp(t m) for each t of ``ts``, every one with the same (degree,
+    squarings): one stack X = t m / 2^s, its [m/m] approximant
+    r_m = q_m(X)^-1 p_m(X) from one stacked solve (q_m is well conditioned
+    for |X|_1 <= theta_m), squared s times."""
+    x = m * ts[:, None, None]
+    if squarings:
         x = x * 2.0 ** -squarings
+    # the identity at x's shape, so that numpy can sum the terms in place
+    ident = np.broadcast_to(np.eye(m.shape[0], dtype=m.dtype), x.shape)
     c = _PADE_COEFFS[degree]
     x2 = x @ x
     if degree == 13:
@@ -142,30 +150,155 @@ def expm(a, t: float) -> np.ndarray:
     return result
 
 
+def expm(a, t: float) -> np.ndarray:
+    """Matrix exponential of ``t * a`` by Pade scaling and squaring.
+
+    Higham's Algorithm 2.3 (SIAM J. Matrix Anal. Appl. 26, 2005; see also
+    Moler & Van Loan, SIAM Rev. 45, 2003).  With X = t a, the lowest degree
+    m in {3, 5, 7, 9} with |X|_1 <= theta_m is used unscaled; otherwise X is
+    halved s times until |X|_1 <= theta_13 = 5.37 and m = 13.  The [m/m]
+    approximant r_m = q_m(X)^-1 p_m(X) comes from one solve (q_m is well
+    conditioned for |X|_1 <= theta_m) and is squared s times.  The backward
+    error is at the unit roundoff.  ``t = 0`` returns the identity exactly.
+    """
+    m = as_matrix(a, "a")
+    if not t >= 0.0:
+        raise ValueError(f"t must be nonnegative, got {t}")
+    if t == 0.0:
+        return np.eye(m.shape[0], dtype=m.dtype)
+    return _pade_exp(m, np.array([t], dtype=float), *_pade_order(_one_norms(m * t)))[0]
+
+
 def expm_grid(a, grid):
     """Yield exp(t a) for each t of an increasing grid, bit for bit
-    :func:`expm` of each t.
+    :func:`expm` of each t: the samples of :func:`expm_stacks`, one by one."""
+    for stack in expm_stacks(a, grid):
+        yield from stack
+
+
+def expm_stacks(a, grid):
+    """Yield exp(t a) over an increasing grid as stacks of consecutive
+    samples, each sample bit for bit :func:`expm` of its t.
 
     When |t a|_1 > theta_13, expm(a, t) squares at least once, and halving t
     is exact, so expm(a, t/2) scales to the same X, builds the same Pade
-    approximant and stops one squaring short: a point whose exact half came
-    earlier takes that sample's square (barring subnormal entries, where the
-    halving rounds).  Every other point takes its own expm call.  Samples at
-    or below half the current time can no longer be squared and are dropped,
-    so at most one octave of matrices is alive."""
+    approximant (theta_13 / 2 > theta_9 keeps its degree at 13) and stops
+    one squaring short: a point whose exact half is an earlier grid point
+    takes that sample's square (barring subnormal entries, where the
+    halving rounds).  Every other point takes its own approximant, and a
+    run of such points that share (degree, squarings) takes them in one
+    stacked evaluation; |t a|_1 grows with t, so on an increasing grid each
+    (degree, squarings) group of a stack is one run.  A run of squares
+    whose halves are all computed is one stacked matmul: on
+    ``default_time_grid``, one octave.
+
+    A stack holds at most _GRID_BYTES of samples, or one sample where a
+    matrix is larger, and a sample is kept past its stack only until its
+    square is taken: on a grid with K points per octave, besides the stack
+    in hand, at most K samples and the stacks that hold them stay alive.
+    Callers must not write into a yielded stack."""
     m = as_matrix(a, "a")
-    window = collections.deque()  # (s, exp(s a)) for the grid times s in (t/2, t]
-    for t in grid:
-        half = 0.5 * t
-        while window and window[0][0] < half:
-            window.popleft()
-        if window and window[0][0] == half and np.linalg.norm(m * t, 1) > _PADE_THETA[13]:
-            e = window.popleft()[1]
-            e = e @ e
-        else:
-            e = expm(m, t)
-        window.append((t, e))
-        yield e
+    ts = np.asarray(grid, dtype=float).reshape(-1)
+    if not np.all(ts >= 0.0):
+        raise ValueError(f"t must be nonnegative, got {ts[~(ts >= 0.0)][0]}")
+    depth = max(_GRID_BYTES // m.nbytes, 1)
+    norms = [v for i in range(0, ts.size, depth)
+             for v in _one_norms(m * ts[i:i + depth, None, None]).tolist()]
+    halves = np.full(ts.size, -1)  # the earlier point each one squares, else -1
+    first = {}
+    for i, t in enumerate(ts.tolist()):
+        if norms[i] > _PADE_THETA[13] and 0.5 * t in first:
+            halves[i] = first[0.5 * t]
+        first.setdefault(t, i)
+    squared = set(halves[halves >= 0].tolist())
+    orders = [_pade_order(v) if t else None for v, t in zip(norms, ts)]  # None: t = 0
+    kept = {}  # sample index -> its matrix, until its square is taken
+    for start in range(0, ts.size, depth):
+        stop = min(start + depth, ts.size)
+        runs = []  # the block's runs, each one stack in grid order
+        i = start
+        while i < stop:
+            j = i + 1
+            if halves[i] < 0:  # points that take their own approximant, of one order
+                while j < stop and halves[j] < 0 and orders[j] == orders[i]:
+                    j += 1
+                run = (np.repeat(np.eye(m.shape[0], dtype=m.dtype)[None], j - i, 0)
+                       if orders[i] is None else _pade_exp(m, ts[i:j], *orders[i]))
+            else:  # a run of squares whose halves are all computed
+                while j < stop and 0 <= halves[j] < i:
+                    j += 1
+                halfway = np.stack([kept.pop(h) for h in halves[i:j].tolist()])
+                run = halfway @ halfway
+            runs.append(run)
+            for k in squared.intersection(range(i, j)):
+                kept[k] = run[k - i]
+            i = j
+        # a stack allocated after its temporaries are freed, not before them,
+        # keeps the allocator from handing their pages back to the system
+        yield runs[0] if len(runs) == 1 else np.concatenate(runs)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on (the machine's where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def gil_free_depth(order: int) -> int:
+    """Fewest matrices of the given order a stacked ``np.linalg`` call must
+    hold for numpy to release the GIL while it runs: it releases it only
+    when depth x order > 500 (``NPY_BEGIN_THREADS_THRESHOLDED`` in its
+    gufunc loop), so a shallower stack runs no faster on a second thread."""
+    return 500 // order + 1
+
+
+def run_on_cpus(work, count: int, order: int, depth: int | None = None) -> None:
+    """Call ``work(start, stop)`` on consecutive slices covering range(count),
+    each one stacked call over ``depth`` matrices of the given order, or
+    :func:`gil_free_depth` of them if that is more (None: one call per CPU,
+    on as many CPUs as can each take a call that deep); the last call may
+    be shallower.
+
+    The calls deep enough to release the GIL go in contiguous runs, one per
+    CPU the process may run on, capped by their count: the calling thread
+    takes the first run, a short-lived thread each other.  A shallower last
+    call is a run of its own on the calling thread, since on a second thread
+    it would only wait for the GIL.  Each call must write only its own
+    slice's results, so no value depends on the CPU count.  Every thread has
+    ended before the earliest failed run's error is raised."""
+    cpus, free = _cpu_count(), gil_free_depth(order)
+    if depth is None:
+        depth = -(-count // max(min(cpus, count // free), 1))
+    depth = max(depth, free)
+    calls = [(start, min(start + depth, count)) for start in range(0, count, depth)]
+    deep = [call for call in calls if call[1] - call[0] >= free]
+    parts = min(cpus, len(deep))
+    runs = [deep[r * len(deep) // parts:(r + 1) * len(deep) // parts] for r in range(parts)]
+    local = [0] if runs else []  # the runs the calling thread takes, in order
+    if len(deep) < len(calls):
+        local.append(len(runs))
+        runs.append(calls[-1:])
+    failures = {}  # run -> its error
+
+    def run(r):
+        try:
+            for start, stop in runs[r]:
+                work(start, stop)
+        except Exception as exc:  # raised once every run has ended
+            failures[r] = exc
+
+    workers = [threading.Thread(target=run, args=(r,)) for r in range(1, parts)]
+    for worker in workers:
+        worker.start()
+    for r in local:
+        run(r)
+        if r in failures:  # no later run's error can be the earliest
+            break
+    for worker in workers:
+        worker.join()
+    if failures:
+        raise failures[min(failures)]
 
 
 def hermitian_gate(h, name: str = "matrix") -> np.ndarray:

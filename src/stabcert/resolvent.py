@@ -11,15 +11,19 @@ a failed global optimizer could certify silently.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lyapunov import LyapunovCandidate
 from .models import SplitMix64, random_vector, write_atomic
-from .numkernel import SingularMatrixError, as_matrix, singularity_gate, solve_linear
+from .numkernel import (
+    SingularMatrixError,
+    as_matrix,
+    run_on_cpus,
+    singularity_gate,
+    solve_linear,
+)
 from .semigroup import spectral_bound
 from .space import NormModel, op_norm, whiten_operator
 
@@ -40,13 +44,12 @@ DEFAULT_SCAN_TOL = 1e-9
 # one SVD (about 16 ms at n = 256), each time sample one exponential
 MAX_GRID_POINTS = 100_000
 _PROOF_SAMPLES = 3
-# bytes of shifted matrices per stacked SVD and solve: below n = 128 a block
-# shares one call's overhead among many shifts, from n = 128 on it is one
-# matrix; a scan holds one block in flight per thread it runs on
+# bytes of shifted matrices per stacked SVD and solve, which shares one
+# call's overhead among the block's shifts.  ``run_on_cpus`` deepens a block
+# to the depth at which numpy releases the GIL in its SVD, 500 // n + 1
+# shifts, which is the deeper rule above n = 32 (11 shifts at n = 48, 2 at
+# n = 256).  A scan holds one block in flight per thread it runs on
 _BLOCK_BYTES = 256 * 1024
-# largest order whose scan splits its blocks among CPUs: above it, up to n = 256,
-# stacked complex SVDs on two threads took longer than on one (OpenBLAS 0.3.31)
-_SPLIT_MAX_ORDER = 32
 _PROFILE_STABLE_REL = 1e-6
 _PROFILE_MAX_REFINEMENTS = 12
 
@@ -91,13 +94,6 @@ def _symmetric_axis(extent: float, count: int) -> np.ndarray:
     return 0.5 * (x - x[::-1])
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on (the machine's where affinity is unknown)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _scan_norms(aw: np.ndarray, grid: list, wy: np.ndarray | None = None):
     """|R_w(lambda)| at every grid point, the column norms of R_w(lambda) wy at
     every point (one row per point) when right-hand sides ``wy`` are given
@@ -115,10 +111,9 @@ def _scan_norms(aw: np.ndarray, grid: list, wy: np.ndarray | None = None):
     that point's values.  Every other point takes its own SVD, and for a real
     A_w its solve covers [wy, conj wy].  The evaluated shifts go in grid order
     in blocks of _BLOCK_BYTES: one stacked SVD and one stacked solve each.
-    Up to order _SPLIT_MAX_ORDER the blocks go in contiguous runs, one per CPU
-    the process may run on: the calling thread takes the first, a short-lived
-    thread each other; each fills its own rows, so no value depends on the
-    CPU count.  Every thread has ended before the first failed run raises.
+    ``run_on_cpus`` takes the blocks in contiguous runs, one per CPU; each
+    block fills its own rows, so no value depends on the CPU count, and the
+    first failed run raises.
     """
     mirror = np.isrealobj(aw)
     aw = aw.astype(complex)  # every shift is complex: cast A_w once, not per block
@@ -138,43 +133,27 @@ def _scan_norms(aw: np.ndarray, grid: list, wy: np.ndarray | None = None):
         rhs = np.hstack([wy, wy.conj()]) if mirror else wy
         cols = np.empty((len(shifts), rhs.shape[1]))
     eye = np.eye(aw.shape[0], dtype=complex)
-    size = max(_BLOCK_BYTES // aw.nbytes, 1)
-    starts = range(0, len(shifts), size)
-    parts = min(_cpu_count(), len(starts)) if len(aw) <= _SPLIT_MAX_ORDER else 1
-    failures = {}  # run -> its error
 
-    def scan(run):
+    def scan(start, stop):
+        shifted = shifts[start:stop, None, None] * eye - aw
         try:
-            for start in starts[run * len(starts) // parts:(run + 1) * len(starts) // parts]:
-                block = slice(start, start + size)
-                shifted = shifts[block, None, None] * eye - aw
-                try:
-                    sigma_max, sigma_min = singularity_gate(shifted)
-                except SingularMatrixError as exc:
-                    lam = complex(shifts[start + exc.index])
-                    # A_w is similar to A, so its eigenvalues are A's
-                    eigs = np.linalg.eigvals(aw)
-                    nearest = complex(min(eigs, key=lambda e: abs(e - lam)))
-                    raise ResolventSingularError(
-                        f"shift {lam:.6e} is on the spectrum to working precision "
-                        f"(nearest eigenvalue {nearest:.6e})",
-                        nearest_eigenvalue=nearest,
-                    ) from exc
-                norms[block] = 1.0 / sigma_min
-                if wy is not None:
-                    # the gate's sigma_max scales each slice's residual contract
-                    cols[block] = np.linalg.norm(solve_linear(shifted, rhs, sigma_max), axis=-2)
-        except Exception as exc:  # raised once every run has ended
-            failures[run] = exc
+            sigma_max, sigma_min = singularity_gate(shifted)
+        except SingularMatrixError as exc:
+            lam = complex(shifts[start + exc.index])
+            # A_w is similar to A, so its eigenvalues are A's
+            eigs = np.linalg.eigvals(aw)
+            nearest = complex(min(eigs, key=lambda e: abs(e - lam)))
+            raise ResolventSingularError(
+                f"shift {lam:.6e} is on the spectrum to working precision "
+                f"(nearest eigenvalue {nearest:.6e})",
+                nearest_eigenvalue=nearest,
+            ) from exc
+        norms[start:stop] = 1.0 / sigma_min
+        if wy is not None:
+            # the gate's sigma_max scales each slice's residual contract
+            cols[start:stop] = np.linalg.norm(solve_linear(shifted, rhs, sigma_max), axis=-2)
 
-    workers = [threading.Thread(target=scan, args=(run,)) for run in range(1, parts)]
-    for worker in workers:
-        worker.start()
-    scan(0)
-    for worker in workers:
-        worker.join()
-    if failures:
-        raise failures[min(failures)]
+    run_on_cpus(scan, len(shifts), aw.shape[0], _BLOCK_BYTES // aw.nbytes)
     rows, flipped = (np.array(column) for column in zip(*source))
     proofs = None
     if wy is not None:

@@ -21,8 +21,10 @@ from .numkernel import (
     as_matrix,
     expm,
     expm_grid,
+    expm_stacks,
     gauss_legendre_nodes,
     hermitian_part,
+    run_on_cpus,
     singular_extremes,
 )
 from .space import NormModel, _as_vector, op_norm, vec_norm, whiten_operator
@@ -169,6 +171,25 @@ def _validated_grid(t_grid) -> np.ndarray:
     return grid
 
 
+def _grid_extremes(a, grid, nm: NormModel | None = None):
+    """Yield (t, sigma_max, sigma_min) of exp(t a), whitened by ``nm`` when
+    given, at each time of the grid in order.  Each stack ``expm_stacks``
+    yields takes its SVDs in stacked calls on every CPU (``run_on_cpus``),
+    and a consumer that stops early leaves the later stacks unevaluated."""
+    done = 0
+    for block in expm_stacks(a, grid):
+        sigma = np.empty((2, len(block)))
+
+        def svd(start, stop):
+            part = block[start:stop]
+            sigma[:, start:stop] = singular_extremes(part if nm is None
+                                                     else whiten_operator(part, nm))
+
+        run_on_cpus(svd, len(block), block.shape[-1])
+        yield from zip(grid[done:done + len(block)], sigma[0].tolist(), sigma[1].tolist())
+        done += len(block)
+
+
 def growth_bound_estimate(a, nm: NormModel, t_grid) -> SpectralSummary:
     """Estimate the growth bound as min over the grid of log|T(t)| / t.
 
@@ -182,7 +203,7 @@ def growth_bound_estimate(a, nm: NormModel, t_grid) -> SpectralSummary:
         raise ValueError(f"time grid needs >= 8 points, got {grid.size}")
     # whitening each T(t), not A once: exp(t A_w) loses the structure that
     # keeps exp(t A) accurate deep into the decay for triangular generators
-    norms = [op_norm(e, nm) for e in expm_grid(m, grid)]
+    norms = [sigma_max for _, sigma_max, _ in _grid_extremes(m, grid, nm)]
     return SpectralSummary(
         s=spectral_bound(m),
         omega0_hat=float(min(math.log(v) / t for v, t in zip(norms, grid) if v > 0.0)),
@@ -244,11 +265,11 @@ def gramian_quadrature(a, weight, t_max: float, panels: int) -> np.ndarray:
     if panels < 1:
         raise ValueError(f"panels must be >= 1, got {panels}")
     nodes, weights = gauss_legendre_nodes(t_max / panels, 1)
+    *exps, power = expm_grid(a, np.append(nodes, t_max / panels))
     x = 0.0
-    for t, w in zip(nodes, weights):
-        e = expm(a, float(t))
+    for e, w in zip(exps, weights):
         x = x + w * (e.conj().T @ weight @ e)
-    x, power, total = hermitian_part(x), expm(a, t_max / panels), None
+    x, total = hermitian_part(x), None
     while True:
         if panels & 1:
             total = x if total is None else x + power.conj().T @ total @ power
@@ -300,8 +321,7 @@ def lower_envelope(a, nm: NormModel, t_grid=None) -> EnvelopeFit:
     a_w = whiten_operator(m, nm)  # exp(t A_w) is accurate above the sqrt(eps) stop
     nrm_a = singular_extremes(a_w)[0]
     samples = []
-    for t, e in zip(grid, expm_grid(a_w, grid)):
-        sigma_max, sigma_min = singular_extremes(e)
+    for t, sigma_max, sigma_min in _grid_extremes(a_w, grid):
         if sigma_min <= math.sqrt(_EPS) * sigma_max:
             break
         noise = 64.0 * _EPS * sigma_max

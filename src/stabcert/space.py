@@ -114,8 +114,9 @@ def pairing(q, x, y) -> complex:
 
 
 def whiten_operator(t, nm: NormModel) -> np.ndarray:
-    """Similarity whitening for operators on the state space."""
-    tt = as_matrix(t, "t")
+    """Similarity whitening for operators on the state space, or for each
+    of an ``(..., n, n)`` stack of them."""
+    tt = as_matrix(t, "t", stack=True)
     return tt.copy() if nm.is_identity else nm.sqrt_w @ tt @ nm.inv_sqrt_w
 
 

@@ -1,6 +1,8 @@
 import cmath
 import math
-import weakref
+import threading
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,11 +17,13 @@ from stabcert.numkernel import (
     as_matrix,
     expm,
     expm_grid,
+    expm_stacks,
     gauss_legendre_nodes,
     hermitian_eig,
     hermitian_gate,
     hermitian_part,
     singular_extremes,
+    run_on_cpus,
     singularity_gate,
     solve_linear,
 )
@@ -171,13 +175,14 @@ class TestExpmGrid:
             assert np.array_equal(e, expm(a, t))
 
     def _counting_expm(self, monkeypatch):
-        calls, original = [], numkernel.expm
+        """The times of every Pade approximant the kernel evaluates, in order."""
+        calls, original = [], numkernel._pade_exp
 
-        def counting(a, t):
-            calls.append(t)
-            return original(a, t)
+        def counting(m, ts, degree, squarings):
+            calls.extend(ts.tolist())
+            return original(m, ts, degree, squarings)
 
-        monkeypatch.setattr(numkernel, "expm", counting)
+        monkeypatch.setattr(numkernel, "_pade_exp", counting)
         return calls
 
     def test_a_logspace_grid_takes_one_expm_per_point(self, monkeypatch):
@@ -198,15 +203,102 @@ class TestExpmGrid:
                          if j < k or np.linalg.norm(a * t, 1) <= theta]
         assert len(calls) == 18
 
-    def test_at_most_one_octave_of_samples_stays_alive(self):
-        a = upwind_shift(40)
+    @pytest.mark.parametrize("family", ["upwind", "heat", "jordan-complex"])
+    @pytest.mark.parametrize("depth", [1, 4, None])  # None: the default budget
+    def test_a_walk_stays_within_its_byte_budget(self, family, depth):
+        # stacks of consecutive samples, none above the budget; while they
+        # are walked, the samples of one octave (K per octave) and the stack
+        # in hand stay alive, plus the Pade working set of one stack.  With a
+        # one-sample budget, a walk that kept the grid (64 samples) fails it
+        a = _grid_generator(family, 40)
         grid = default_time_grid(a)
         k = int(np.flatnonzero(grid == 2.0 * grid[0])[0])
-        refs = []
-        for e in expm_grid(a, grid):
-            refs.append(weakref.ref(e))
-            del e
-            assert sum(r() is not None for r in refs) <= k + 1
+        budget = numkernel._GRID_BYTES if depth is None else depth * a.nbytes
+        with mock.patch.object(numkernel, "_GRID_BYTES", budget):
+            tracemalloc.start()
+            try:
+                sizes = []
+                for stack in expm_stacks(a, grid):
+                    sizes.append(len(stack))
+                    del stack
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        most = max(budget // a.nbytes, 1)
+        assert sum(sizes) == 64 and max(sizes) == most and set(sizes[:-1]) == {most}
+        assert peak <= (k + 1 + 12 * most) * a.nbytes
+
+    def test_the_desk_scale_limit_walks_one_sample_at_a_time(self):
+        # at n = 256 one real matrix fills the default budget
+        stacks = expm_stacks(upwind_shift(256), [0.01, 0.02, 0.04, 0.08])
+        assert [len(stack) for stack in stacks] == [1, 1, 1, 1]
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(family=st.sampled_from(["jordan-complex", "random-stable-spd", "upwind", "heat"]),
+           n=st.integers(2, 12),
+           times=st.lists(st.tuples(st.floats(1e-3, 40.0), st.integers(0, 4)),
+                          min_size=1, max_size=12),
+           depth=st.sampled_from([1, 3, None]))
+    def test_every_sample_is_bitwise_expm(self, family, n, times, depth):
+        # an increasing grid where t, 2t, ..., 2^d t are exact doubles of each
+        # base time t, walked in stacks of 1, 3 or the default budget's samples
+        a = _grid_generator(family, n)
+        grid = np.unique([math.ldexp(t, j) for t, d in times for j in range(d + 1)])
+        budget = numkernel._GRID_BYTES if depth is None else depth * a.nbytes
+        with mock.patch.object(numkernel, "_GRID_BYTES", budget):
+            samples = list(expm_grid(a, grid))
+        assert len(samples) == grid.size
+        for t, e in zip(grid, samples):
+            assert e.dtype == a.dtype and np.array_equal(e, expm(a, t))
+
+
+class TestRunOnCpus:
+    @staticmethod
+    def calls(count, order, depth=None, cpus=2):
+        """The (start, stop, thread) of every call, in the order they ran."""
+        seen = []
+        with mock.patch.object(numkernel, "_cpu_count", lambda: cpus):
+            run_on_cpus(lambda start, stop: seen.append((start, stop, threading.current_thread())),
+                        count, order, depth)
+        return seen
+
+    @pytest.mark.parametrize("count, order, depth, cpus, slices, threads", [
+        (64, 48, None, 2, [(0, 32), (32, 64)], 2),  # one run per CPU, 32 x 48 > 500
+        (20, 48, None, 2, [(0, 20)], 1),  # two runs of 10 would hold the GIL
+        (8, 8, None, 3, [(0, 8)], 1),
+        (0, 8, None, 2, [], 0),
+        (300, 16, 64, 2, [(0, 64), (64, 128), (128, 192), (192, 256), (256, 300)], 2),
+        # 12 x 16 < 500: the last call runs on the calling thread after its run
+        (300, 16, 1, 2, [(0, 32), (32, 64), (64, 96), (96, 128), (128, 160), (160, 192),
+                         (192, 224), (224, 256), (256, 288), (288, 300)], 2),
+        (312, 8, 256, 2, [(0, 256), (256, 312)], 1),  # 56 x 8 < 500: the n = 8 strip
+        (312, 8, 256, 1, [(0, 256), (256, 312)], 1),
+    ])
+    def test_runs_cover_the_count_in_calls_deep_enough_to_split(
+            self, count, order, depth, cpus, slices, threads):
+        seen = self.calls(count, order, depth, cpus)
+        assert sorted(call[:2] for call in seen) == slices
+        assert len({call[2] for call in seen}) == threads
+        if seen:
+            assert threading.current_thread() in {call[2] for call in seen}
+
+    def test_the_earliest_failed_run_raises_after_every_run_ends(self):
+        # four runs of one 8-deep call at n = 64: the calling thread's passes,
+        # runs 1 and 3 fail on workers, and run 2 is still going when they do
+        ended, threads = [], threading.active_count()
+
+        def work(start, stop):
+            if start == 16:
+                threading.Event().wait(0.05)
+            ended.append(start)
+            if start in (8, 24):
+                raise ValueError(start)
+
+        with mock.patch.object(numkernel, "_cpu_count", lambda: 4):
+            with pytest.raises(ValueError) as excinfo:
+                run_on_cpus(work, 32, 64, 8)
+        assert excinfo.value.args == (8,)
+        assert sorted(ended) == [0, 8, 16, 24] and threading.active_count() == threads
 
 
 class TestHermitianEig:

@@ -564,10 +564,14 @@ class TestStackedScans:
         with pytest.raises(ResolventSingularError) as excinfo:
             stabcert.resolvent._scan_norms(aw, grid, np.ones((4, 3), dtype=complex))
         assert excinfo.value.nearest_eigenvalue == first
-        # two shifts per block on three CPUs: one block per run, the calling
-        # thread's [0.5j, 1+1j], then workers' [first, 0.25] and [other, 2j]
-        monkeypatch.setattr(stabcert.resolvent, "_cpu_count", lambda: 3)
-        monkeypatch.setattr(stabcert.resolvent, "_BLOCK_BYTES", 2 * 16 * aw.size)
+        # blocks as shallow as the GIL rule lets a run split off (126 shifts
+        # at n = 4) on three CPUs: one block per run, the calling thread's,
+        # then a worker's led by ``first`` and a worker's led by ``other``
+        depth = stabcert.numkernel.gil_free_depth(len(aw))
+        monkeypatch.setattr(stabcert.numkernel, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(stabcert.resolvent, "_BLOCK_BYTES", 1)
+        grid = [lam for k, lead in enumerate([0.5j, complex(first), complex(other)])
+                for lam in [lead, *(complex(0.5, k + (j + 1) / depth) for j in range(depth - 1))]]
         threads = threading.active_count()
         lone = [0.75 + 0.0j if lam == first else lam for lam in grid]
         regular = [0.75 + 0.0j if lam.imag == 0.0 and lam.real < 0.0 else lam for lam in grid]
@@ -580,44 +584,69 @@ class TestStackedScans:
                 assert excinfo.value.nearest_eigenvalue == raised
                 assert threading.active_count() == threads
 
-    @pytest.mark.parametrize("case", sorted(SCAN_CASES))
-    def test_reports_do_not_depend_on_the_cpu_count(self, monkeypatch, case):
+    @pytest.mark.parametrize("case, n", [
+        *((case, 16) for case in sorted(SCAN_CASES)),
+        *((case, n) for n in (48, 64) for case in ("heat", "random-stable-weighted")),
+    ])
+    def test_reports_do_not_depend_on_the_cpu_count(self, monkeypatch, case, n):
+        # blocks as shallow as the GIL rule allows: 32 shifts at n = 16, 11 at
+        # n = 48 and 8 at n = 64
         make, weighted = SCAN_CASES[case]
-        n = 16
         a = make(n)
         nm = NormModel.from_weight(tridiagonal_weight(n)) if weighted else NormModel.identity(n)
         cand = member_for(a, nm)
-        monkeypatch.setattr(stabcert.resolvent, "_BLOCK_BYTES", 2 * n * n * 16)
+        monkeypatch.setattr(stabcert.resolvent, "_BLOCK_BYTES", 1)
         reports = []
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # threads interleave as often as they can
         try:
             for cpus in (1, 2, 3, 64):  # 64: up to 63 worker threads at once
-                monkeypatch.setattr(stabcert.resolvent, "_cpu_count", lambda: cpus)
+                monkeypatch.setattr(stabcert.numkernel, "_cpu_count", lambda: cpus)
                 reports.append(self.scans(cand))
         finally:
             sys.setswitchinterval(switch)
         assert all(report == reports[0] for report in reports[1:])
 
-    @pytest.mark.parametrize("n, most, runs", [(32, 16, 2), (48, 7, 1), (128, 1, 1)])
-    def test_stacks_stay_within_the_block_budget(self, monkeypatch, n, most, runs):
-        a = heat_dirichlet(n)
-        cand = member_for(a, NormModel.identity(n))
-        monkeypatch.setattr(stabcert.resolvent, "_cpu_count", lambda: 2)
-        stacks, threads = [], set()
+    @staticmethod
+    def strip_stacks(monkeypatch, n, n_grid):
+        """The stacked SVDs of a heat strip scan on two CPUs, the threads that
+        took them, and the scan's report."""
+        cand = member_for(heat_dirichlet(n), NormModel.identity(n))
+        monkeypatch.setattr(stabcert.numkernel, "_cpu_count", lambda: 2)
+        stacks = []  # (stack, the thread that took its SVD)
         svd = np.linalg.svd
 
         def recording(m, *args, **kwargs):
-            stacks.append(m)
-            threads.add(threading.current_thread())
+            stacks.append((m, threading.current_thread()))
             return svd(m, *args, **kwargs)
 
         monkeypatch.setattr(stabcert.numkernel.np.linalg, "svd", recording)
-        report = verify_bound_left_strip(cand, n_grid=6)
+        report = verify_bound_left_strip(cand, n_grid=n_grid)
         monkeypatch.undo()
-        shifted = [m for m in stacks if m.ndim == 3]
-        assert sum(len(m) for m in shifted) == report.evaluated
-        assert all(m.nbytes <= stabcert.resolvent._BLOCK_BYTES for m in shifted)
-        assert max(len(m) for m in shifted) == most  # 36 KiB per matrix at n = 48
-        # two CPUs take two runs up to order 32, and the calling thread one of them
+        return [(m, thread) for m, thread in stacks if m.ndim == 3], report
+
+    @pytest.mark.parametrize("n, n_grid, blocks, runs", [
+        (32, 16, [16] * 9, 2), (32, 6, [16, 8], 1), (48, 6, [11, 11, 2], 2),
+        (128, 6, [4] * 6, 2),
+    ])
+    def test_stacks_stay_within_the_block_budget(self, monkeypatch, n, n_grid, blocks, runs):
+        # a block takes _BLOCK_BYTES of shifts (16 at n = 32, 7 at n = 48, 1 at
+        # n = 128), or as many as numpy needs to release the GIL in its SVD,
+        # 500 // n + 1, where that is more
+        stacks, report = self.strip_stacks(monkeypatch, n, n_grid)
+        depth = max(stabcert.resolvent._BLOCK_BYTES // (16 * n * n), 500 // n + 1)
+        assert sorted((len(m) for m, _ in stacks), reverse=True) == blocks
+        assert sum(blocks) == report.evaluated and max(blocks) == depth
+        # two CPUs take the blocks that release the GIL in two runs, and the
+        # calling thread one of them and every shallower block
+        threads = {thread for _, thread in stacks}
         assert len(threads) == runs and threading.current_thread() in threads
+        assert all(thread is threading.current_thread()
+                   for m, thread in stacks if len(m) < 500 // n + 1)
+
+    def test_a_lone_deep_block_keeps_the_scan_on_one_thread(self, monkeypatch):
+        # the n = 8 strip's 312 shifts take blocks of 256 and 56, and 56 x 8 =
+        # 448 SVD rows hold the GIL: a worker thread would only wait for it
+        stacks, _ = self.strip_stacks(monkeypatch, 8, 24)
+        assert [len(m) for m, _ in stacks] == [256, 56]
+        assert {thread for _, thread in stacks} == {threading.current_thread()}

@@ -32,7 +32,7 @@ from stabcert.semigroup import (
     lower_envelope,
     spectral_bound,
 )
-from stabcert.space import NormModel, op_norm, vec_norm
+from stabcert.space import NormModel, op_norm, vec_norm, whiten_operator
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
@@ -389,15 +389,17 @@ def test_certified_decay_reuses_the_growth_bound_samples(a, weight):
 def test_certified_decay_samples_one_grid(monkeypatch):
     """One probe per horizon tried, then the 64-point grid of the passing
     one: upwind at n = 40 tries 5 horizons, whose grids hold 320 samples.
-    Every sample comes through ``numkernel.expm_grid``, which calls
-    ``numkernel.expm`` wherever it cannot square an earlier sample: 37
-    times here, within the 64 + 7 of one grid and its probes."""
+    Every sample comes through ``numkernel.expm_stacks``, which evaluates a
+    Pade approximant (``numkernel._pade_exp``, one per time) wherever it
+    cannot square an earlier sample: 37 times here, within the 64 + 7 of
+    one grid and its probes."""
     counts = {"expm": 0, "growth_bound_estimate": 0}
-    for module, name in ((numkernel, "expm"), (semigroup, "growth_bound_estimate")):
+    for module, name, key in ((numkernel, "_pade_exp", "expm"),
+                              (semigroup, "growth_bound_estimate", "growth_bound_estimate")):
         original = getattr(module, name)
 
-        def counting(*args, name=name, original=original):
-            counts[name] += 1
+        def counting(*args, key=key, original=original):
+            counts[key] += len(args[1]) if key == "expm" else 1
             return original(*args)
 
         monkeypatch.setattr(module, name, counting)
@@ -464,3 +466,72 @@ def test_gramian_doubling_matches_the_panel_loop(family, weighted):
         got = gramian_quadrature(a, weight, t_max, panels)
         assert np.array_equal(got, got.conj().T)
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), panels
+
+
+def _per_node_gramian(a, weight, t_max, panels):
+    """Reference: ``gramian_quadrature`` with one ``expm`` per node and one
+    for the panel step."""
+    nodes, weights = gauss_legendre_nodes(t_max / panels, 1)
+    x = 0.0
+    for t, w in zip(nodes, weights):
+        e = expm(a, float(t))
+        x = x + w * (e.conj().T @ weight @ e)
+    x, power, total = hermitian_part(x), expm(a, t_max / panels), None
+    while True:
+        if panels & 1:
+            total = x if total is None else x + power.conj().T @ total @ power
+        panels >>= 1
+        if not panels:
+            return hermitian_part(total)
+        x = x + power.conj().T @ x @ power
+        power = power @ power
+
+
+@pytest.mark.parametrize("family", sorted(GRAMIAN_FAMILIES))
+def test_gramian_nodes_are_bitwise_expm(family):
+    """The five nodes and the panel step come from one ``expm_grid`` walk;
+    with |h A|_1 > theta_13 the step squares the middle node, h/2."""
+    a = GRAMIAN_FAMILIES[family][:16, :16]
+    weight = random_psd(16, 5) / 16.0 + np.eye(16)
+    for t_max, panels in ((1.0, 1), (40.0, 3), (400.0, 64)):
+        got = gramian_quadrature(a, weight, t_max, panels)
+        assert np.array_equal(got, _per_node_gramian(a, weight, t_max, panels)), (t_max, panels)
+
+
+GRID_CASES = {
+    "heat": (lambda n: heat_dirichlet(n), False),
+    "upwind": (upwind_shift, False),
+    "jordan-complex": (lambda n: jordan_block(n, -0.5 + 1j), False),
+    "random-stable-spd": (lambda n: random_stable(n, 0.5, 3), True),
+}
+
+
+@pytest.mark.parametrize("n", [8, 48])
+@pytest.mark.parametrize("case", sorted(GRID_CASES))
+def test_grid_singular_values_equal_a_per_sample_reference(monkeypatch, case, n):
+    """The growth bound's |T(t)| and the envelope's sigma_min samples, taken
+    from stacked SVDs on 1 to 3 CPUs over stacks of one sample, five, or the
+    default budget's, are bit for bit one ``expm`` and one SVD per sample."""
+    make, weighted = GRID_CASES[case]
+    a = make(n)
+    nm = NormModel.from_weight(random_psd(n, 11) / n + np.eye(n)) if weighted \
+        else NormModel.identity(n)
+    grid = default_time_grid(a)
+    norms = [op_norm(expm(a, t), nm) for t in grid]
+    a_w = whiten_operator(a, nm)
+    samples = []
+    for t in grid:
+        sigma_max, sigma_min = singular_extremes(expm(a_w, t))
+        if sigma_min <= math.sqrt(np.finfo(float).eps) * sigma_max:
+            break
+        samples.append((float(t), sigma_min))
+    for depth in (1, 5, None):
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(numkernel, "_cpu_count", lambda: cpus)
+            if depth is not None:
+                monkeypatch.setattr(numkernel, "_GRID_BYTES", depth * a.nbytes)
+            summary = growth_bound_estimate(a, nm, grid)
+            assert summary.norms == norms, (depth, cpus)
+            assert summary.omega0_hat == min(math.log(v) / t for v, t in zip(norms, grid) if v > 0.0)
+            assert lower_envelope(a, nm).grid == samples, (depth, cpus)
+            monkeypatch.undo()
