@@ -19,8 +19,9 @@ from functools import cached_property
 
 import numpy as np
 
+from . import numkernel
 from .numkernel import (KernelPrecisionError, as_matrix, expm, hermitian_eig, hermitian_gate,
-                        hermitian_part, singular_extremes)
+                        hermitian_part, run_on_cpus, singular_extremes)
 from .semigroup import (REFUTE_REAL_PART_TOL, Witness, certified_decay, gramian_quadrature,
                         refute_stability, stability_gate)
 from .space import NormModel, RieszMap, dual_map_norm, op_norm, whiten_form, whiten_operator
@@ -246,11 +247,25 @@ def construct_q0(
     return membership_margin(q0, aa, nm, tol=tol)
 
 
-def _norm_bound(t: np.ndarray) -> float:
-    """min(|T|_F, sqrt(|T|_1 |T|_inf)), an O(n^2) upper bound of |T|_2."""
-    mag = np.abs(t)
-    return min(float(np.linalg.norm(t)),
-               math.sqrt(float(mag.sum(axis=0).max()) * float(mag.sum(axis=1).max())))
+def _norm_bounds(stack: np.ndarray, mag: np.ndarray) -> np.ndarray:
+    """(1 + 8 n eps) min(|T|_F, sqrt(|T|_1 |T|_inf)) + n 2^-537 for each
+    slice T of an ``(d, n, n)`` stack: O(n^2) upper bounds of each computed
+    |T|_2, from ``mag``, a float64 buffer of the stack's shape that takes |T|.
+
+    Every sum here adds at most n nonnegative terms: the column and row sums,
+    each row's sum of squares and the sum of those n row totals.  In any
+    order BLAS or numpy adds them, such a sum is within (n - 1) eps of its
+    exact value, so each computed norm is at least (1 - (n + 1) eps) of the
+    exact one, itself at least |T|_2; the rest of the factor covers the
+    computed sigma_max, within a few eps |T|_2 of the exact one.  Squares
+    and products that underflow lose less than 2^-1074 each, which the
+    n 2^-537 covers."""
+    n = stack.shape[-1]
+    np.abs(stack, out=mag)
+    ones = np.ones(n)
+    one_inf = (ones @ mag).max(axis=-1) * (mag @ ones).max(axis=-1)
+    frobenius = (mag[..., None, :] @ mag[..., None]).reshape(len(mag), -1).sum(axis=-1)
+    return (1.0 + 8.0 * n * _EPS) * np.sqrt(np.minimum(frobenius, one_inf)) + math.ldexp(n, -537)
 
 
 def certificate(cand: LyapunovCandidate) -> StabilityCertificate:
@@ -262,18 +277,22 @@ def certificate(cand: LyapunovCandidate) -> StabilityCertificate:
     check then measures the worst ratio |T(t)| / (M e^{-eps t}) at 200
     equally spaced times over [0, 10/eps].  The whitened semigroup is
     propagated over the grid (Moler & Van Loan, SIAM Rev. 45, 2003):
-    T_w(k delta) = T_w(delta) T_w((k-1) delta), one exponential per call.
+    T_w(k delta) = T_w(delta) T_w((k-1) delta), one exponential per call,
+    into one reused buffer of _GRID_BYTES of points (one point where a
+    matrix is larger).
 
-    Only the worst ratio is reported, so one pass in time order takes an
-    SVD only where the bound
-    b_k = (1 + 8 n eps) min(|T_w|_F, sqrt(|T_w|_1 |T_w|_inf)) / (M e^{-eps t_k}),
-    whose factor covers the rounding of both norms, reaches the best exact
-    ratio so far.  A skipped point has ratio <= b_k < best, so it can
-    neither win nor tie, and as only a strictly larger ratio replaces the
-    best, ``worst_t`` is the earliest time of the largest ratio, as over
-    the full grid.  Members sitting exactly on the tolerance boundary can
-    exceed the envelope by O(margin * t), which the grid check reports
-    honestly.
+    Only the worst ratio is reported, so each block of the buffer takes its
+    bounds b_k = :func:`_norm_bounds` / (M e^{-eps t_k}) in one pass and an
+    SVD only where b_k reaches the best exact ratio so far: one at the
+    largest bound, then one stacked call, split among the CPUs, over the
+    rest whose bound still reaches it.  A skipped point has ratio
+    <= b_k < best, so it can neither win nor tie, and as the best is
+    replaced only by a larger ratio or an equal one at an earlier time,
+    ``worst_t`` is the earliest time of the largest ratio, as over the full
+    grid.  ``evaluated`` counts the SVDs; it depends on the block depth (the
+    order and dtype of A), not on the CPU count.  Members sitting exactly on
+    the tolerance boundary can exceed the envelope by O(margin * t), which
+    the grid check reports honestly.
     """
     cand.require_member()
     if cand.theta <= 0.0:
@@ -284,18 +303,45 @@ def certificate(cand: LyapunovCandidate) -> StabilityCertificate:
     epsilon = 1.0 / (2.0 * cand.q_norm)
     overshoot = math.sqrt(cand.q_norm / cand.theta)
     grid = np.linspace(0.0, CERTIFICATE_HORIZON / epsilon, CERTIFICATE_POINTS)
-    envelopes = [overshoot * math.exp(-epsilon * t) for t in grid]
+    envelopes = np.array([overshoot * math.exp(-epsilon * t) for t in grid.tolist()])
     step = expm(whiten_operator(cand.a, cand.nm), float(grid[1]))
-    inflate = 1.0 + 8.0 * cand.nm.n * _EPS
-    tw, best, worst, evaluated = np.eye(step.shape[0], dtype=step.dtype), -math.inf, 0, 0
-    for k, envelope in enumerate(envelopes):
-        if k:
-            tw = step @ tw
-        if inflate * _norm_bound(tw) / envelope >= best:
-            ratio = singular_extremes(tw)[0] / envelope
-            evaluated += 1
-            if ratio > best:
-                best, worst = ratio, k
+    depth = min(max(numkernel._GRID_BYTES // step.nbytes, 1), grid.size)
+    # two halves: the one not in hand holds the previous block's last point
+    # until the first product, then takes |T| and the picked points
+    halves, prev = np.empty((2, depth) + step.shape, step.dtype), None
+    best, worst, evaluated = -math.inf, 0, 0
+    for start in range(0, grid.size, depth):
+        block = halves[start // depth % 2, :min(depth, grid.size - start)]
+        spare = halves[1 - start // depth % 2]
+        for tw in block:
+            if prev is None:
+                tw[...] = np.eye(step.shape[0])  # T_w(0)
+            else:
+                np.dot(step, prev, out=tw)  # bit for bit step @ prev
+            prev = tw
+        mag = spare.reshape(-1).view(np.float64)[:block.size].reshape(block.shape)
+        bounds = _norm_bounds(block, mag) / envelopes[start:start + len(block)]
+        live = np.flatnonzero(bounds >= best)
+        if not live.size:
+            continue
+        first = int(live[np.argmax(bounds[live])])
+        ratio = singular_extremes(block[first])[0] / float(envelopes[start + first])
+        if ratio > best:  # every earlier block's points are earlier
+            best, worst = ratio, start + first
+        rest = live[(live != first) & (bounds[live] >= best)]
+        evaluated += 1 + rest.size
+        if not rest.size:
+            continue
+        picked, sigma = np.take(block, rest, axis=0, out=spare[:rest.size]), np.empty(rest.size)
+
+        def svd(i, j):
+            sigma[i:j] = singular_extremes(picked[i:j])[0]
+
+        run_on_cpus(svd, rest.size, step.shape[0])
+        ratios = sigma / envelopes[start + rest]
+        top = int(np.argmax(ratios))  # the earliest of the rest's largest ratio
+        if ratios[top] > best or (ratios[top] == best and start + rest[top] < worst):
+            best, worst = float(ratios[top]), int(start + rest[top])
     return StabilityCertificate(
         epsilon=epsilon,
         overshoot=overshoot,

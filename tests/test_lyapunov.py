@@ -1,6 +1,7 @@
 import inspect
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabcert import numkernel
 from stabcert.lyapunov import (
     NotAMemberError,
     NotPositiveSemidefiniteError,
+    _norm_bounds,
     certificate,
     construct_q0,
     membership_margin,
@@ -498,21 +501,23 @@ class TestCertificate:
     @pytest.mark.parametrize("weighted", [False, True], ids=["identity", "spd"])
     @pytest.mark.parametrize("family", ["heat", "upwind", "jordan", "random-stable"])
     def test_propagated_ratios_match_direct_expm(self, family, weighted, monkeypatch):
-        """Every SVD the certificate takes is of a propagated grid point, and
-        its envelope ratio agrees with the direct-expm ratio to 1e-11
-        absolute (3e-13 seen); ``evaluated`` counts them."""
+        """Every slice the certificate hands ``singular_extremes``, alone or in
+        a stack, is a distinct propagated grid point, the slices total
+        ``evaluated``, and each one's envelope ratio agrees with the
+        direct-expm ratio to 1e-11 absolute (3e-13 seen)."""
         a, nm = _certificate_case(family, weighted)
         cand = membership_margin(solve_algebraic(a, nm.w), a, nm)
         seen = []
 
         def recording(m):
-            seen.append(m)
+            seen.extend(np.array(m).reshape((-1,) + m.shape[-2:]))  # copies: the buffer is reused
             return singular_extremes(m)
 
         monkeypatch.setattr("stabcert.lyapunov.singular_extremes", recording)
         cert = certificate(cand)
         assert len(seen) == cert.evaluated >= 1
         index = {tw.tobytes(): k for k, tw in enumerate(_propagation(cert, a, nm))}
+        assert len({index[m.tobytes()] for m in seen}) == cert.evaluated
         for m in seen:
             t = cert.t_grid[index[m.tobytes()]]
             envelope = cert.overshoot * math.exp(-cert.epsilon * t)
@@ -567,6 +572,83 @@ class TestCertificate:
         ratios = [singular_extremes(tw)[0] / (cert.overshoot * math.exp(-cert.epsilon * t))
                   for t, tw in zip(cert.t_grid, _propagation(cert, a, nm))]
         assert cert.worst_t == cert.t_grid[ratios.index(max(ratios))]
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_the_earliest_time_wins_a_tie_in_small_blocks(self, depth, monkeypatch):
+        """The tie grids of the test above in blocks of one point (each first
+        SVD meets an earlier tie) and of two (heat-10's stacked SVDs come to a
+        tied point before an earlier one)."""
+        for a in (heat_dirichlet(4), heat_dirichlet(10), -np.diag([1.0, 2.0, 3.0])):
+            monkeypatch.setattr(numkernel, "_GRID_BYTES", depth * a.nbytes)
+            worst_t, earliest = _worst_and_earliest_time(a)
+            assert worst_t == earliest, a.shape
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(family=st.sampled_from(["jordan-complex", "random-stable", "upwind", "heat"]),
+           n=st.integers(2, 16), seed=st.integers(0, 2**31), weighted=st.booleans())
+    def test_stacked_bounds_cover_every_computed_ratio(self, family, n, seed, weighted):
+        """The block bounds b_k are at least the computed sigma_max / envelope
+        at every one of the 200 points.  Every sum behind a bound adds at most
+        n nonnegative terms, which in any order stays within (n - 1) eps of
+        its exact value: stacking changes the order BLAS and numpy add them
+        in, not that count, so 1 + 8 n eps still covers their rounding and
+        the computed sigma_max's own error of a few eps.  The n 2^-537 covers
+        the squares that underflow deep in the decay, as jordan(-0.5+1i)'s
+        do by t = 10/eps."""
+        a = {"jordan-complex": lambda: jordan_block(n, -0.5 + 1j),
+             "random-stable": lambda: random_stable(n, 0.5, seed),
+             "upwind": lambda: upwind_shift(n),
+             "heat": lambda: heat_dirichlet(n)}[family]()
+        nm = (NormModel.from_weight(random_psd(n, seed) / n + np.eye(n)) if weighted
+              else NormModel.identity(n))
+        cert = certificate(membership_margin(solve_algebraic(a, nm.w), a, nm))
+        stack = np.stack(_propagation(cert, a, nm))
+        envelopes = np.array([cert.overshoot * math.exp(-cert.epsilon * t) for t in cert.t_grid])
+        bounds = _norm_bounds(stack, np.empty(stack.shape)) / envelopes
+        sigma_max = np.array([singular_extremes(tw)[0] for tw in stack])
+        assert np.all(bounds >= sigma_max / envelopes)
+
+    @pytest.mark.parametrize("case", [("heat", False, 8), ("heat", False, 48),
+                                      ("random-stable", True, 24), ("upwind", False, 32)],
+                             ids=lambda c: f"{c[0]}-{'spd' if c[1] else 'identity'}-{c[2]}")
+    def test_the_certificate_does_not_depend_on_the_cpu_count(self, monkeypatch, case):
+        """For blocks of one point, three, or the default budget's, the
+        certificate is the same on 1, 2, 3 or 64 CPUs, ``evaluated``
+        included; only ``evaluated`` depends on the block depth."""
+        family, weighted, n = case
+        a, nm = _certificate_case(family, weighted, n)
+        cand = membership_margin(solve_algebraic(a, nm.w), a, nm)
+        matrix_bytes = whiten_operator(a, nm).nbytes
+        certs = {}
+        for depth in (1, 3, None):
+            for cpus in (1, 2, 3, 64):
+                monkeypatch.setattr(numkernel, "_cpu_count", lambda: cpus)
+                if depth is not None:
+                    monkeypatch.setattr(numkernel, "_GRID_BYTES", depth * matrix_bytes)
+                certs[depth, cpus] = certificate(cand)
+                monkeypatch.undo()
+            assert all(certs[depth, cpus] == certs[depth, 1] for cpus in (2, 3, 64)), depth
+        reference = certs[1, 1]
+        for cert in certs.values():
+            assert replace(cert, evaluated=reference.evaluated) == reference
+
+    def test_one_point_blocks_take_the_time_order_count(self, monkeypatch):
+        """With one point per block the rule is the time-order walk's: an SVD
+        wherever the bound reaches the best ratio so far."""
+        a, nm = upwind_shift(16), NormModel.identity(16)
+        monkeypatch.setattr(numkernel, "_GRID_BYTES", 1)
+        cert = certificate(membership_margin(solve_algebraic(a, nm.w), a, nm))
+        assert cert.evaluated == 13
+
+
+def _worst_and_earliest_time(a):
+    """The certificate's ``worst_t`` and the earliest time of the largest
+    ratio an SVD at every point gives, in the identity norm."""
+    nm = NormModel.identity(a.shape[0])
+    cert = certificate(membership_margin(solve_algebraic(a, nm.w), a, nm))
+    ratios = [singular_extremes(tw)[0] / (cert.overshoot * math.exp(-cert.epsilon * t))
+              for t, tw in zip(cert.t_grid, _propagation(cert, a, nm))]
+    return cert.worst_t, cert.t_grid[ratios.index(max(ratios))]
 
 
 def _certificate_case(family, weighted, n=64):
