@@ -38,18 +38,16 @@ from .lyapunov import (
 )
 from .models import (
     ModelSpec,
-    SplitMix64,
     build_model,
     load_matrix,
     matrix_from_json_dict,
     matrix_to_json_dict,
-    random_hermitian,
-    random_matrix,
     save_matrix,
     write_atomic,
 )
 from .numkernel import KernelPrecisionError, expm, singular_extremes
-from .perturb import RadiusExceededError, admissible_radius, max_alpha, verify_perturbation
+from .perturb import (RadiusExceededError, max_alpha, perturbation_holds, random_trials,
+                      verify_perturbation)
 from .resolvent import (
     DEFAULT_SCAN_TOL,
     MAX_GRID_POINTS,
@@ -88,17 +86,12 @@ _EXIT_CODES = {
 }
 
 
-def _perturbation_holds(margin_after: float, rescaled_member: bool, tol: float) -> bool:
-    """The guarantee for one B: the perturbed margin and the rescaled member both hold."""
-    return margin_after <= tol and rescaled_member
-
-
 def _perturbation_passes(report: dict) -> bool:
     """The one B, or every random trial, keeps the guarantee.  The worst
     trial decides all: each rescaled margin is k margin_after."""
     p = report["perturbation"]
     w = "worst_" if "trials" in p else ""
-    return (_perturbation_holds(p[w + "margin_after"], p[w + "rescaled_member"],
+    return (perturbation_holds(p[w + "margin_after"], p[w + "rescaled_member"],
                                 report["config"]["tol"])
             and p.get("passes") == p.get("trials"))  # None == None for one B
 
@@ -434,7 +427,7 @@ def cmd_resolvent(job: _Job) -> int:
 
 
 def cmd_perturb(job: _Job) -> int:
-    nm, args = job.nm, job.args
+    args = job.args
     if args.random_trials is not None and args.random_trials <= 0:
         raise _CliUsageError("--random-trials must be a positive integer")
     if args.alpha is not None and not args.alpha > 1.0:
@@ -467,29 +460,17 @@ def cmd_perturb(job: _Job) -> int:
         })
 
     alpha = args.alpha if args.alpha is not None else 2.0
-    trials = args.random_trials
-    rng = SplitMix64(args.seed)
-    radius = admissible_radius(cand, alpha)
-    passes = 0
-    worst = None
-    for i in range(trials):
-        raw = random_hermitian(nm.n, rng) if i % 2 == 0 else random_matrix(nm.n, rng)
-        b = raw * (radius / op_norm(raw, nm))
-        rep = verify_perturbation(cand, b, alpha)
-        passes += _perturbation_holds(rep.margin_after, rep.rescaled_member, args.tol)
-        if worst is None or rep.margin_after > worst[1].margin_after:
-            worst = (i, rep, b)
-    index, rep, b = worst
-    print(f"perturbation trials passed: {passes}/{trials}")
+    rep = random_trials(cand, alpha, args.random_trials, args.seed)
+    print(f"perturbation trials passed: {rep.passes}/{args.random_trials}")
     return job.finish(perturbation={
         "alpha": float(alpha),
-        "trials": trials,
-        "passes": passes,
+        "trials": args.random_trials,
+        "passes": rep.passes,
         "radius": float(rep.radius),
-        "worst_trial": index,
-        "worst_margin_after": float(rep.margin_after),
-        "worst_b": matrix_to_json_dict(b),
-        "worst_rescaled_member": bool(rep.rescaled_member),
+        "worst_trial": rep.worst_trial,
+        "worst_margin_after": float(rep.worst_margin_after),
+        "worst_b": matrix_to_json_dict(rep.worst_b),
+        "worst_rescaled_member": bool(rep.worst_rescaled_member),
     })
 
 

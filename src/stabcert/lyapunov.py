@@ -107,10 +107,13 @@ class StabilityCertificate:
     evaluated: int  # grid points that took an SVD
 
 
-def _residual_margin(q: np.ndarray, a: np.ndarray, nm: NormModel) -> float:
-    """Largest eigenvalue of the whitened A* Q + Q A + W for a Hermitian Q."""
-    residual = hermitian_part(a.conj().T @ q + q @ a + nm.w)
-    return float(hermitian_eig(whiten_form(residual, nm))[0][-1])
+def _residual_margin(q: np.ndarray, a: np.ndarray, nm: NormModel):
+    """Largest eigenvalue of the whitened A* Q + Q A + W for a Hermitian Q;
+    for an ``(..., n, n)`` stack of generators, an array of one per slice
+    from one batched eigensolve."""
+    residual = hermitian_part(a.conj().swapaxes(-1, -2) @ q + q @ a + nm.w)
+    lam = hermitian_eig(whiten_form(residual, nm))[0][..., -1]
+    return float(lam) if a.ndim == 2 else lam
 
 
 def membership_margin(

@@ -95,7 +95,8 @@ class SplitMix64:
 @dataclass(frozen=True)
 class ModelSpec:
     """Recipe for one generator matrix; identical specs build identical
-    matrices bit for bit."""
+    matrices bit for bit for a fixed BLAS build and thread count, since
+    ``random_stable`` takes its shift from ``np.linalg.eigvals``."""
 
     family: str
     n: int = 0

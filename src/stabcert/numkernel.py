@@ -83,9 +83,10 @@ def as_matrix(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(A + A^H) / 2, halved before the sum so that no finite A overflows it;
-    halving is exact, so the bits are those of 0.5 (A + A^H) in the normal range."""
-    return 0.5 * a + 0.5 * a.conj().T
+    """(A + A^H) / 2 of a matrix, or of each slice of an ``(..., n, n)`` stack,
+    halved before the sum so that no finite A overflows it; halving is exact,
+    so the bits are those of 0.5 (A + A^H) in the normal range."""
+    return 0.5 * a + 0.5 * a.conj().swapaxes(-1, -2)
 
 
 def _pade_coefficients(m: int) -> tuple[float, ...]:
@@ -323,9 +324,10 @@ def hermitian_gate(h, name: str = "matrix") -> np.ndarray:
 def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of the Hermitian part of a matrix that is Hermitian
     by construction or has passed :func:`hermitian_gate`: no claim is tested.
-    Returns ascending eigenvalues and the unitary matrix of eigenvectors.
+    Returns ascending eigenvalues and the unitary matrix of eigenvectors; for
+    an ``(..., n, n)`` stack, those of each slice from one batched call.
     """
-    return np.linalg.eigh(hermitian_part(as_matrix(h)))
+    return np.linalg.eigh(hermitian_part(as_matrix(h, stack=True)))
 
 
 def _first_failure(failed) -> tuple[int, str]:

@@ -5,7 +5,7 @@ alpha > 1: the perturbed Lyapunov form stays below -((alpha-1)/alpha)|x|^2.
 That relaxed constant is what the argument actually yields; literal
 membership for A + B is restored by rescaling Q with alpha/(alpha-1).
 Both facts are verified and reported, neither silently substituted for
-the other.
+the other.  Seeded random trials test the guarantee at the radius itself.
 """
 
 from __future__ import annotations
@@ -13,16 +13,23 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+import numpy as np
+
+from . import numkernel
 from .lyapunov import LyapunovCandidate, _residual_margin
-from .numkernel import as_matrix
-from .space import op_norm
+from .models import SplitMix64, random_hermitian, random_matrix
+from .numkernel import as_matrix, singular_extremes
+from .space import op_norm, whiten_operator
 
 __all__ = [
     "RadiusExceededError",
     "PerturbationReport",
     "MaxAlpha",
+    "TrialReport",
     "admissible_radius",
+    "perturbation_holds",
     "verify_perturbation",
+    "random_trials",
     "max_alpha",
 ]
 
@@ -41,6 +48,15 @@ class PerturbationReport(NamedTuple):
     margin_after: float  # whitened lambda_max of (A+B)*Q + Q(A+B) + ((a-1)/a) W
     rescaled_member: bool
     rescaled_margin: float
+
+
+class TrialReport(NamedTuple):
+    radius: float
+    passes: int
+    worst_trial: int  # the trial with the largest margin_after, the earliest on a tie
+    worst_margin_after: float
+    worst_rescaled_member: bool
+    worst_b: np.ndarray
 
 
 class MaxAlpha(NamedTuple):
@@ -78,16 +94,62 @@ def verify_perturbation(cand: LyapunovCandidate, b, alpha: float) -> Perturbatio
             f"|B| = {b_norm:.9e} exceeds the admissible radius {radius:.9e}",
             excess=b_norm - radius,
         )
-    m = _residual_margin(cand.q, cand.a + bb, cand.nm)
-    k = alpha / (alpha - 1.0) if math.isfinite(alpha) else 1.0
-    rescaled_margin = k * m - (k - 1.0)
+    margin_after, rescaled_margin = _perturbed_margins(
+        alpha, _residual_margin(cand.q, cand.a + bb, cand.nm))
     return PerturbationReport(
         radius=radius,
         b_norm=b_norm,
-        margin_after=m - 1.0 / alpha,
+        margin_after=margin_after,
         rescaled_member=rescaled_margin <= cand.tol,
         rescaled_margin=rescaled_margin,
     )
+
+
+def _perturbed_margins(alpha: float, m: float) -> tuple[float, float]:
+    """(margin_after, rescaled_margin) of the membership margin m of Q for A + B."""
+    k = alpha / (alpha - 1.0) if math.isfinite(alpha) else 1.0
+    return m - 1.0 / alpha, k * m - (k - 1.0)
+
+
+def perturbation_holds(margin_after: float, rescaled_member: bool, tol: float) -> bool:
+    """The guarantee for one B: the perturbed margin and the rescaled member both hold."""
+    return margin_after <= tol and rescaled_member
+
+
+def random_trials(cand: LyapunovCandidate, alpha: float, trials: int, seed: int) -> TrialReport:
+    """Check the guarantee on ``trials`` seeded B scaled to the admissible
+    radius, Hermitian for even trials and general for odd ones, drawn in
+    trial order from one SplitMix64 stream of ``seed``.
+
+    Trials run in blocks of _GRID_BYTES of draws (one where a draw is
+    larger), each with one stacked SVD for the norms that scale its draws
+    and one stacked eigensolve for their margins: every trial's numbers are
+    :func:`verify_perturbation`'s on its B, bit for bit.  A trial's |B| is
+    not measured again.  The scaling rounds each real part once, so
+    fl(s raw) is within sqrt(n) eps radius of s raw (kappa(W) times that in
+    a weighted norm), and the SVD's |raw| is good to a few n eps: both far
+    inside the 1e-12 relative slack :func:`verify_perturbation` allows a
+    measured |B|.  The margin is measured on the rounded B itself.
+    """
+    nm = cand.nm
+    radius = admissible_radius(cand, alpha)
+    rng = SplitMix64(seed)
+    depth = max(numkernel._GRID_BYTES // (16 * nm.n ** 2), 1)  # complex128 draws
+    passes, worst = 0, None
+    for start in range(0, trials, depth):
+        raw = np.stack([random_hermitian(nm.n, rng) if i % 2 == 0 else random_matrix(nm.n, rng)
+                        for i in range(start, min(start + depth, trials))])
+        b = raw * (radius / singular_extremes(whiten_operator(raw, nm))[0])[:, None, None]
+        margins = _residual_margin(cand.q, cand.a + b, nm)
+        for i, m in enumerate(margins.tolist(), start):
+            margin_after, rescaled_margin = _perturbed_margins(alpha, m)
+            member = rescaled_margin <= cand.tol
+            passes += perturbation_holds(margin_after, member, cand.tol)
+            if worst is None or margin_after > worst[0]:
+                worst = (margin_after, member, i, b[i - start].copy())
+    margin_after, member, index, b = worst
+    return TrialReport(radius=radius, passes=passes, worst_trial=index,
+                       worst_margin_after=margin_after, worst_rescaled_member=member, worst_b=b)
 
 
 def max_alpha(cand: LyapunovCandidate, b) -> MaxAlpha:

@@ -121,8 +121,9 @@ def whiten_operator(t, nm: NormModel) -> np.ndarray:
 
 
 def whiten_form(q, nm: NormModel) -> np.ndarray:
-    """Congruence whitening for state-to-dual maps (quadratic forms)."""
-    qq = as_matrix(q, "q")
+    """Congruence whitening for state-to-dual maps (quadratic forms), or for
+    each of an ``(..., n, n)`` stack of them."""
+    qq = as_matrix(q, "q", stack=True)
     return qq.copy() if nm.is_identity else nm.inv_sqrt_w @ qq @ nm.inv_sqrt_w
 
 

@@ -11,15 +11,19 @@ import stabcert.numkernel
 import stabcert.resolvent
 
 from stabcert.cli import _EXIT_CODES, _RULES, _recheck_one, _verdict, main
-from stabcert.lyapunov import membership_margin
+from stabcert.lyapunov import membership_margin, solve_algebraic
 from stabcert.models import (
+    SplitMix64,
     heat_dirichlet,
     matrix_from_json_dict,
     matrix_to_json_dict,
+    random_hermitian,
+    random_matrix,
     random_stable,
     save_matrix,
 )
 from stabcert.numkernel import expm
+from stabcert.perturb import admissible_radius, perturbation_holds, verify_perturbation
 from stabcert.space import NormModel, op_norm
 
 
@@ -60,6 +64,21 @@ def count_linalg(monkeypatch, *names):
         def counting(*args, name=name, original=original, **kwargs):
             counts[name] += 1
             return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return counts
+
+
+def count_matrices(monkeypatch, *names):
+    """Count the matrices the named ``numpy.linalg`` functions decompose from
+    here on: one per call on a matrix, one per slice on a stack."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(np.linalg, name)
+
+        def counting(a, *args, name=name, original=original, **kwargs):
+            counts[name] += math.prod(np.shape(a)[:-2])
+            return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
     return counts
@@ -613,14 +632,65 @@ class TestPerturb:
         assert run(["recheck", tmp_path / "perturb-heat-n6.json"]) == 0
 
     def test_each_trial_takes_one_eigensolve(self, tmp_path, monkeypatch):
-        counts = count_linalg(monkeypatch, "eigh")
+        calls = count_linalg(monkeypatch, "eigh")
+        matrices = count_matrices(monkeypatch, "eigh")
         assert run(["perturb", "--family", "heat", "--n", "8", "--random-trials", "5",
                     "--out-dir", tmp_path]) == 0
-        # the gate of W, Q's whitened eigensolve and the residual's, then one per trial
-        assert counts == {"eigh": 3 + 5}
-        counts["eigh"] = 0
+        # the gate of W, Q's whitened eigensolve and the residual's, then one
+        # per trial, the five trials in one stacked call
+        assert matrices == {"eigh": 3 + 5}
+        assert calls == {"eigh": 3 + 1}
+        calls["eigh"] = matrices["eigh"] = 0
         assert run(["recheck", tmp_path / "perturb-heat-n8.json"]) == 0
-        assert counts == {"eigh": 3}
+        assert matrices == calls == {"eigh": 3}
+
+    def test_each_trial_takes_one_svd(self, tmp_path, monkeypatch):
+        matrices = count_matrices(monkeypatch, "svd")
+        assert run(["perturb", "--family", "heat", "--n", "8", "--random-trials", "20",
+                    "--out-dir", tmp_path]) == 0
+        # solve_algebraic's one, then the |raw| that scales each trial's B:
+        # a trial's |B| is not measured again
+        assert matrices == {"svd": 1 + 20}
+
+    @pytest.mark.parametrize("family", ["heat", "random-stable"])
+    def test_trial_blocks_match_one_block_and_a_per_trial_oracle(self, tmp_path, monkeypatch,
+                                                                 family):
+        # blocks of 3 trials start at trial 3, odd, and 6: they must keep the
+        # Hermitian/general alternation and the order of the stream
+        n, trials, seed, alpha = 6, 7, 6, 2.0
+        argv = ["perturb", "--family", family, "--n", n, "--random-trials", trials,
+                "--seed", seed, "--out-dir", tmp_path]
+        if family == "heat":
+            a, nm = heat_dirichlet(n), NormModel.identity(n)
+        else:  # under a weighted norm
+            w = 2.0 ** -np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+            save_matrix(tmp_path / "w.json", w)
+            argv += ["--norm-file", tmp_path / "w.json"]
+            a, nm = random_stable(n, 0.5, seed), NormModel.from_weight(w)
+        reports = []
+        for depth in (trials, 3):
+            monkeypatch.setattr(stabcert.numkernel, "_GRID_BYTES", depth * 16 * n * n)
+            assert run(argv) == 0
+            path, = tmp_path.glob("perturb-*.json")
+            reports.append(read_report(path))
+            del reports[-1]["timings"]
+        assert reports[0] == reports[1]
+
+        cand = membership_margin(solve_algebraic(a, nm.w), a, nm)
+        radius, rng, bs = admissible_radius(cand, alpha), SplitMix64(seed), []
+        for i in range(trials):
+            raw = random_hermitian(n, rng) if i % 2 == 0 else random_matrix(n, rng)
+            bs.append(raw * (radius / op_norm(raw, nm)))
+        reps = [verify_perturbation(cand, b, alpha) for b in bs]
+        after = [rep.margin_after for rep in reps]
+        block = reports[1]["perturbation"]
+        # the worst B is drawn in the second block (trial 4 on heat, 5 on
+        # random-stable), where a block that restarts the alternation moves it
+        assert block["worst_trial"] == after.index(max(after)) in (4, 5)
+        assert block["worst_margin_after"] == max(after)
+        assert block["passes"] == sum(perturbation_holds(rep.margin_after, rep.rescaled_member,
+                                                         cand.tol) for rep in reps)
+        assert np.array_equal(matrix_from_json_dict(block["worst_b"]), bs[block["worst_trial"]])
 
     @pytest.mark.parametrize("alpha", [[], ["--alpha", "2"]], ids=["max-alpha", "alpha"])
     def test_b_of_another_shape_is_operational_error(self, tmp_path, capsys, alpha):

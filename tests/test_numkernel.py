@@ -324,6 +324,17 @@ class TestHermitianEig:
             scale = max(np.linalg.norm(h, 2), 1e-300)
             assert np.linalg.norm(h - (v * w) @ v.conj().T, 2) <= 1e-9 * scale
 
+    @pytest.mark.parametrize("depth", [5, 3], ids=["k=n", "k!=n"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_a_stack_is_its_slices_bit_for_bit(self, depth, dtype):
+        # not Hermitian: each slice's Hermitian part is decomposed
+        stack = np.stack([random_matrix(5, 60 + k) for k in range(depth)])
+        stack = stack.real.copy() if dtype is float else stack
+        w, v = hermitian_eig(stack)
+        for k, m in enumerate(stack):
+            wk, vk = hermitian_eig(m)
+            assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
+
     def test_rejects_plainly_nonhermitian(self):
         # hermitian_eig tests no claim: it solves the Hermitian part, and the
         # claim is refused by the gate alone
@@ -378,6 +389,13 @@ class TestHermitianPart:
     def test_same_bits_as_the_sum_halved_in_the_normal_range(self, seed):
         m = random_matrix(7, seed)
         assert np.array_equal(hermitian_part(m), 0.5 * (m + m.conj().T))
+
+    @pytest.mark.parametrize("depth", [4, 3], ids=["k=n", "k!=n"])
+    def test_a_stack_is_its_slices_bit_for_bit(self, depth):
+        # the transpose swaps the last two axes only: a reversal of all three
+        # mixes the slices of a 4x4x4 stack and fails to broadcast on 3x4x4
+        stack = np.stack([random_matrix(4, 40 + k) for k in range(depth)])
+        assert np.array_equal(hermitian_part(stack), [hermitian_part(m) for m in stack])
 
 
 class TestSingularExtremes:

@@ -129,6 +129,13 @@ def test_whitening_shapes_and_consistency():
     assert np.allclose(whiten_form(q, nm), nm.inv_sqrt_w @ q @ nm.inv_sqrt_w, atol=1e-12)
 
 
+@pytest.mark.parametrize("depth", [4, 3], ids=["k=n", "k!=n"])
+def test_form_whitening_of_a_stack_is_its_slices_bit_for_bit(depth):
+    nm = NormModel.from_weight(random_psd(4, 21) + np.eye(4))
+    stack = np.stack([random_psd(4, 30 + k) for k in range(depth)])
+    assert np.array_equal(whiten_form(stack, nm), [whiten_form(q, nm) for q in stack])
+
+
 def test_identity_whitening_is_an_exact_copy():
     nm = NormModel.identity(5)
     t = random_matrix(5, 24)
