@@ -8,14 +8,19 @@ the reports of two batteries.
 ``run`` starts one ``python -m stabcert`` process per job in OUT, with
 ``PYTHONPATH=SRC`` and one OpenBLAS thread (reports are byte-identical for
 a fixed BLAS build and thread count).  The jobs are the six math commands
-(``perturb`` with ``--random-trials 4``) on eight generators, plus ``leftinv
---t-grid 0.01,20,64`` on upwind, at every size N (default 3 8 24 48): 196
-jobs.  The hand-made grid has no point at exactly twice another, so its
-reports must not move when the default grid does.  One generator runs
-under a weighted norm: the SPD weight W_ij = 2^-|i-j|, which ``run``
-writes to ``OUT/weight-n<N>.json`` and passes by that relative name,
-since reports echo it.  Each job writes its report and CSVs into
-``OUT/<job>/``, and the exit codes go to ``OUT/exit_codes.json``.
+(``perturb`` with ``--random-trials 4``) and ``perturb --b-file`` on eight
+generators, plus ``leftinv --t-grid 0.01,20,64`` on upwind, at every size N
+(default 3 8 24 48): 228 jobs.  The hand-made grid has no point at exactly
+twice another, so its reports must not move when the default grid does.
+One generator runs under a weighted norm: the SPD weight W_ij = 2^-|i-j|,
+which ``run`` writes to ``OUT/weight-n<N>.json``.  ``--b-file`` takes no
+``--alpha``, so its jobs go through ``max_alpha``: B has entries drawn
+uniformly from [-1e-3/N, 1e-3/N] by ``random.Random(N)`` (so |B|_F <= 1e-3),
+which ``run`` writes to ``OUT/b-n<N>.json``; it is inside 1/(2|Q|) for some
+members and beyond it (``rejected``) for others.  Both files are passed by
+their relative names, since reports echo them.  Each job writes its report
+and CSVs into ``OUT/<job>/``, and the exit codes go to
+``OUT/exit_codes.json``.
 
 ``compare`` exits 0 when the two batteries hold the same files, every JSON
 file is equal outside ``timings`` and ``config.out_dir`` (which echoes the
@@ -33,13 +38,16 @@ import base64
 import collections
 import json
 import os
+import random
 import struct
 import subprocess
 import sys
 from pathlib import Path
 
-COMMANDS = {"certify": [], "refute": [], "q0": [], "resolvent": [],
-            "perturb": ["--random-trials", "4"], "leftinv": []}
+# each job's name and its subcommand with the flags of that job
+COMMANDS = {"certify": ["certify"], "refute": ["refute"], "q0": ["q0"],
+            "resolvent": ["resolvent"], "perturb": ["perturb", "--random-trials", "4"],
+            "leftinv": ["leftinv"], "perturb-b-file": ["perturb", "--b-file", "b-n{n}.json"]}
 GENERATORS = {
     "heat": ["--family", "heat"],
     "upwind": ["--family", "upwind"],
@@ -54,6 +62,7 @@ GENERATORS = {
 T_GRID_JOB = ("leftinv-t-grid-upwind",
               ["leftinv", *GENERATORS["upwind"], "--t-grid", "0.01,20,64"])
 SIZES = [3, 8, 24, 48]
+B_FILE_SCALE = 1e-3  # |B|_F <= B_FILE_SCALE, as in perfbench
 EXIT_CODES = "exit_codes.json"
 # floats per entry of each matrix layout that stabcert.models reads
 LAYOUTS = {"f64le": 1, "c128le": 2, "data_real": 1, "data": 2}
@@ -67,9 +76,13 @@ def run(src: Path, out: Path, sizes: list) -> int:
         weight = [2.0 ** -abs(i - j) for i in range(n) for j in range(n)]
         (out / f"weight-n{n}.json").write_text(json.dumps(
             {"rows": n, "cols": n, "data_real": weight}) + "\n")
-        jobs = [(f"{command}-{label}-n{n}", [command, *generator, *flags])
+        rng = random.Random(n)
+        b = [B_FILE_SCALE / n * rng.uniform(-1.0, 1.0) for _ in range(n * n)]
+        (out / f"b-n{n}.json").write_text(json.dumps(
+            {"rows": n, "cols": n, "data_real": b}) + "\n")
+        jobs = [(f"{name}-{label}-n{n}", [command, *generator, *flags])
                 for label, generator in GENERATORS.items()
-                for command, flags in COMMANDS.items()]
+                for name, (command, *flags) in COMMANDS.items()]
         jobs.append((f"{T_GRID_JOB[0]}-n{n}", T_GRID_JOB[1]))
         for job, args in jobs:
             argv = [sys.executable, "-m", "stabcert", *(arg.format(n=n) for arg in args),

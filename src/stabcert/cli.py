@@ -162,7 +162,7 @@ def _common() -> _Parser:
     p.add_argument("--lambda", dest="lam", type=_parse_complex, default="-1",
                    help="jordan family eigenvalue, a+bi")
     p.add_argument("--norm-file", help="matrix JSON file with the SPD norm weight W")
-    p.add_argument("--tol", type=float, default=DEFAULT_MEMBERSHIP_TOL)
+    p.add_argument("--tol", type=_finite_float, default=DEFAULT_MEMBERSHIP_TOL)
     p.add_argument("--out-dir", default=".")
     p.add_argument("--out", help="report filename (default derived from the input)")
     return p
@@ -195,7 +195,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_resolvent)
 
     p = command("perturb", help="verify the bounded-perturbation guarantee")
-    p.add_argument("--alpha", type=float, help="guarantee parameter (> 1)")
+    p.add_argument("--alpha", type=_finite_float, help="guarantee parameter (> 1)")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--b-file", help="matrix JSON file with the perturbation B")
     mode.add_argument("--random-trials", type=int, help="seeded trials at the radius")
@@ -226,6 +226,17 @@ def _parse_complex(text: str) -> complex:
         return complex(text.replace(" ", "").replace("i", "j"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}") from exc
+
+
+def _finite_float(text: str) -> float:
+    """A finite number: a --tol or --alpha of inf or nan would make its check vacuous."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _spec_from_args(args) -> ModelSpec:
@@ -549,6 +560,8 @@ def _recheck_one(path: str) -> tuple[str | None, list, list]:
     else:
         nm = NormModel.identity(a.shape[0])
     tol = float(report.get("config", {}).get("tol", DEFAULT_MEMBERSHIP_TOL))
+    if not math.isfinite(tol):
+        return None, [], [f"config.tol {tol!r} is not finite: every check it bounds is vacuous"]
     verdict = report.get("verdict")
     if command not in _RULES or verdict not in {"refuted", *dict(_RULES[command])}:
         return None, [], [f"verdict {verdict!r} is not one that {command!r} writes"]
@@ -577,30 +590,26 @@ def _recheck_one(path: str) -> tuple[str | None, list, list]:
             cand = membership_margin(qq.astype(np.result_type(qq, a, nm.w)), a, nm, tol=tol)
         except ValueError as exc:
             return None, [], [f"embedded candidate invalid ({exc})"]
-        q = cand.q_norm
         fields.update({f"{name}.{key}": value for key, value in _candidate_fields(cand).items()})
         if command == "certify" and name == "certificate" and cand.is_member:
-            epsilon, m = 1.0 / (2.0 * q), math.sqrt(q / cand.theta)
             t = report["certificate"]["grid"]["worst_t"]
-            ratio = op_norm(expm(a, t), nm) / (m * math.exp(-epsilon * t))
+            ratio = op_norm(expm(a, t), nm) / cand.envelope(t)
             fields.update({
-                "certificate.epsilon": epsilon, "certificate.M": m,
+                "certificate.epsilon": cand.decay_rate, "certificate.M": cand.envelope(0.0),
                 "certificate.worst_ratio": ratio,
                 "certificate.grid_pass": ratio <= 1.0 + CERTIFICATE_SLACK,
-                "certificate.grid.t_max": CERTIFICATE_HORIZON / epsilon,
+                "certificate.grid.t_max": CERTIFICATE_HORIZON / cand.decay_rate,
                 "certificate.grid.points": CERTIFICATE_POINTS,
             })
         elif command == "resolvent":
             scans = report["scans"]
             delta0 = scans["strip"]["delta0"]
-            for kind, bound in (("right", 2.0 * q),
-                                ("strip", 2.0 * q / (1.0 - 2.0 * delta0 * q))):
+            for kind, edge in (("right", 0.0), ("strip", -delta0)):
                 lam = complex(scans[kind]["argmax"][0], scans[kind]["argmax"][1])
                 # the pointwise bound at the argmax; the right scan's 2|Q| is
                 # the strip's at Re lambda = 0
-                ratio = resolvent_norm(a, lam, nm) / (
-                    2.0 * q / (1.0 + 2.0 * q * min(lam.real, 0.0)))
-                fields.update({f"scans.{kind}.bound": bound,
+                ratio = resolvent_norm(a, lam, nm) / cand.resolvent_bound(lam.real)
+                fields.update({f"scans.{kind}.bound": cand.resolvent_bound(edge),
                                f"scans.{kind}.worst_ratio": ratio,
                                f"scans.{kind}.pass": ratio <= 1.0 + DEFAULT_SCAN_TOL})
         elif command == "perturb":

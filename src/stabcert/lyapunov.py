@@ -8,7 +8,12 @@ eigenvalue of the whitened residual, so nonpositive margin means member
 and the quantified inequality never has to be sampled.  A candidate
 carries the generator and norm it was decided for.  From any member the
 package derives an explicit decay envelope |T(t)| <= M e^{-eps t} with
-eps = 1/(2 |Q|) and M = sqrt(|Q| / theta).
+eps = 1/(2 |Q|) and M = sqrt(|Q| / theta).  Those constants and the
+resolvent bound 2|Q| / (1 + 2|Q| min(Re lambda, 0)) depend on |Q| and theta
+alone, and each is stated once, on the candidate: ``decay_rate``,
+``envelope(t)`` (M = ``envelope(0.0)``) and ``resolvent_bound(re)``.  The
+certificate, both resolvent scans, the perturbation limit and ``recheck``
+all read them there.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from functools import cached_property
 import numpy as np
 
 from . import numkernel
-from .numkernel import (KernelPrecisionError, as_matrix, expm, hermitian_eig, hermitian_gate,
-                        hermitian_part, run_on_cpus, singular_extremes)
+from .numkernel import (_EPS, KernelPrecisionError, as_matrix, expm, hermitian_eig,
+                        hermitian_gate, hermitian_part, run_on_cpus, singular_extremes)
 from .semigroup import (REFUTE_REAL_PART_TOL, Witness, certified_decay, gramian_quadrature,
                         refute_stability, stability_gate)
 from .space import NormModel, RieszMap, dual_map_norm, op_norm, whiten_form, whiten_operator
@@ -49,7 +54,6 @@ CERTIFICATE_SLACK = 1e-8  # envelope ratio the certificate grid may reach above 
 CERTIFICATE_HORIZON = 10.0  # the certificate grid spans [0, CERTIFICATE_HORIZON / epsilon]
 CERTIFICATE_POINTS = 200
 SIGN_MAX_STEPS = 50
-_EPS = float(np.finfo(np.float64).eps)
 
 
 class NotPositiveSemidefiniteError(ValueError):
@@ -86,6 +90,16 @@ class LyapunovCandidate:
     @property
     def is_member(self) -> bool:
         return self.margin <= self.tol
+
+    @property
+    def decay_rate(self) -> float:  # eps = 1/(2 |Q|), also the perturbation limit
+        return 1.0 / (2.0 * self.q_norm)
+
+    def envelope(self, t: float) -> float:  # M e^{-eps t}, M = sqrt(|Q|/theta) = envelope(0.0)
+        return math.sqrt(self.q_norm / self.theta) * math.exp(-self.decay_rate * t)
+
+    def resolvent_bound(self, re: float) -> float:  # the bound on |R(lambda)| at Re lambda = re
+        return 2.0 * self.q_norm / (1.0 + 2.0 * self.q_norm * min(re, 0.0))
 
     def require_member(self) -> None:
         """The membership precondition of every operation on a member."""
@@ -199,7 +213,7 @@ def solve_algebraic(a, rhs) -> np.ndarray:
     if residual > 1e-8 * lam_r[-1]:  # |RHS| of a PD RHS
         raise KernelPrecisionError(
             f"Lyapunov residual {residual:.3e} exceeds 1e-8 * |RHS| at "
-            f"|Q| = {singular_extremes(q)[0]:.3e} (1/eps = {1.0 / np.finfo(float).eps:.1e})"
+            f"|Q| = {singular_extremes(q)[0]:.3e} (1/eps = {1.0 / _EPS:.1e})"
         )
     return q
 
@@ -303,10 +317,8 @@ def certificate(cand: LyapunovCandidate) -> StabilityCertificate:
             "member is not strongly positive: exponential stability holds via the "
             "square-integral criterion but no envelope constants are available"
         )
-    epsilon = 1.0 / (2.0 * cand.q_norm)
-    overshoot = math.sqrt(cand.q_norm / cand.theta)
-    grid = np.linspace(0.0, CERTIFICATE_HORIZON / epsilon, CERTIFICATE_POINTS)
-    envelopes = np.array([overshoot * math.exp(-epsilon * t) for t in grid.tolist()])
+    grid = np.linspace(0.0, CERTIFICATE_HORIZON / cand.decay_rate, CERTIFICATE_POINTS)
+    envelopes = np.array([cand.envelope(t) for t in grid.tolist()])
     step = expm(whiten_operator(cand.a, cand.nm), float(grid[1]))
     depth = min(max(numkernel._GRID_BYTES // step.nbytes, 1), grid.size)
     # two halves: the one not in hand holds the previous block's last point
@@ -346,8 +358,8 @@ def certificate(cand: LyapunovCandidate) -> StabilityCertificate:
         if ratios[top] > best or (ratios[top] == best and start + rest[top] < worst):
             best, worst = float(ratios[top]), int(start + rest[top])
     return StabilityCertificate(
-        epsilon=epsilon,
-        overshoot=overshoot,
+        epsilon=cand.decay_rate,
+        overshoot=cand.envelope(0.0),
         grid_pass=best <= 1.0 + CERTIFICATE_SLACK,
         worst_ratio=best,
         t_grid=grid.tolist(),

@@ -6,6 +6,8 @@ That relaxed constant is what the argument actually yields; literal
 membership for A + B is restored by rescaling Q with alpha/(alpha-1).
 Both facts are verified and reported, neither silently substituted for
 the other.  Seeded random trials test the guarantee at the radius itself.
+The limit 1/(2|Q|) beyond which no alpha > 1 exists is the candidate's
+``decay_rate``, the rate of its envelope.
 """
 
 from __future__ import annotations
@@ -157,14 +159,18 @@ def max_alpha(cand: LyapunovCandidate, b) -> MaxAlpha:
 
     Only meaningful when |B| < 1/(2 |Q|); at or beyond that norm no
     alpha > 1 exists and the corollary gives nothing.  B = 0 returns an
-    infinite alpha with full decay constant 1.
+    infinite alpha with full decay constant 1.  A subnormal |B| can put
+    alpha* past 2^1021 / max(|Q|, 1), where 2 alpha |Q| would leave the
+    float range and the radius 1/(2 alpha |Q|) round to 0.  Every alpha in
+    (1, alpha*] keeps the guarantee, so that cap stands in there: its
+    radius is a normal float of at least |B|.
     """
     bb = as_matrix(b, "b")
     if cand.a.shape != bb.shape:
         raise ValueError(f"shape mismatch: a {cand.a.shape}, b {bb.shape}")
     cand.require_member()
     b_norm = op_norm(bb, cand.nm)
-    limit = 1.0 / (2.0 * cand.q_norm)
+    limit = cand.decay_rate
     if b_norm >= limit:
         raise RadiusExceededError(
             f"|B| = {b_norm:.9e} >= 1/(2|Q|) = {limit:.9e}: no admissible alpha > 1",
@@ -172,5 +178,7 @@ def max_alpha(cand: LyapunovCandidate, b) -> MaxAlpha:
         )
     if b_norm == 0.0:
         return MaxAlpha(alpha=float("inf"), decay=1.0)
-    alpha = 1.0 / (2.0 * b_norm * cand.q_norm)
+    cap = math.ldexp(1.0, 1021) / max(cand.q_norm, 1.0)
+    product = 2.0 * b_norm * cand.q_norm
+    alpha = 1.0 / product if product * cap > 1.0 else cap
     return MaxAlpha(alpha=alpha, decay=(alpha - 1.0) / alpha)

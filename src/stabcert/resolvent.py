@@ -3,9 +3,12 @@
 Two bounds follow from any cone member Q: the closed right half-plane
 satisfies sup |R(lambda)| <= 2 |Q|, and a strip to the left of the axis
 satisfies the pointwise bound |R(lambda)| <= 2|Q| / (1 + 2 |Q| Re lambda)
-down to Re lambda = -delta0 as long as 2 delta0 |Q| < 1.  Verification is
-grid-based on purpose: a dense grid plus refinement is auditable, whereas
-a failed global optimizer could certify silently.
+down to Re lambda = -delta0 as long as 2 delta0 |Q| < 1.  Both are one
+formula, ``LyapunovCandidate.resolvent_bound`` (2|Q| at Re lambda >= 0), and
+the strip reaches no further left than -1/(2|Q|), the candidate's
+``decay_rate``; the scans, their CSVs and ``recheck`` read the same bounds.
+Verification is grid-based on purpose: a dense grid plus refinement is
+auditable, whereas a failed global optimizer could certify silently.
 """
 
 from __future__ import annotations
@@ -223,7 +226,7 @@ def verify_bound_right(
     check_right_grid(omega_max, n_axis, n_interior)
     aa, nm = cand.a, cand.nm
     cand.eigenvalues  # the stability gate, decided once per candidate
-    bound = 2.0 * cand.q_norm
+    bound = cand.resolvent_bound(0.0)
     nrm_a = op_norm(aa, nm)
     if omega_max is None:
         omega_max = 10.0 * max(nrm_a, 1.0)
@@ -284,12 +287,13 @@ def verify_bound_left_strip(
     if delta0 is not None and 2.0 * delta0 * qn >= 1.0:
         raise ValueError(
             f"2 * delta0 * |Q| = {2.0 * delta0 * qn:.6e} is not below 1; scale the member up "
-            f"to widen the admissible region, or use 0 < delta0 <= {(1.0 - 1e-6) / (2.0 * qn):.6e}"
+            f"to widen the admissible region, or use 0 < delta0 <= "
+            f"{(1.0 - 1e-6) * cand.decay_rate:.6e}"
         )
     s = float(np.max(cand.eigenvalues.real))
     if delta0 is None:
-        delta0 = 0.5 * min(abs(s), 1.0 / (2.0 * qn))
-    lower = max(s, -1.0 / (2.0 * qn))
+        delta0 = 0.5 * min(abs(s), cand.decay_rate)
+    lower = max(s, -cand.decay_rate)
     if lower >= -delta0:
         raise ValueError(
             f"strip is empty: need delta0 < {-lower:.6e} for this generator and member"
@@ -300,10 +304,9 @@ def verify_bound_left_strip(
     grid = [complex(re, im) for re in re_pts for im in im_pts]
 
     norms, _, evaluated = _scan_norms(whiten_operator(aa, nm), grid)
-    pointwise = [2.0 * qn / (1.0 + 2.0 * qn * lam.real) for lam in grid]
-    return _scan_report("left-strip", grid, norms, pointwise,
-                        2.0 * qn / (1.0 - 2.0 * delta0 * qn), evaluated=evaluated,
-                        delta0=delta0)
+    pointwise = [cand.resolvent_bound(lam.real) for lam in grid]
+    return _scan_report("left-strip", grid, norms, pointwise, cand.resolvent_bound(-delta0),
+                        evaluated=evaluated, delta0=delta0)
 
 
 def abscissa_profile(

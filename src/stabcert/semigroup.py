@@ -17,6 +17,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .numkernel import (
+    _EPS,
     KernelPrecisionError,
     as_matrix,
     expm,
@@ -52,7 +53,6 @@ __all__ = [
 WITNESS_SLACK = 1e-6  # relative room below e^{-rate t0} a witness m0 may take
 REFUTE_REAL_PART_TOL = 1e-10
 DATKO_TAIL_TOL = 1e-9  # the certified tail datko_integral may neglect
-_EPS = float(np.finfo(np.float64).eps)
 _GRID_POINTS = 64
 _DECAY_SAFETY = 2.0
 

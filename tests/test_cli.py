@@ -342,8 +342,14 @@ class TestRefutationContract:
         ["certify", "--family", "jordan", "--n", "4", "--lambda", "zz"],
         ["resolvent", "--family", "heat", "--n", "4", "--delta0", "abc"],
         ["resolvent", "--family", "jordan", "--n", "3", "--lambda", "1", "--delta0", "abc"],
+        # a tolerance or alpha that is not finite would make membership or the guarantee vacuous
+        ["certify", "--family", "heat", "--n", "4", "--tol", "inf"],
+        ["certify", "--family", "heat", "--n", "4", "--tol", "nan"],
+        ["perturb", "--family", "heat", "--n", "4", "--random-trials", "3", "--tol", "inf"],
+        ["perturb", "--family", "heat", "--n", "4", "--random-trials", "3", "--alpha", "inf"],
     ], ids=["no-input", "family-and-file", "no-perturb-mode", "both-perturb-modes",
-            "lambda-heat", "lambda-jordan", "delta0-heat", "delta0-jordan-unstable"])
+            "lambda-heat", "lambda-jordan", "delta0-heat", "delta0-jordan-unstable",
+            "tol-inf", "tol-nan", "perturb-tol-inf", "perturb-alpha-inf"])
     def test_usage_grammar_is_refused_before_any_decomposition(self, tmp_path, capsys,
                                                                monkeypatch, argv):
         counts = count_linalg(monkeypatch, "eig", "eigvals", "eigh", "svd", "inv", "solve",
@@ -624,12 +630,19 @@ class TestPerturb:
         assert report["perturbation"]["rescaled_member"] is True
         assert run(["recheck", tmp_path / "perturb-heat-n6.json"]) == 0
 
-    def test_infinite_alpha_trials_pass_and_recheck(self, tmp_path, capsys):
-        # radius 0 scales every trial B to 0
-        assert run(["perturb", "--family", "heat", "--n", "6", "--random-trials", "3",
-                    "--alpha", "inf", "--out-dir", tmp_path]) == 0
-        assert "3/3" in capsys.readouterr().out
-        assert run(["recheck", tmp_path / "perturb-heat-n6.json"]) == 0
+    def test_a_subnormal_b_passes_with_a_finite_max_alpha(self, tmp_path):
+        # alpha* = 1/(2 |B| |Q|) overflows here; at alpha = inf the radius was 0
+        b = np.zeros((4, 4))
+        b[0, 0] = 1e-310
+        save_matrix(tmp_path / "b.json", b)
+        assert run(["perturb", "--family", "upwind", "--n", "4",
+                    "--b-file", tmp_path / "b.json", "--out-dir", tmp_path]) == 0
+        path = tmp_path / "perturb-upwind-n4.json"
+        report = json.loads(path.read_text(), parse_constant=pytest.fail)  # no NaN or inf
+        assert report["verdict"] == "pass"
+        assert report["max_alpha"]["decay"] == 1.0
+        assert report["perturbation"]["b_norm"] <= report["perturbation"]["radius"]
+        assert run(["recheck", path]) == 0
 
     def test_each_trial_takes_one_eigensolve(self, tmp_path, monkeypatch):
         calls = count_linalg(monkeypatch, "eigh")
@@ -881,6 +894,15 @@ class TestGenAndRecheck:
         report["certificate"]["margin"] = -0.5
         path.write_text(json.dumps(report))
         assert run(["recheck", path]) == 2
+
+    def test_recheck_refuses_a_nonfinite_tol(self, tmp_path, capsys):
+        assert run(["certify", "--family", "heat", "--n", "4", "--out-dir", tmp_path]) == 0
+        path = tmp_path / "certify-heat-n4.json"
+        report = read_report(path)
+        report["config"]["tol"] = math.inf  # every margin would be a member's
+        path.write_text(json.dumps(report))
+        assert run(["recheck", path]) == 2
+        assert "config.tol inf is not finite" in capsys.readouterr().out
 
     def test_recheck_catches_halved_strip_worst_ratio(self, tmp_path):
         assert run(["resolvent", "--family", "heat", "--n", "6",

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabcert import numkernel
+from stabcert.cli import _recheck_one, main
 from stabcert.lyapunov import (
+    LyapunovCandidate,
     NotAMemberError,
     NotPositiveSemidefiniteError,
     _norm_bounds,
@@ -185,6 +187,54 @@ class TestCandidateBinding:
         params = list(inspect.signature(operation).parameters)
         assert params[0] == "cand"
         assert not {"a", "nm"} & set(params)
+
+
+class TestTheoremConstants:
+    """Every constant a member implies is read off the candidate's |Q| and theta."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(q=st.floats(1e-100, 1e100), theta_share=st.floats(1e-12, 1.0),
+           re=st.floats(-1e3, 1e3), depth=st.floats(0.0, 1.0, exclude_max=True),
+           t_share=st.floats(0.0, 50.0))
+    def test_the_derived_values_are_the_inline_formulas_bit_for_bit(self, q, theta_share, re,
+                                                                     depth, t_share):
+        # the expressions each site wrote out before the candidate stated them
+        theta = q * theta_share
+        cand = LyapunovCandidate(q=np.eye(1), a=-np.eye(1), nm=NormModel.identity(1),
+                                 margin=0.0, q_norm=q, theta=theta)
+        epsilon, m = 1.0 / (2.0 * q), math.sqrt(q / theta)
+        t = t_share / epsilon
+        delta0 = depth / (2.0 * q)  # 2 delta0 |Q| < 1
+        assert cand.decay_rate == epsilon and -cand.decay_rate == -1.0 / (2.0 * q)
+        assert cand.envelope(0.0) == m
+        assert cand.envelope(t) == m * math.exp(-epsilon * t)
+        assert cand.resolvent_bound(0.0) == 2.0 * q  # the right scan's bound
+        assert cand.resolvent_bound(re) == 2.0 * q / (1.0 + 2.0 * q * min(re, 0.0))
+        assert cand.resolvent_bound(-delta0) == 2.0 * q / (1.0 - 2.0 * delta0 * q)  # headline
+        strip_re = -depth * epsilon  # a strip point's real part
+        assert cand.resolvent_bound(strip_re) == 2.0 * q / (1.0 + 2.0 * q * strip_re)
+
+    def test_every_site_follows_the_candidate(self, tmp_path, monkeypatch):
+        # reports written before the patch, so recheck must then disagree
+        assert main(["certify", "--family", "heat", "--n", "6", "--out-dir", str(tmp_path)]) == 0
+        assert main(["resolvent", "--family", "heat", "--n", "6",
+                     "--out-dir", str(tmp_path)]) == 0
+        a, nm = heat_dirichlet(6, 1.0), NormModel.identity(6)
+        cand = membership_margin(solve_algebraic(a, nm.w), a, nm)
+        bound, envelope = LyapunovCandidate.resolvent_bound, LyapunovCandidate.envelope
+        monkeypatch.setattr(LyapunovCandidate, "resolvent_bound",
+                            lambda self, re: 3.0 * bound(self, re))
+        monkeypatch.setattr(LyapunovCandidate, "envelope", lambda self, t: 5.0 * envelope(self, t))
+        assert verify_bound_right(cand).bound == 3.0 * bound(cand, 0.0)
+        strip = verify_bound_left_strip(cand)
+        assert strip.pointwise_bounds == [3.0 * bound(cand, lam.real) for lam in strip.grid]
+        assert strip.bound == 3.0 * bound(cand, -strip.delta0)
+        assert certificate(cand).overshoot == 5.0 * envelope(cand, 0.0)
+        for report, fields in (("resolvent-heat-n6.json", {"scans.right.bound",
+                                                           "scans.strip.bound"}),
+                               ("certify-heat-n6.json", {"certificate.M"})):
+            _, _, problems = _recheck_one(str(tmp_path / report))
+            assert fields <= {problem.split(":")[0] for problem in problems}
 
 
 class TestRefuteStability:

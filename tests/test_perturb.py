@@ -135,6 +135,20 @@ class TestMaxAlpha:
         assert math.isinf(best.alpha)
         assert best.decay == 1.0
 
+    @pytest.mark.parametrize("q_norm", [0.5, 1e6])
+    @pytest.mark.parametrize("entry", [1e-310, 5e-324, 1e-300])
+    def test_a_tiny_b_keeps_a_finite_alpha_whose_radius_covers_it(self, q_norm, entry):
+        # alpha* = 1/(2 |B| |Q|) overflows, or 2 alpha* |Q| would: the radius
+        # 1/(2 alpha |Q|) must stay above |B| for the one-B check to pass
+        nm = NormModel.identity(2)
+        cand = membership_margin(q_norm * np.eye(2), -np.eye(2) / (2.0 * q_norm), nm)
+        b = np.diag([entry, 0.0])
+        best = max_alpha(cand, b)
+        assert 1.0 < best.alpha < math.inf and best.decay == 1.0
+        rep = verify_perturbation(cand, b, best.alpha)
+        assert rep.b_norm <= rep.radius and rep.margin_after <= cand.tol
+        assert rep.rescaled_member
+
 
 class TestCertificateConsistency:
     def test_rescaled_chain_after_perturbation(self):
