@@ -543,7 +543,7 @@ def _agrees(recomputed, reported) -> bool:
     """Booleans and absent fields (None) exactly, numbers within _RECHECK_REL_TOL."""
     if recomputed is None or reported is None or isinstance(recomputed, (bool, np.bool_)):
         return recomputed == reported
-    return abs(recomputed - reported) <= _RECHECK_REL_TOL * max(
+    return recomputed == reported or abs(recomputed - reported) <= _RECHECK_REL_TOL * max(
         abs(recomputed), abs(reported), 1.0)
 
 
@@ -618,11 +618,13 @@ def _recheck_one(path: str) -> tuple[str | None, list, list]:
             b = matrix_from_json_dict(block[w + "b"])
             alpha = block["alpha"]
             try:
-                if alpha is None:  # the command's max_alpha found no alpha > 1
-                    alpha = max_alpha(cand, b).alpha
+                if alpha is None or "max_alpha" in report:  # the command ran max_alpha
+                    best = max_alpha(cand, b)
+                    fields.update({"max_alpha.alpha": best.alpha, "max_alpha.decay": best.decay})
+                    alpha = best.alpha if alpha is None else alpha
                 rep = verify_perturbation(cand, b, alpha)
-            except RadiusExceededError as exc:
-                fields["perturbation.excess"] = exc.excess
+            except RadiusExceededError as exc:  # then the command wrote no max_alpha block
+                fields.update({"perturbation.excess": exc.excess, "max_alpha": None})
             else:
                 fields.update({"perturbation.excess": None, "perturbation.radius": rep.radius,
                                f"perturbation.{w}margin_after": rep.margin_after,

@@ -256,10 +256,12 @@ def gil_free_depth(order: int) -> int:
 
 def run_on_cpus(work, count: int, order: int, depth: int | None = None) -> None:
     """Call ``work(start, stop)`` on consecutive slices covering range(count),
-    each one stacked call over ``depth`` matrices of the given order, or
-    :func:`gil_free_depth` of them if that is more (None: one call per CPU,
-    on as many CPUs as can each take a call that deep); the last call may
-    be shallower.
+    each one stacked call over at most ``depth`` matrices of the given order,
+    or :func:`gil_free_depth` of them if that is more (None: one call per
+    CPU, on as many CPUs as can each take a call that deep).  The fewest
+    calls that deep round up to a multiple of the runs they fill and share
+    the count evenly, the larger first, unless such a slice would be too
+    shallow to release the GIL: then each call but the last takes the depth.
 
     The calls deep enough to release the GIL go in contiguous runs, one per
     CPU the process may run on, capped by their count: the calling thread
@@ -272,7 +274,13 @@ def run_on_cpus(work, count: int, order: int, depth: int | None = None) -> None:
     if depth is None:
         depth = -(-count // max(min(cpus, count // free), 1))
     depth = max(depth, free)
-    calls = [(start, min(start + depth, count)) for start in range(0, count, depth)]
+    split = min(cpus, -(-count // depth))  # the runs the fewest calls fill
+    even = split and split * -(-count // (depth * split))  # those calls in whole rounds
+    if even and count // even >= free:
+        bounds = [k * (count // even) + min(k, count % even) for k in range(even + 1)]
+    else:
+        bounds = [*range(0, count, depth), count]
+    calls = list(zip(bounds, bounds[1:]))
     deep = [call for call in calls if call[1] - call[0] >= free]
     parts = min(cpus, len(deep))
     runs = [deep[r * len(deep) // parts:(r + 1) * len(deep) // parts] for r in range(parts)]

@@ -67,11 +67,14 @@ class MaxAlpha(NamedTuple):
 
 
 def admissible_radius(cand: LyapunovCandidate, alpha: float) -> float:
-    """Largest perturbation norm covered by the guarantee: 1/(2 alpha |Q|)."""
+    """Largest perturbation norm covered by the guarantee: 1/(2 alpha |Q|), a normal float."""
     if not alpha > 1.0:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
     cand.require_member()
-    return 1.0 / (2.0 * alpha * cand.q_norm)
+    radius = 1.0 / (2.0 * alpha * cand.q_norm)
+    if alpha < math.inf and not np.finfo(float).tiny <= radius < math.inf:  # B = 0 takes inf
+        raise ValueError(f"alpha {alpha!r} leaves the radius {radius!r}, not a normal float")
+    return radius
 
 
 def verify_perturbation(cand: LyapunovCandidate, b, alpha: float) -> PerturbationReport:

@@ -86,7 +86,7 @@ class ScanReport:
 
 def resolvent_norm(a, lam: complex, nm: NormModel) -> float:
     """Weighted operator norm of (lambda I - A)^{-1}: a one-point scan."""
-    return _scan_norms(whiten_operator(as_matrix(a, "a"), nm), [complex(lam)])[0][0]
+    return float(_scan_norms(whiten_operator(as_matrix(a, "a"), nm), [complex(lam)])[0][0])
 
 
 def _symmetric_axis(extent: float, count: int) -> np.ndarray:
@@ -97,10 +97,15 @@ def _symmetric_axis(extent: float, count: int) -> np.ndarray:
     return 0.5 * (x - x[::-1])
 
 
-def _scan_norms(aw: np.ndarray, grid: list, wy: np.ndarray | None = None):
-    """|R_w(lambda)| at every grid point, the column norms of R_w(lambda) wy at
-    every point (one row per point) when right-hand sides ``wy`` are given
-    (else None), and the number of shifts that took an SVD.
+def _lattice(re, im) -> np.ndarray:
+    """The points complex(r, i) for r in ``re`` (outer) and i in ``im``."""
+    return np.stack(np.broadcast_arrays(np.asarray(re)[:, None], im), -1).view(complex).ravel()
+
+
+def _scan_norms(aw: np.ndarray, grid, wy: np.ndarray | None = None):
+    """|R_w(lambda)| at every grid point (an array), the column norms of
+    R_w(lambda) wy at every point (one row per point) when right-hand sides
+    ``wy`` are given (else None), and the number of shifts that took an SVD.
 
     |R_w(lambda)| = 1/sigma_min(lambda I - A_w) for A_w = W^{1/2} A W^{-1/2}
     (Trefethen & Embree, *Spectra and Pseudospectra*, 2005), and the same SVD
@@ -110,26 +115,24 @@ def _scan_norms(aw: np.ndarray, grid: list, wy: np.ndarray | None = None):
     For a real A_w the shift at conj(lambda) is the entrywise conjugate of the
     one at lambda, so |R_w(conj lambda)| = |R_w(lambda)| (the pseudospectra of
     a real matrix are symmetric about the real axis) and R_w(conj lambda) z =
-    conj(R_w(lambda) conj z).  A point whose exact conjugate came earlier takes
-    that point's values.  Every other point takes its own SVD, and for a real
-    A_w its solve covers [wy, conj wy].  The evaluated shifts go in grid order
-    in blocks of _BLOCK_BYTES: one stacked SVD and one stacked solve each.
-    ``run_on_cpus`` takes the blocks in contiguous runs, one per CPU; each
-    block fills its own rows, so no value depends on the CPU count, and the
-    first failed run raises.
+    conj(R_w(lambda) conj z).  For a real A_w a point whose exact conjugate or
+    copy came earlier takes the first one's values, and every other point's
+    solve covers [wy, conj wy].  The evaluated shifts go in grid order in
+    blocks of at most _BLOCK_BYTES, one stacked SVD and one stacked solve
+    each, which ``run_on_cpus`` sizes evenly and takes in contiguous runs, one
+    per CPU; each block fills its own rows, so no value depends on the CPU
+    count, and the first failed run raises.
     """
     mirror = np.isrealobj(aw)
     aw = aw.astype(complex)  # every shift is complex: cast A_w once, not per block
-    shifts, first, source = [], {}, []  # source: (evaluated row, takes the conjugate's)
-    for lam in grid:
-        mate = lam.conjugate()
-        if mirror and mate in first:
-            source.append((first[mate], mate != lam))
-        else:
-            first[lam] = len(shifts)
-            source.append((len(shifts), False))
-            shifts.append(lam)
-    shifts = np.array(shifts)
+    shifts = np.asarray(grid, dtype=complex)
+    rows, flipped = np.arange(shifts.size), np.zeros(shifts.size, dtype=bool)
+    if mirror and shifts.size > 1:  # one key per conjugate pair, 0.0 == -0.0 as in ``==``
+        firsts, key = np.unique(shifts.real + 1j * np.abs(shifts.imag),
+                                return_index=True, return_inverse=True)[1:]
+        source, evaluated = firsts[key], np.sort(firsts)  # each point's first of its key
+        rows, flipped = np.searchsorted(evaluated, source), shifts.imag != shifts[source].imag
+        shifts = shifts[evaluated]
     norms = np.empty(len(shifts))
     if wy is not None:
         k = wy.shape[1]
@@ -157,21 +160,21 @@ def _scan_norms(aw: np.ndarray, grid: list, wy: np.ndarray | None = None):
             cols[start:stop] = np.linalg.norm(solve_linear(shifted, rhs, sigma_max), axis=-2)
 
     run_on_cpus(scan, len(shifts), aw.shape[0], _BLOCK_BYTES // aw.nbytes)
-    rows, flipped = (np.array(column) for column in zip(*source))
     proofs = None
     if wy is not None:
         # a mirrored point reads its conjugate's [conj wy] columns, the last k
         proofs = np.where(flipped[:, None], cols[rows, -k:], cols[rows, :k])
-    return norms[rows].tolist(), proofs, len(shifts)
+    return norms[rows], proofs, len(shifts)
 
 
 def _scan_report(kind, grid, norms, pointwise, bound, **diagnostics) -> ScanReport:
-    ratios = [nrm / b for nrm, b in zip(norms, pointwise)]
-    worst = max(ratios)
-    ties = [lam for lam, r in zip(grid, ratios) if r == worst]
-    return ScanReport(kind=kind, grid=grid, norms=norms, pointwise_bounds=pointwise,
-                      bound=bound, worst_ratio=worst, passed=worst <= 1.0 + DEFAULT_SCAN_TOL,
-                      argmax=min(ties, key=lambda z: (z.real, z.imag)), **diagnostics)
+    ratios = norms / pointwise
+    worst = float(ratios.max())
+    ties = grid[ratios == worst]
+    return ScanReport(kind=kind, grid=grid.tolist(), norms=norms.tolist(),
+                      pointwise_bounds=pointwise.tolist(), bound=bound, worst_ratio=worst,
+                      passed=worst <= 1.0 + DEFAULT_SCAN_TOL,
+                      argmax=complex(ties[np.lexsort((ties.imag, ties.real))[0]]), **diagnostics)
 
 
 def check_right_grid(omega_max: float | None, n_axis: int, n_interior: int) -> None:
@@ -234,12 +237,10 @@ def verify_bound_right(
     half = (n_axis | 1) // 2
     decades = np.logspace(math.log10(omega_max * 1e-6), math.log10(omega_max), half)
     omegas = np.concatenate([-decades[::-1], [0.0], decades])
-    grid = [complex(0.0, w) for w in omegas]
     k = max(int(math.ceil(math.sqrt(n_interior))), 1)
     interior_re = np.logspace(math.log10(2.0 * omega_max * 1e-3), math.log10(2.0 * omega_max), k)
-    interior_im = _symmetric_axis(omega_max, k)
-    interior = [complex(re, im) for re in interior_re for im in interior_im]
-    grid.extend(interior[:n_interior])
+    interior = _lattice(interior_re, _symmetric_axis(omega_max, k))
+    grid = np.concatenate([_lattice([0.0], omegas), interior[:n_interior]])
 
     rng = SplitMix64(0x5EED)
     samples = np.array([random_vector(nm.n, rng) for _ in range(_PROOF_SAMPLES)])
@@ -258,7 +259,7 @@ def verify_bound_right(
         tail_ratio = (1.0 / (omega_max - nrm_a)) / bound
 
     return _scan_report(
-        "right-half-plane", grid, norms, [bound] * len(grid), bound,
+        "right-half-plane", grid, norms, np.full(grid.size, bound), bound,
         proof_slack=float(slack),
         tail_ratio=float(tail_ratio),
         evaluated=evaluated,
@@ -301,10 +302,10 @@ def verify_bound_left_strip(
     re_pts = np.linspace(lower, -delta0, n_grid + 1)[1:]
     im_extent = 10.0 * op_norm(aa, nm)
     im_pts = _symmetric_axis(im_extent, n_grid | 1)  # an odd count puts a point on 0
-    grid = [complex(re, im) for re in re_pts for im in im_pts]
+    grid = _lattice(re_pts, im_pts)
 
     norms, _, evaluated = _scan_norms(whiten_operator(aa, nm), grid)
-    pointwise = [cand.resolvent_bound(lam.real) for lam in grid]
+    pointwise = np.repeat([cand.resolvent_bound(re) for re in re_pts.tolist()], im_pts.size)
     return _scan_report("left-strip", grid, norms, pointwise, cand.resolvent_bound(-delta0),
                         evaluated=evaluated, delta0=delta0)
 
@@ -339,8 +340,8 @@ def abscissa_profile(
         count = max(int(n) | 1, 5)
         sup = None
         for _ in range(_PROFILE_MAX_REFINEMENTS):
-            line = [complex(abscissa, w) for w in _symmetric_axis(omega_max, count)]
-            previous, sup = sup, max(_scan_norms(aw, line)[0])
+            line = _lattice([abscissa], _symmetric_axis(omega_max, count))
+            previous, sup = sup, _scan_norms(aw, line)[0].max()
             if previous is not None and abs(sup - previous) <= _PROFILE_STABLE_REL * sup:
                 break
             count = 2 * count - 1
@@ -351,7 +352,12 @@ def abscissa_profile(
 def export_scan_csv(report: ScanReport, path) -> None:
     """Write one row per grid point: re_lambda, im_lambda, resolvent_norm,
     bound, ratio.  Plain '.' decimals, shortest round-trip floats."""
-    lines = ["re_lambda,im_lambda,resolvent_norm,bound,ratio"]
-    for lam, nrm, bnd in zip(report.grid, report.norms, report.pointwise_bounds):
-        lines.append(f"{lam.real!r},{lam.imag!r},{nrm!r},{bnd!r},{nrm / bnd!r}")
+    grid, norms, bounds = map(np.array, (report.grid, report.norms, report.pointwise_bounds))
+    columns = []
+    for column in (grid.real, grid.imag, norms, bounds, norms / bounds):
+        # one repr per distinct float64 bit pattern, so 0.0 and -0.0 stay apart
+        distinct, where = np.unique(column.view(np.uint64), return_inverse=True)
+        text = [repr(value) for value in distinct.view(np.float64).tolist()]
+        columns.append([text[i] for i in where.tolist()])
+    lines = ["re_lambda,im_lambda,resolvent_norm,bound,ratio", *map(",".join, zip(*columns))]
     write_atomic(path, "\n".join(lines) + "\n")

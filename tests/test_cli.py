@@ -586,6 +586,41 @@ class TestPerturb:
         assert code == 1
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--random-trials", "3"], ["--b-file", "b.json"]])
+    def test_an_alpha_whose_radius_is_not_a_normal_float_is_refused(self, tmp_path, capsys,
+                                                                     flags, monkeypatch):
+        # 2 alpha |Q| overflows, so the radius would be 0 and every B scaled to 0
+        monkeypatch.chdir(tmp_path)
+        save_matrix(tmp_path / "b.json", np.zeros((4, 4)))
+        assert run(["perturb", "--family", "heat", "--n", "4", *flags, "--alpha", "1e308",
+                    "--out-dir", tmp_path]) == 1
+        assert "not a normal float" in capsys.readouterr().err
+        assert not (tmp_path / "perturb-heat-n4.json").exists()
+
+    @pytest.mark.parametrize("entry, code", [(1e-300, 0), (10.0, 2)])
+    def test_recheck_compares_the_max_alpha_block(self, tmp_path, capsys, entry, code):
+        # within 1/(2|Q|) the report carries alpha and its max_alpha block;
+        # beyond it alpha is null and the report carries no block
+        b = np.zeros((4, 4))
+        b[0, 0] = entry
+        save_matrix(tmp_path / "b.json", b)
+        assert run(["perturb", "--family", "heat", "--n", "4", "--b-file", tmp_path / "b.json",
+                    "--out-dir", tmp_path]) == code
+        path = tmp_path / "perturb-heat-n4.json"
+        report = read_report(path)
+        assert (report["perturbation"]["alpha"] is None) == (code == 2)
+        assert ("max_alpha" in report) == (code == 0)
+        assert run(["recheck", path]) == 0
+        report["max_alpha"] = {"alpha": 0.5, "decay": -5.0}
+        path.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run(["recheck", path]) == 2
+        out = capsys.readouterr().out
+        if code == 0:
+            assert "max_alpha.alpha: recomputed" in out and "max_alpha.decay: recomputed" in out
+        else:  # max_alpha finds no alpha > 1, so there is no block to report
+            assert "max_alpha: recomputed None vs reported {'alpha': 0.5" in out
+
     def test_small_admissible_b_passes_with_max_alpha(self, tmp_path):
         b = np.zeros((8, 8), dtype=complex)
         b[0, 1] = 0.1

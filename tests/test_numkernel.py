@@ -267,12 +267,17 @@ class TestRunOnCpus:
         (20, 48, None, 2, [(0, 20)], 1),  # two runs of 10 would hold the GIL
         (8, 8, None, 3, [(0, 8)], 1),
         (0, 8, None, 2, [], 0),
-        (300, 16, 64, 2, [(0, 64), (64, 128), (128, 192), (192, 256), (256, 300)], 2),
-        # 12 x 16 < 500: the last call runs on the calling thread after its run
+        # five calls of at most 64 round up to six, three per CPU
+        (300, 16, 64, 2, [(0, 50), (50, 100), (100, 150), (150, 200), (200, 250),
+                          (250, 300)], 2),
+        # ten even calls of 30 would hold the GIL (30 x 16 < 500), so each
+        # takes 32 and the last 12 runs on the calling thread after its run
         (300, 16, 1, 2, [(0, 32), (32, 64), (64, 96), (96, 128), (128, 160), (160, 192),
                          (192, 224), (224, 256), (256, 288), (288, 300)], 2),
-        (312, 8, 256, 2, [(0, 256), (256, 312)], 1),  # 56 x 8 < 500: the n = 8 strip
-        (312, 8, 256, 1, [(0, 256), (256, 312)], 1),
+        (312, 8, 256, 2, [(0, 156), (156, 312)], 2),  # the n = 8 strip
+        (312, 8, 256, 1, [(0, 156), (156, 312)], 1),
+        (73, 16, 64, 2, [(0, 37), (37, 73)], 2),  # the n = 16 right scan
+        (0, 16, 64, 2, [], 0),
     ])
     def test_runs_cover_the_count_in_calls_deep_enough_to_split(
             self, count, order, depth, cpus, slices, threads):

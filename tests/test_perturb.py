@@ -38,6 +38,19 @@ class TestAdmissibleRadius:
         with pytest.raises(ValueError):
             admissible_radius(cand, 1.0)
 
+    @pytest.mark.parametrize("q_norm, alpha", [
+        (0.5, 5e307),  # radius 2e-308, subnormal
+        (0.5, 2.0 ** 1022 * 1.5),  # radius 2^-1022 / 1.5, just below the normal range
+        (1e6, 1e303),  # 2 alpha |Q| overflows: radius 0
+    ])
+    def test_rejects_an_alpha_whose_radius_is_not_a_normal_float(self, q_norm, alpha):
+        nm = NormModel.identity(2)
+        cand = membership_margin(q_norm * np.eye(2), -np.eye(2) / (2.0 * q_norm), nm)
+        with pytest.raises(ValueError, match="not a normal float"):
+            admissible_radius(cand, alpha)
+        # the infinite alpha that max_alpha gives B = 0 keeps its radius 0
+        assert admissible_radius(cand, math.inf) == 0.0
+
 
 class TestVerifyPerturbation:
     def test_zero_perturbation(self):
@@ -145,6 +158,7 @@ class TestMaxAlpha:
         b = np.diag([entry, 0.0])
         best = max_alpha(cand, b)
         assert 1.0 < best.alpha < math.inf and best.decay == 1.0
+        assert admissible_radius(cand, best.alpha) >= np.finfo(float).tiny
         rep = verify_perturbation(cand, b, best.alpha)
         assert rep.b_norm <= rep.radius and rep.margin_after <= cand.tol
         assert rep.rescaled_member

@@ -22,6 +22,7 @@ from stabcert.numkernel import singular_extremes, solve_linear
 from stabcert.resolvent import (
     MAX_GRID_POINTS,
     ResolventSingularError,
+    ScanReport,
     abscissa_profile,
     check_right_grid,
     export_scan_csv,
@@ -384,7 +385,31 @@ class TestPerPointWork:
         assert counts == {"svd": report.evaluated + 1, "solve": report.evaluated}
 
 
+def per_row_csv(report) -> str:
+    """Reference for ``export_scan_csv``: one f-string per row."""
+    lines = ["re_lambda,im_lambda,resolvent_norm,bound,ratio"]
+    for lam, nrm, bnd in zip(report.grid, report.norms, report.pointwise_bounds):
+        lines.append(f"{lam.real!r},{lam.imag!r},{nrm!r},{bnd!r},{nrm / bnd!r}")
+    return "\n".join(lines) + "\n"
+
+
 class TestCsvExport:
+    def test_bytes_equal_the_per_row_writer(self, tmp_path):
+        # repeated values, 0.0 beside -0.0 in every column, and subnormals:
+        # one repr per distinct value must key on the bits, not on ==
+        grid = [0j, complex(-0.0, -0.0), complex(-0.0, 1e-310), complex(0.5, 0.1),
+                complex(0.5, -0.1), 0j, complex(0.0, -0.0)]
+        norms = [0.0, -0.0, 5e-324, 0.1 + 0.2, 0.1 + 0.2, 2.0, -0.0]
+        bounds = [2.0, 2.0, 3.0, 2.0, 2.0, 2.0, -2.0]
+        hand = ScanReport(kind="left-strip", grid=grid, norms=norms, pointwise_bounds=bounds,
+                          bound=3.0, worst_ratio=1.0, passed=True, argmax=0j)
+        cand = member_for(heat_dirichlet(8), NormModel.identity(8))
+        for report in (hand, verify_bound_right(cand), verify_bound_left_strip(cand)):
+            export_scan_csv(report, tmp_path / "scan.csv")
+            assert (tmp_path / "scan.csv").read_bytes() == per_row_csv(report).encode()
+        expected = per_row_csv(hand)
+        assert "-0.0,-0.0,-0.0,2.0,-0.0" in expected and "5e-324" in expected
+
     def test_schema_and_roundtrip(self, tmp_path):
         a = -np.eye(2)
         nm = NormModel.identity(2)
@@ -511,7 +536,7 @@ def per_point_scan(aw, grid, wy=None):
             done[lam] = (nrm, mate_cols)
         norms.append(nrm)
         proofs.append(cols)
-    return norms, None if wy is None else np.array(proofs), len(done)
+    return np.array(norms), None if wy is None else np.array(proofs), len(done)
 
 
 SCAN_CASES = {
@@ -645,8 +670,14 @@ class TestStackedScans:
                    for m, thread in stacks if len(m) < 500 // n + 1)
 
     def test_a_lone_deep_block_keeps_the_scan_on_one_thread(self, monkeypatch):
-        # the n = 8 strip's 312 shifts take blocks of 256 and 56, and 56 x 8 =
-        # 448 SVD rows hold the GIL: a worker thread would only wait for it
+        # the n = 8 strip's 312 shifts fit two blocks of 256, and two even
+        # blocks of 156 each hold 156 x 8 > 500 SVD rows: one per CPU
         stacks, _ = self.strip_stacks(monkeypatch, 8, 24)
-        assert [len(m) for m, _ in stacks] == [256, 56]
+        assert [len(m) for m, _ in stacks] == [156, 156]
+        assert len({thread for _, thread in stacks}) == 2
+        # the n = 32 six-line strip's 24 shifts take one block of 16 and one
+        # of 8 (two even blocks of 12 would hold the GIL, 12 x 32 < 500): the
+        # lone deep block keeps the scan on the calling thread
+        stacks, _ = self.strip_stacks(monkeypatch, 32, 6)
+        assert [len(m) for m, _ in stacks] == [16, 8]
         assert {thread for _, thread in stacks} == {threading.current_thread()}
