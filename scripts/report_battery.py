@@ -19,8 +19,10 @@ uniformly from [-1e-3/N, 1e-3/N] by ``random.Random(N)`` (so |B|_F <= 1e-3),
 which ``run`` writes to ``OUT/b-n<N>.json``; it is inside 1/(2|Q|) for some
 members and beyond it (``rejected``) for others.  Both files are passed by
 their relative names, since reports echo them.  Each job writes its report
-and CSVs into ``OUT/<job>/``, and the exit codes go to
-``OUT/exit_codes.json``.
+and CSVs into ``OUT/<job>/``.  Then one ``python -m stabcert recheck`` runs
+over every job report, by its path relative to OUT, and writes what it
+compared and concluded to ``OUT/recheck.txt``.  The exit codes of the jobs
+and of ``recheck`` (as ``recheck``) go to ``OUT/exit_codes.json``.
 
 ``compare`` exits 0 when the two batteries hold the same files, every JSON
 file is equal outside ``timings`` and ``config.out_dir`` (which echoes the
@@ -89,11 +91,22 @@ def run(src: Path, out: Path, sizes: list) -> int:
                     "--n", str(n), "--out-dir", job]
             codes[job] = subprocess.run(argv, cwd=out, env=env,
                                         capture_output=True).returncode
-    (out / EXIT_CODES).write_text(json.dumps(codes, indent=1) + "\n")
-    tally = collections.Counter(codes.values())
-    print(f"{len(codes)} jobs, exit codes "
-          + ", ".join(f"{count}x{code}" for code, count in sorted(tally.items())))
+    reports = sorted(str(p.relative_to(out)) for p in out.glob("*/*.json"))
+    recheck = subprocess.run([sys.executable, "-m", "stabcert", "recheck", *reports],
+                             cwd=out, env=env, capture_output=True, text=True)
+    (out / "recheck.txt").write_text(recheck.stdout)
+    (out / EXIT_CODES).write_text(json.dumps({**codes, "recheck": recheck.returncode},
+                                             indent=1) + "\n")
+    print(_tally(codes, recheck.returncode))
     return 0
+
+
+def _tally(codes: dict, recheck) -> str:
+    """One line on the jobs' exit codes and recheck's."""
+    tally = collections.Counter(codes.values())
+    return (f"{len(codes)} jobs, exit codes "
+            + ", ".join(f"{count}x{code}" for code, count in sorted(tally.items()))
+            + f"; recheck exit {recheck}")
 
 
 def _canonical(doc):
@@ -162,9 +175,8 @@ def compare(a: Path, b: Path) -> int:
     if differ:
         return 1
     codes = json.loads((a / EXIT_CODES).read_text()) if (a / EXIT_CODES).is_file() else {}
-    tally = collections.Counter(codes.values())
-    print(f"identical: {len(files[0])} files, {len(codes)} jobs, exit codes "
-          + ", ".join(f"{count}x{code}" for code, count in sorted(tally.items())))
+    recheck = codes.pop("recheck", None)
+    print(f"identical: {len(files[0])} files, {_tally(codes, recheck)}")
     return 0
 
 

@@ -189,8 +189,11 @@ def solve_algebraic(a, rhs) -> np.ndarray:
             f"right-hand side must be positive definite, min eigenvalue {lam_r[0]:.6e}"
         )
     n = aa.shape[0]
-    shift = aa.trace().imag / n
-    e, steps, prev, err = aa - 1j * shift * np.eye(n) if shift else aa, [], math.inf, math.inf
+    k = math.frexp(float(np.linalg.norm(aa, 1)))[1]  # |A|_1 = x 2^k, x in [1/2, 1)
+    k = k if abs(k) > 256 else 0  # iterate on 2^-k A, whose solution is 2^k Q
+    aa_k = np.ldexp(aa.view(np.float64), -k).view(aa.dtype)
+    shift = aa_k.trace().imag / n
+    e, steps, prev, err = aa_k - 1j * shift * np.eye(n) if shift else aa_k, [], math.inf, math.inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # Q is checked below
         while err > 1e-13 * n and not prev <= err < 1e-6:
             if len(steps) == SIGN_MAX_STEPS:
@@ -203,10 +206,11 @@ def solve_algebraic(a, rhs) -> np.ndarray:
             prev, err = err, float(np.linalg.norm(e + np.eye(n), 1))
         q = np.zeros(rr.shape, dtype=np.result_type(aa, rr))
         for _ in range(2):  # the second pass solves for the correction
-            d = aa.conj().T @ q + q @ aa + rr
+            d = aa_k.conj().T @ q + q @ aa_k + rr
             for c, e_inv in steps:
                 d = 0.5 * (d / c) + 0.5 * (c * (e_inv.conj().T @ d @ e_inv))
             q = q + hermitian_part(0.5 * d)
+        q = np.ldexp(q.view(np.float64), -k).view(q.dtype)
     if not np.isfinite(q).all():
         raise KernelPrecisionError("Lyapunov solution overflows float64: |Q| is not representable")
     residual = singular_extremes(aa.conj().T @ q + q @ aa + rr)[0]

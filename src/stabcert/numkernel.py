@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from itertools import pairwise
 
 import numpy as np
 
@@ -254,40 +255,36 @@ def gil_free_depth(order: int) -> int:
     return 500 // order + 1
 
 
+def _even_cuts(start: int, stop: int, parts: int) -> list[int]:
+    """Bounds of ``parts`` consecutive slices of range(start, stop) whose
+    sizes differ by at most one, the larger first."""
+    size, extra = divmod(stop - start, parts)
+    return [start + k * size + min(k, extra) for k in range(parts + 1)]
+
+
 def run_on_cpus(work, count: int, order: int, depth: int | None = None) -> None:
     """Call ``work(start, stop)`` on consecutive slices covering range(count),
-    each one stacked call over at most ``depth`` matrices of the given order,
-    or :func:`gil_free_depth` of them if that is more (None: one call per
-    CPU, on as many CPUs as can each take a call that deep).  The fewest
-    calls that deep round up to a multiple of the runs they fill and share
-    the count evenly, the larger first, unless such a slice would be too
-    shallow to release the GIL: then each call but the last takes the depth.
+    each one stacked call over matrices of the given order, laid out by one
+    rule.  range(count) is cut into one contiguous run per CPU the process
+    may run on, but no more runs than can each hold :func:`gil_free_depth`
+    matrices, and at least one; run sizes differ by at most one, the larger
+    first.  Each run is cut into the fewest even calls of at most ``depth``
+    matrices (one call for None; 0 counts as 1) that each keep the GIL-free
+    depth.  So no call is shallower than that depth unless ``count`` is, and
+    none is deeper than ``depth`` or twice that depth less one, if more.
 
-    The calls deep enough to release the GIL go in contiguous runs, one per
-    CPU the process may run on, capped by their count: the calling thread
-    takes the first run, a short-lived thread each other.  A shallower last
-    call is a run of its own on the calling thread, since on a second thread
-    it would only wait for the GIL.  Each call must write only its own
-    slice's results, so no value depends on the CPU count.  Every thread has
-    ended before the earliest failed run's error is raised."""
-    cpus, free = _cpu_count(), gil_free_depth(order)
-    if depth is None:
-        depth = -(-count // max(min(cpus, count // free), 1))
-    depth = max(depth, free)
-    split = min(cpus, -(-count // depth))  # the runs the fewest calls fill
-    even = split and split * -(-count // (depth * split))  # those calls in whole rounds
-    if even and count // even >= free:
-        bounds = [k * (count // even) + min(k, count % even) for k in range(even + 1)]
-    else:
-        bounds = [*range(0, count, depth), count]
-    calls = list(zip(bounds, bounds[1:]))
-    deep = [call for call in calls if call[1] - call[0] >= free]
-    parts = min(cpus, len(deep))
-    runs = [deep[r * len(deep) // parts:(r + 1) * len(deep) // parts] for r in range(parts)]
-    local = [0] if runs else []  # the runs the calling thread takes, in order
-    if len(deep) < len(calls):
-        local.append(len(runs))
-        runs.append(calls[-1:])
+    The calling thread takes the first run, a short-lived thread each other.
+    Each call must write only its own slice's results, so no value depends
+    on the CPU count.  Every thread has ended before the earliest failed
+    run's error is raised."""
+    if not count:
+        return
+    free = gil_free_depth(order)
+    runs = []
+    for start, stop in pairwise(_even_cuts(0, count, max(min(_cpu_count(), count // free), 1))):
+        size = stop - start
+        calls = 1 if depth is None else max(min(-(-size // max(depth, 1)), size // free), 1)
+        runs.append(list(pairwise(_even_cuts(start, stop, calls))))
     failures = {}  # run -> its error
 
     def run(r):
@@ -297,13 +294,10 @@ def run_on_cpus(work, count: int, order: int, depth: int | None = None) -> None:
         except Exception as exc:  # raised once every run has ended
             failures[r] = exc
 
-    workers = [threading.Thread(target=run, args=(r,)) for r in range(1, parts)]
+    workers = [threading.Thread(target=run, args=(r,)) for r in range(1, len(runs))]
     for worker in workers:
         worker.start()
-    for r in local:
-        run(r)
-        if r in failures:  # no later run's error can be the earliest
-            break
+    run(0)
     for worker in workers:
         worker.join()
     if failures:

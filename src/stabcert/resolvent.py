@@ -48,10 +48,10 @@ DEFAULT_SCAN_TOL = 1e-9
 MAX_GRID_POINTS = 100_000
 _PROOF_SAMPLES = 3
 # bytes of shifted matrices per stacked SVD and solve, which shares one
-# call's overhead among the block's shifts.  ``run_on_cpus`` deepens a block
-# to the depth at which numpy releases the GIL in its SVD, 500 // n + 1
-# shifts, which is the deeper rule above n = 32 (11 shifts at n = 48, 2 at
-# n = 256).  A scan holds one block in flight per thread it runs on
+# call's overhead among the block's shifts.  ``run_on_cpus`` evens out each
+# run's blocks, none shallower than the depth at which numpy releases the GIL
+# in its SVD, 500 // n + 1 shifts, even where the budget holds fewer (2 or 3
+# shifts at n = 256).  A scan holds one block in flight per thread it runs on
 _BLOCK_BYTES = 256 * 1024
 _PROFILE_STABLE_REL = 1e-6
 _PROFILE_MAX_REFINEMENTS = 12
@@ -180,8 +180,8 @@ def _scan_report(kind, grid, norms, pointwise, bound, **diagnostics) -> ScanRepo
 def check_right_grid(omega_max: float | None, n_axis: int, n_interior: int) -> None:
     """The argument checks of :func:`verify_bound_right`, which need no
     decomposition: a caller running other scans first can make them first."""
-    if omega_max is not None and not omega_max > 0.0:
-        raise ValueError(f"omega_max must be positive, got {omega_max}")
+    if omega_max is not None and not 0.0 < 2.0 * omega_max < math.inf:
+        raise ValueError(f"omega_max must be positive with 2 omega_max finite, got {omega_max}")
     if n_axis < 1:
         raise ValueError(f"n_axis must be >= 1, got {n_axis}")
     if n_interior < 0:

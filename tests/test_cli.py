@@ -372,7 +372,7 @@ class TestRefutationContract:
         assert report["verdict"] == "refuted"
         assert run(["recheck", tmp_path / "q0-jordan-n3.json"]) == 0
 
-    @pytest.mark.parametrize("k", [-200, -60, 0, 60, 200])
+    @pytest.mark.parametrize("k", [-1000, -540, -200, -60, 0, 60, 200, 540, 1000])
     @pytest.mark.parametrize("family", [["heat"], ["upwind"], ["jordan", "--lambda", "-1"],
                                         ["random-stable", "--seed", "3"]],
                              ids=["heat", "upwind", "jordan", "random-stable"])
@@ -385,6 +385,14 @@ class TestRefutationContract:
         save_matrix(tmp_path / "scaled.json", a * 2.0 ** k)
         assert run(["certify", "--file", tmp_path / "scaled.json", "--out-dir", tmp_path]) == 0
         assert run(["recheck", tmp_path / "certify-file-scaled.json"]) == 0
+
+    @pytest.mark.parametrize("entry", [-1e300, -1e-300])
+    def test_a_1x1_generator_at_either_end_of_the_range_is_certified(self, tmp_path, entry):
+        # Q = 1/(2|a|) is representable, though the sign iteration on [[a]]
+        # itself over- or underflows
+        save_matrix(tmp_path / "a.json", np.array([[entry]]))
+        assert run(["certify", "--file", tmp_path / "a.json", "--out-dir", tmp_path]) == 0
+        assert run(["recheck", tmp_path / "certify-file-a.json"]) == 0
 
     @pytest.mark.parametrize("argv, stem, code", [
         (["--family", "heat", "--length", "1e6", "--n", "8"], "certify-heat-n8", 0),
@@ -536,6 +544,9 @@ class TestResolvent:
         ("--delta0", "100", "delta0 <="),
         ("--n-axis", "0", "n_axis must be >= 1"),
         ("--omega-max", "-1", "omega_max must be positive"),
+        # the interior grid reaches Re lambda = 2 omega_max, which must be finite
+        ("--omega-max", "inf", "omega_max must be positive with 2 omega_max finite"),
+        ("--omega-max", "1e308", "omega_max must be positive with 2 omega_max finite"),
         # grids beyond MAX_GRID_POINTS are refused before they are built
         ("--n-grid", str(10**12), "n_grid = 1000000000000 takes"),
         ("--n-axis", str(10**12), "n_axis + n_interior = 1000000000016 exceeds 100000"),

@@ -463,6 +463,19 @@ class TestSignFunctionSolve:
         assert np.array_equal(q, q.conj().T)
         assert lyapunov_residual(a, q, rhs) <= 1e-8
 
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(family=st.sampled_from([*sorted(SIZED_FAMILIES), "jordan(-0.5+1i)"]),
+           n=st.integers(2, 12), k=st.integers(-1000, 1000))
+    def test_a_power_of_two_scales_the_solution_back(self, family, n, k):
+        # (2^k A)* Q + Q (2^k A) = -W is solved by 2^-k Q_A: 2^-k A cannot
+        # overflow or underflow the sign iteration, whatever k
+        a = (jordan_block(n, -0.5 + 1j) if family == "jordan(-0.5+1i)"
+             else SIZED_FAMILIES[family](n))
+        w = random_psd(n, n) + np.eye(n)
+        q = solve_algebraic(a, w)
+        scaled = 2.0 ** k * solve_algebraic(a * 2.0 ** k, w)
+        assert np.linalg.norm(scaled - q, 2) <= 1e-12 * np.linalg.norm(q, 2)
+
     def test_heat_256_keeps_tenfold_headroom(self):
         a = heat_dirichlet(256, 1.0)
         q = solve_algebraic(a, np.eye(256))

@@ -267,13 +267,13 @@ class TestRunOnCpus:
         (20, 48, None, 2, [(0, 20)], 1),  # two runs of 10 would hold the GIL
         (8, 8, None, 3, [(0, 8)], 1),
         (0, 8, None, 2, [], 0),
-        # five calls of at most 64 round up to six, three per CPU
+        # a run of 150 per CPU, each in the fewest even calls of at most 64
         (300, 16, 64, 2, [(0, 50), (50, 100), (100, 150), (150, 200), (200, 250),
                           (250, 300)], 2),
-        # ten even calls of 30 would hold the GIL (30 x 16 < 500), so each
-        # takes 32 and the last 12 runs on the calling thread after its run
-        (300, 16, 1, 2, [(0, 32), (32, 64), (64, 96), (96, 128), (128, 160), (160, 192),
-                         (192, 224), (224, 256), (256, 288), (288, 300)], 2),
+        # a depth of 1 would hold the GIL (16 x 1 < 500): each run of 150
+        # takes the most even calls of at least 32, four of 37 or 38
+        (300, 16, 1, 2, [(0, 38), (38, 76), (76, 113), (113, 150), (150, 188), (188, 226),
+                         (226, 263), (263, 300)], 2),
         (312, 8, 256, 2, [(0, 156), (156, 312)], 2),  # the n = 8 strip
         (312, 8, 256, 1, [(0, 156), (156, 312)], 1),
         (73, 16, 64, 2, [(0, 37), (37, 73)], 2),  # the n = 16 right scan
@@ -286,6 +286,27 @@ class TestRunOnCpus:
         assert len({call[2] for call in seen}) == threads
         if seen:
             assert threading.current_thread() in {call[2] for call in seen}
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(count=st.integers(0, 2000), order=st.integers(2, 256),
+           depth=st.none() | st.integers(0, 300), cpus=st.integers(1, 4))
+    def test_one_rule_lays_out_every_call(self, count, order, depth, cpus):
+        seen = sorted(self.calls(count, order, depth, cpus), key=lambda call: call[0])
+        free = numkernel.gil_free_depth(order)
+        # the calls cover range(count) in order, each run on a thread of its own
+        edges = [0, *(stop for _, stop, _ in seen)]
+        assert [start for start, _, _ in seen] == edges[:-1] and edges[-1] == count
+        runs = {}
+        for start, stop, thread in seen:
+            runs.setdefault(thread, []).append(stop - start)
+        assert len(runs) == (max(min(cpus, count // free), 1) if count else 0)
+        assert max(map(sum, runs.values()), default=0) - min(map(sum, runs.values()),
+                                                                default=0) <= 1
+        assert all(stop - start >= free for start, stop, _ in seen) or len(seen) <= 1
+        if depth is not None:
+            assert all(stop - start <= max(depth, 2 * free - 1) for start, stop, _ in seen)
+        if seen:
+            assert seen[0][2] is threading.current_thread()
 
     def test_the_earliest_failed_run_raises_after_every_run_ends(self):
         # four runs of one 8-deep call at n = 64: the calling thread's passes,
