@@ -126,7 +126,7 @@ def _residual_margin(q: np.ndarray, a: np.ndarray, nm: NormModel):
     for an ``(..., n, n)`` stack of generators, an array of one per slice
     from one batched eigensolve."""
     residual = hermitian_part(a.conj().swapaxes(-1, -2) @ q + q @ a + nm.w)
-    lam = hermitian_eig(whiten_form(residual, nm))[0][..., -1]
+    lam = hermitian_eig(whiten_form(residual, nm))[..., -1]
     return float(lam) if a.ndim == 2 else lam
 
 
@@ -146,7 +146,7 @@ def membership_margin(
     aa.flags.writeable = False
     if qq.shape != aa.shape or qq.shape[0] != nm.n:
         raise ValueError(f"dimension mismatch: q {qq.shape}, a {aa.shape}, w {nm.w.shape}")
-    lam_q = hermitian_eig(whiten_form(qq, nm))[0]
+    lam_q = hermitian_eig(whiten_form(qq, nm))
     q_norm = max(abs(lam_q[0]), abs(lam_q[-1]))
     if lam_q[0] < -1e-10 * q_norm:
         raise NotPositiveSemidefiniteError(
@@ -183,7 +183,7 @@ def solve_algebraic(a, rhs) -> np.ndarray:
     if aa.shape != rr.shape:
         raise ValueError(f"shape mismatch: a {aa.shape}, rhs {rr.shape}")
     stability_gate(aa)  # before any decomposition: it is a job's refutation
-    lam_r, _ = hermitian_eig(rr)
+    lam_r = hermitian_eig(rr)
     if lam_r[0] <= 0.0:
         raise ValueError(
             f"right-hand side must be positive definite, min eigenvalue {lam_r[0]:.6e}"

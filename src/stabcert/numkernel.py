@@ -323,13 +323,13 @@ def hermitian_gate(h, name: str = "matrix") -> np.ndarray:
     return hermitian_part(m)
 
 
-def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of the Hermitian part of a matrix that is Hermitian
-    by construction or has passed :func:`hermitian_gate`: no claim is tested.
-    Returns ascending eigenvalues and the unitary matrix of eigenvectors; for
-    an ``(..., n, n)`` stack, those of each slice from one batched call.
+def hermitian_eig(h) -> np.ndarray:
+    """Eigenvalues of the Hermitian part of a matrix that is Hermitian by
+    construction or has passed :func:`hermitian_gate`: no claim is tested.
+    Returns them ascending, without eigenvectors; for an ``(..., n, n)``
+    stack, those of each slice from one batched call.
     """
-    return np.linalg.eigh(hermitian_part(as_matrix(h, stack=True)))
+    return np.linalg.eigvalsh(hermitian_part(as_matrix(h, stack=True)))
 
 
 def _first_failure(failed) -> tuple[int, str]:

@@ -21,6 +21,7 @@ import numpy as np
 from .lyapunov import LyapunovCandidate
 from .models import SplitMix64, random_vector, write_atomic
 from .numkernel import (
+    KernelPrecisionError,
     SingularMatrixError,
     as_matrix,
     run_on_cpus,
@@ -169,6 +170,9 @@ def _scan_norms(aw: np.ndarray, grid, wy: np.ndarray | None = None):
 
 def _scan_report(kind, grid, norms, pointwise, bound, **diagnostics) -> ScanReport:
     ratios = norms / pointwise
+    if not np.isfinite(ratios).all():
+        lam = complex(grid[~np.isfinite(ratios)][0])
+        raise KernelPrecisionError(f"{kind} scan: the ratio at lambda = {lam} is not finite")
     worst = float(ratios.max())
     ties = grid[ratios == worst]
     return ScanReport(kind=kind, grid=grid.tolist(), norms=norms.tolist(),
@@ -180,8 +184,11 @@ def _scan_report(kind, grid, norms, pointwise, bound, **diagnostics) -> ScanRepo
 def check_right_grid(omega_max: float | None, n_axis: int, n_interior: int) -> None:
     """The argument checks of :func:`verify_bound_right`, which need no
     decomposition: a caller running other scans first can make them first."""
-    if omega_max is not None and not 0.0 < 2.0 * omega_max < math.inf:
-        raise ValueError(f"omega_max must be positive with 2 omega_max finite, got {omega_max}")
+    # the interior grid reaches 2 omega_max + i omega_max, which must be finite
+    if omega_max is not None and not (
+            omega_max > 0.0 and math.hypot(2.0 * omega_max, omega_max) < math.inf):
+        raise ValueError(f"omega_max must be positive with 2 omega_max finite and the farthest "
+                         f"shift |2 omega_max + i omega_max| finite, got {omega_max}")
     if n_axis < 1:
         raise ValueError(f"n_axis must be >= 1, got {n_axis}")
     if n_interior < 0:

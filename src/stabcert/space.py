@@ -52,7 +52,7 @@ class NormModel:
     @classmethod
     def from_weight(cls, w) -> "NormModel":
         ww = hermitian_gate(w, "norm weight")
-        lam, v = hermitian_eig(ww)
+        lam, v = np.linalg.eigh(ww)
         if lam[0] <= 0.0:
             raise ValueError(
                 f"norm weight must be positive definite, min eigenvalue {lam[0]:.3e}"
@@ -139,8 +139,7 @@ def form_eigenvalues(q, nm: NormModel) -> np.ndarray:
     eigenvalues, so this one eigensolve decides positivity and yields
     both the positivity constant and the dual-map norm.
     """
-    w, _ = hermitian_eig(whiten_form(hermitian_gate(q, "q"), nm))
-    return w
+    return hermitian_eig(whiten_form(hermitian_gate(q, "q"), nm))
 
 
 def dual_map_norm(q, nm: NormModel) -> float:

@@ -251,8 +251,8 @@ class TestQ0:
         save_matrix("p.json", np.eye(3, dtype=complex))
         for module in ("semigroup", "lyapunov"):
             monkeypatch.setattr(f"stabcert.{module}.expm", no_expm)
-        counts = count_linalg(monkeypatch, "eig", "eigvals", "eigh", "svd", "inv", "solve",
-                              "slogdet", "norm")
+        counts = count_linalg(monkeypatch, "eig", "eigvals", "eigh", "eigvalsh", "svd", "inv",
+                              "solve", "slogdet", "norm")
         assert run(["q0", *family, flag, value, "--out-dir", "out"]) == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -352,8 +352,8 @@ class TestRefutationContract:
             "tol-inf", "tol-nan", "perturb-tol-inf", "perturb-alpha-inf"])
     def test_usage_grammar_is_refused_before_any_decomposition(self, tmp_path, capsys,
                                                                monkeypatch, argv):
-        counts = count_linalg(monkeypatch, "eig", "eigvals", "eigh", "svd", "inv", "solve",
-                              "slogdet", "norm")
+        counts = count_linalg(monkeypatch, "eig", "eigvals", "eigh", "eigvalsh", "svd", "inv",
+                              "solve", "slogdet", "norm")
         assert run([*argv, "--out-dir", tmp_path]) == 1
         assert "usage error: " in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
@@ -442,6 +442,22 @@ class TestRefutationContract:
         job = len(calls)
         assert run(["recheck", tmp_path / f"{command}-heat-n8.json"]) == 0
         assert (job, len(calls) - job) == GATE_PASSES[command]
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["identity", "norm-file"])
+    @pytest.mark.parametrize("command", list(GATE_PASSES))
+    def test_eigenvectors_per_job_and_recheck(self, tmp_path, monkeypatch, command, weighted):
+        # every eigensolve but NormModel.from_weight's discards the vectors,
+        # so only a --norm-file job, and the recheck of its report, takes an eigh
+        extra = ["--random-trials", "2"] if command == "perturb" else []
+        if weighted:
+            save_matrix(tmp_path / "w.json", np.diag(np.arange(1.0, 9.0)))
+            extra += ["--norm-file", tmp_path / "w.json"]
+        calls = count_linalg(monkeypatch, "eigh")
+        assert run([command, "--family", "heat", "--n", "8", *extra,
+                    "--out-dir", tmp_path]) == 0
+        job = calls["eigh"]
+        assert run(["recheck", tmp_path / f"{command}-heat-n8.json"]) == 0
+        assert (job, calls["eigh"] - job) == ((1, 1) if weighted else (0, 0))
 
     @pytest.mark.parametrize("command, family", list(EXPM_CALLS),
                              ids=[f"{c}-{f}" for c, f in EXPM_CALLS])
@@ -547,6 +563,9 @@ class TestResolvent:
         # the interior grid reaches Re lambda = 2 omega_max, which must be finite
         ("--omega-max", "inf", "omega_max must be positive with 2 omega_max finite"),
         ("--omega-max", "1e308", "omega_max must be positive with 2 omega_max finite"),
+        # ... and so must its farthest shift, |2 omega_max + i omega_max| = 5^(1/2) omega_max
+        ("--omega-max", "8.1e307", "farthest shift |2 omega_max + i omega_max| finite"),
+        ("--omega-max", "8.9e307", "farthest shift |2 omega_max + i omega_max| finite"),
         # grids beyond MAX_GRID_POINTS are refused before they are built
         ("--n-grid", str(10**12), "n_grid = 1000000000000 takes"),
         ("--n-axis", str(10**12), "n_axis + n_interior = 1000000000016 exceeds 100000"),
@@ -691,17 +710,18 @@ class TestPerturb:
         assert run(["recheck", path]) == 0
 
     def test_each_trial_takes_one_eigensolve(self, tmp_path, monkeypatch):
-        calls = count_linalg(monkeypatch, "eigh")
-        matrices = count_matrices(monkeypatch, "eigh")
+        calls = count_linalg(monkeypatch, "eigvalsh", "eigh")
+        matrices = count_matrices(monkeypatch, "eigvalsh")
         assert run(["perturb", "--family", "heat", "--n", "8", "--random-trials", "5",
                     "--out-dir", tmp_path]) == 0
-        # the gate of W, Q's whitened eigensolve and the residual's, then one
-        # per trial, the five trials in one stacked call
-        assert matrices == {"eigh": 3 + 5}
-        assert calls == {"eigh": 3 + 1}
-        calls["eigh"] = matrices["eigh"] = 0
+        # the PD check of W, Q's whitened eigensolve and the residual's, then
+        # one per trial, the five trials in one stacked call; all values only
+        assert matrices == {"eigvalsh": 3 + 5}
+        assert calls == {"eigvalsh": 3 + 1, "eigh": 0}
+        calls["eigvalsh"] = matrices["eigvalsh"] = 0
         assert run(["recheck", tmp_path / "perturb-heat-n8.json"]) == 0
-        assert matrices == calls == {"eigh": 3}
+        assert matrices == {"eigvalsh": 3}
+        assert calls == {"eigvalsh": 3, "eigh": 0}
 
     def test_each_trial_takes_one_svd(self, tmp_path, monkeypatch):
         matrices = count_matrices(monkeypatch, "svd")

@@ -100,7 +100,7 @@ class TestHeat:
     def test_two_by_two_hand_eigensolve(self):
         a = heat_dirichlet(2, 1.0)
         assert np.allclose(a, 9.0 * np.array([[-2.0, 1.0], [1.0, -2.0]]))
-        w, _ = hermitian_eig(a)
+        w = hermitian_eig(a)
         assert np.allclose(w, [-27.0, -9.0], atol=1e-12)
 
     def test_negative_definite(self):
@@ -109,7 +109,7 @@ class TestHeat:
     def test_eigenvalue_formula_n16(self):
         n = 16
         a = heat_dirichlet(n, 1.0)
-        w, _ = hermitian_eig(a)
+        w = hermitian_eig(a)
         k = np.arange(1, n + 1)
         formula = -4.0 * (n + 1) ** 2 * np.sin(k * np.pi / (2 * (n + 1))) ** 2
         assert np.allclose(w, np.sort(formula), rtol=1e-10)

@@ -329,26 +329,18 @@ class TestRunOnCpus:
 
 class TestHermitianEig:
     def test_identity(self):
-        w, v = hermitian_eig(np.eye(3))
+        # eigenvalues only: one real float64 vector, no eigenvectors
+        w = hermitian_eig(np.eye(3))
+        assert w.shape == (3,) and w.dtype == np.float64
         assert np.allclose(w, [1.0, 1.0, 1.0])
-        assert np.allclose(v @ v.conj().T, np.eye(3), atol=1e-12)
 
     def test_rank_one_shift(self):
-        w, _ = hermitian_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        w = hermitian_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert np.allclose(w, [1.0, 3.0], atol=1e-12)
 
     def test_diagonal_ascending(self):
-        w, _ = hermitian_eig(np.diag([3.0, -1.0]))
+        w = hermitian_eig(np.diag([3.0, -1.0]))
         assert np.allclose(w, [-1.0, 3.0], atol=1e-14)
-
-    def test_reconstruction_residual_on_100_random(self):
-        sizes = [2, 3, 5, 8, 13, 21, 34, 55, 64]
-        for i in range(100):
-            n = sizes[i % len(sizes)]
-            h = random_hermitian(n, 1000 + i)
-            w, v = hermitian_eig(h)
-            scale = max(np.linalg.norm(h, 2), 1e-300)
-            assert np.linalg.norm(h - (v * w) @ v.conj().T, 2) <= 1e-9 * scale
 
     @pytest.mark.parametrize("depth", [5, 3], ids=["k=n", "k!=n"])
     @pytest.mark.parametrize("dtype", [float, complex])
@@ -356,20 +348,35 @@ class TestHermitianEig:
         # not Hermitian: each slice's Hermitian part is decomposed
         stack = np.stack([random_matrix(5, 60 + k) for k in range(depth)])
         stack = stack.real.copy() if dtype is float else stack
-        w, v = hermitian_eig(stack)
+        w = hermitian_eig(stack)
+        assert w.shape == (depth, 5)
         for k, m in enumerate(stack):
-            wk, vk = hermitian_eig(m)
-            assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
+            assert np.array_equal(w[k], hermitian_eig(m))
 
     def test_rejects_plainly_nonhermitian(self):
         # hermitian_eig tests no claim: it solves the Hermitian part, and the
         # claim is refused by the gate alone
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
-        w, v = hermitian_eig(m)
-        assert np.array_equal(w, [-0.5, 0.5])
-        assert np.allclose((v * w) @ v.conj().T, [[0.0, 0.5], [0.5, 0.0]], atol=1e-15)
+        assert np.array_equal(hermitian_eig(m), [-0.5, 0.5])
         with pytest.raises(NonHermitianError):
             hermitian_gate(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31), n=st.integers(1, 12), depth=st.integers(1, 4),
+       real=st.booleans(), scale=st.integers(-40, 40))
+def test_hermitian_eig_matches_scipy_eigvalsh(seed, n, depth, real, scale):
+    # within 4 n eps |H|_2 of LAPACK's own values-only solve of the Hermitian
+    # part, and a stack of up to 4 is its slices bit for bit
+    stack = np.ldexp(np.stack([random_matrix(n, seed + k) for k in range(depth)]).view(float),
+                     scale).view(complex)
+    stack = stack.real.copy() if real else stack
+    w = hermitian_eig(stack)
+    assert w.shape == (depth, n) and w.dtype == np.float64
+    for k, m in enumerate(stack):
+        ref = scipy.linalg.eigvalsh(hermitian_part(m))
+        assert np.abs(w[k] - ref).max() <= 4 * n * np.finfo(float).eps * np.abs(ref).max()
+        assert np.array_equal(w[k], hermitian_eig(m))
 
 
 class TestHermitianGate:
@@ -563,10 +570,9 @@ class TestBothDtypes:
     def test_hermitian_eig(self, dtype):
         m = _stable(24, 3, dtype)
         h = m + m.conj().T
-        w, v = hermitian_eig(h)
-        assert v.dtype == dtype
+        w = hermitian_eig(h)
+        assert w.dtype == np.float64 and w.shape == (24,)
         assert np.allclose(w, scipy.linalg.eigvalsh(h), rtol=0, atol=1e-12 * np.linalg.norm(h, 2))
-        assert np.linalg.norm(v @ np.diag(w) @ v.conj().T - h, 2) <= 1e-12 * np.linalg.norm(h, 2)
 
     def test_solve_linear(self, dtype):
         m = _stable(24, 4, dtype)

@@ -70,7 +70,7 @@ class TestVerifyPerturbation:
         assert rep.b_norm == pytest.approx(0.5, rel=1e-14)
         assert rep.radius == pytest.approx(0.5)
         # eigenvalue oracle: (A+B)* Q + Q (A+B) = -I + [[0, 1/4], [1/4, 0]]
-        lam, _ = hermitian_eig(-np.eye(2) + np.array([[0.0, 0.25], [0.25, 0.0]]))
+        lam = hermitian_eig(-np.eye(2) + np.array([[0.0, 0.25], [0.25, 0.0]]))
         assert lam[-1] == pytest.approx(-0.75, abs=1e-14)
         assert rep.margin_after == pytest.approx(lam[-1] + 0.5, abs=1e-12)
         assert rep.rescaled_member

@@ -18,7 +18,7 @@ from stabcert.models import (
     random_vector,
     upwind_shift,
 )
-from stabcert.numkernel import singular_extremes, solve_linear
+from stabcert.numkernel import KernelPrecisionError, singular_extremes, solve_linear
 from stabcert.resolvent import (
     MAX_GRID_POINTS,
     ResolventSingularError,
@@ -150,6 +150,12 @@ class TestVerifyBoundRight:
         cand = member_for(-np.eye(2), NormModel.identity(2))
         with pytest.raises(ValueError, match="strip points"):
             verify_bound_left_strip(cand, 0.1, n_grid=317)  # 317 x 317 > 100000
+
+    def test_a_ratio_that_is_not_finite_names_its_shift(self):
+        # a NaN ratio equals no maximum, so it would leave the argmax no tie
+        grid, norms = np.array([0j, 1j, 2j]), np.array([1.0, np.nan, np.inf])
+        with pytest.raises(KernelPrecisionError, match=r"the ratio at lambda = 1j is not finite"):
+            stabcert.resolvent._scan_report("right-half-plane", grid, norms, np.ones(3), 1.0)
 
     def test_requires_stable_generator(self):
         # Q = I/2 has margin 1.5 for this A: a member only under a loose tolerance,

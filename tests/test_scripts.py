@@ -44,11 +44,13 @@ Q_LAYOUTS = [{"rows": 1, "cols": 2, "data_real": [-1.5, 0.0]},
              {"rows": 1, "cols": 2, "c128le": _base64(-1.5, 0.0, 0.0, -0.0)}]
 
 
-def _battery(root, margin=-0.5, total_s=0.1, csv="re_lambda\n-1.0\n", code=0, q=Q_F64LE):
+def _battery(root, margin=-0.5, total_s=0.1, csv="re_lambda\n-1.0\n", code=0, q=Q_F64LE,
+             verdict="certified"):
     """A one-job battery as ``report_battery.py run`` lays it out."""
     (root / "job").mkdir(parents=True)
     (root / "exit_codes.json").write_text(json.dumps({"job": code}))
-    report = {"command": "certify", "config": {"tol": 1e-8, "out_dir": str(root / "job")},
+    report = {"command": "certify", "verdict": verdict,
+              "config": {"tol": 1e-8, "out_dir": str(root / "job")},
               "candidate": {"margin": margin, "q": q}, "timings": {"total_s": total_s}}
     (root / "job" / "certify.json").write_text(json.dumps(report))
     (root / "job" / "scan.csv").write_text(csv)
@@ -74,3 +76,30 @@ def test_report_battery_compare(tmp_path, change, differs):
     if differs is not None:
         # the file, then the dotted path of each field that differs
         assert result.stdout.split() == ["differs:", *differs.split()]
+
+
+@pytest.mark.parametrize("change, code, lines", [
+    ({}, 0, ["same verdicts: 3 files, 0 with moved numbers, 1 jobs, exit codes 1x0; "
+             "recheck exit None"]),
+    # numbers may move, each moved field listed once with its largest move
+    ({"margin": -0.25, "csv": "re_lambda\n-2.0\n", "q": Q_FLIPPED}, 0, [
+        "moved field         max rel diff  files",
+        "candidate.margin       5.000e-01      1",
+        "candidate.q.real       1.480e-16      1",
+        "scan.csv.re_lambda     5.000e-01      1",
+        "same verdicts: 3 files, 2 with moved numbers, 1 jobs, exit codes 1x0; recheck exit None",
+    ]),
+    ({"verdict": "refuted", "margin": -0.25}, 1, [
+        "differs: job/certify.json", "  verdict",
+        "moved field       max rel diff  files",
+        "candidate.margin     5.000e-01      1",
+    ]),
+    ({"code": 2}, 1, ["differs: exit_codes.json", "  job"]),  # an exit code is no number
+    ({"csv": "re_lambda\n-1.0\n-1.0\n"}, 1, ["differs: job/scan.csv", "  scan.csv.re_lambda"]),
+], ids=["equal", "moved-numbers", "moved-verdict", "exit-code", "csv-rows"])
+def test_report_battery_compare_numeric(tmp_path, change, code, lines):
+    a, b = _battery(tmp_path / "a"), _battery(tmp_path / "b", **change)
+    result = subprocess.run([sys.executable, str(SCRIPTS / "report_battery.py"), "compare",
+                             "--numeric", str(a), str(b)],
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout.splitlines()) == (code, lines)

@@ -95,6 +95,22 @@ def test_norm_model_root_invariants():
     assert np.allclose(nm.inv_sqrt_w @ nm.sqrt_w, np.eye(5), atol=1e-10)
 
 
+def test_from_weight_roots_on_100_random_spd():
+    # the eigenvectors of from_weight's one eigh build both roots: each is
+    # Hermitian PD, the root squares back to W, and the inverse root whitens W
+    sizes = [2, 3, 5, 8, 13, 21, 34, 55, 64]
+    for i in range(100):
+        n = sizes[i % len(sizes)]
+        w = random_psd(n, 1000 + i) / n + 0.1 * np.eye(n)
+        nm = NormModel.from_weight(w)
+        scale = np.linalg.norm(w, 2)
+        for root in (nm.sqrt_w, nm.inv_sqrt_w):
+            assert np.linalg.norm(root - root.conj().T, 2) <= 1e-12 * np.linalg.norm(root, 2)
+            assert np.linalg.eigvalsh(root)[0] > 0.0
+        assert np.linalg.norm(nm.sqrt_w @ nm.sqrt_w - w, 2) <= 1e-9 * scale
+        assert np.linalg.norm(nm.inv_sqrt_w @ w @ nm.inv_sqrt_w - np.eye(n), 2) <= 1e-9
+
+
 def test_norm_model_takes_two_svds(monkeypatch):
     # |W| is the top eigenvalue of the root's eigensolve; the SVDs are the
     # two residual checks
