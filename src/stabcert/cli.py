@@ -76,6 +76,7 @@ __all__ = ["main", "entrypoint"]
 _WITNESS_RESIDUAL_TOL = 1e-6
 _RECHECK_REL_TOL = 1e-9
 _STRONG_POSITIVITY_SLACK = 1e-8
+_TRIALS_ALPHA = 2.0  # the alpha of --random-trials without --alpha
 
 # The exit code of every verdict a report can carry.  Operational errors
 # never reach a report: ``main`` turns them into exit 1.
@@ -288,15 +289,55 @@ def _candidate_block(cand: LyapunovCandidate) -> dict:
     return {"q": matrix_to_json_dict(cand.q), **_candidate_fields(cand), "tol": float(cand.tol)}
 
 
-def _witness_block(witness, a: np.ndarray) -> dict:
-    lam = witness.eigenvalue
-    v = witness.vector
-    residual = float(np.linalg.norm(a @ v - lam * v))
-    return {
-        "eigenvalue": [float(lam.real), float(lam.imag)],
-        "vector": matrix_to_json_dict(v),
-        "residual": residual,
-    }
+def _certificate_fields(cand: LyapunovCandidate, worst_ratio: float) -> dict:
+    """A member's certificate fields given the grid's worst ratio; the
+    grid's last point is t_max exactly (``np.linspace`` sets it to stop)."""
+    return {"epsilon": float(cand.decay_rate), "M": float(cand.envelope(0.0)),
+            "grid_pass": bool(worst_ratio <= 1.0 + CERTIFICATE_SLACK),
+            "worst_ratio": float(worst_ratio),
+            "grid": {"points": CERTIFICATE_POINTS,
+                     "t_max": float(CERTIFICATE_HORIZON / cand.decay_rate)}}
+
+
+def _scan_fields(cand: LyapunovCandidate, edge: float, worst_ratio: float) -> dict:
+    """A scan's bound at its right edge Re lambda = edge, worst ratio and pass rule."""
+    return {"bound": float(cand.resolvent_bound(edge)), "worst_ratio": float(worst_ratio),
+            "pass": bool(worst_ratio <= 1.0 + DEFAULT_SCAN_TOL)}
+
+
+def _strong_positivity_fields(cand: LyapunovCandidate, fit: EnvelopeFit) -> dict:
+    """theta against the envelope's c^2 / (2 alpha), and the witness rate
+    |W| / (2 theta), where |W| = 1 as a map X -> X*: the whitened W is I."""
+    bound = fit.c ** 2 / (2.0 * fit.alpha) if fit.alpha > 0.0 else 0.0
+    return {"theta": float(cand.theta), "envelope_bound": float(bound),
+            "inequality_ok": bool(cand.theta >= bound - _STRONG_POSITIVITY_SLACK),
+            "witness_rate": float(1.0 / (2.0 * cand.theta))}
+
+
+def _one_b(cand: LyapunovCandidate, b: np.ndarray, alpha: float | None) -> tuple[dict, str | None]:
+    """The blocks of the guarantee for one B, and an excess's message: for alpha
+    None the ``max_alpha`` block, whose alpha is used (None if there is none),
+    then the perturbation fields, or B's excess over the radius."""
+    blocks = {}
+    try:
+        if alpha is None:
+            best = max_alpha(cand, b)
+            blocks["max_alpha"] = {"alpha": float(best.alpha), "decay": float(best.decay)}
+            alpha = blocks["max_alpha"]["alpha"]
+        rep = verify_perturbation(cand, b, alpha)
+    except RadiusExceededError as exc:
+        blocks["perturbation"] = {"alpha": alpha, "excess": float(exc.excess)}
+        return blocks, str(exc)
+    blocks["perturbation"] = {
+        "alpha": float(alpha), "radius": float(rep.radius), "b_norm": float(rep.b_norm),
+        "margin_after": float(rep.margin_after), "rescaled_member": bool(rep.rescaled_member),
+        "rescaled_margin": float(rep.rescaled_margin)}
+    return blocks, None
+
+
+def _witness_fields(a: np.ndarray, lam: complex, v: np.ndarray) -> dict:
+    """The field of a witness block that ``recheck`` recomputes from the eigenpair."""
+    return {"residual": float(np.linalg.norm(a @ v - lam * v))}
 
 
 class _Job:
@@ -360,17 +401,10 @@ def cmd_certify(job: _Job) -> int:
     if not cand.is_member:
         return job.finish(candidate=_candidate_block(cand))
     cert = certificate(cand)
-    block = {
-        **_candidate_block(cand),
-        "epsilon": float(cert.epsilon),
-        "M": float(cert.overshoot),
-        "grid_pass": bool(cert.grid_pass),
-        "worst_ratio": float(cert.worst_ratio),
-        "grid": {"points": len(cert.t_grid), "t_max": float(cert.t_grid[-1]),
-                 "worst_t": cert.worst_t, "evaluated": cert.evaluated},
-    }
-    if cert.grid_pass:
-        print(f"epsilon={cert.epsilon:.6e} M={cert.overshoot:.6e} "
+    block = {**_candidate_block(cand), **_certificate_fields(cand, cert.worst_ratio)}
+    block["grid"].update(worst_t=cert.worst_t, evaluated=cert.evaluated)
+    if block["grid_pass"]:
+        print(f"epsilon={block['epsilon']:.6e} M={block['M']:.6e} "
               f"|Q|={cand.q_norm:.6e} theta={cand.theta:.6e}")
     return job.finish(certificate=block)
 
@@ -412,25 +446,18 @@ def cmd_resolvent(job: _Job) -> int:
     right = verify_bound_right(cand, omega_max=args.omega_max,
                                n_axis=args.n_axis, n_interior=args.n_interior)
 
-    def scan_block(scan, region):
+    def scan_block(scan, region, edge):
         csv_name = f"resolvent-{_tag(job.spec)}-{region}.csv"
         export_scan_csv(scan, _out_path(args, csv_name))
-        return {
-            "kind": scan.kind,
-            "bound": float(scan.bound),
-            "worst_ratio": float(scan.worst_ratio),
-            "pass": bool(scan.passed),
-            "argmax": [float(scan.argmax.real), float(scan.argmax.imag)],
-            "points": len(scan.grid),
-            "evaluated": scan.evaluated,
-            "tol": DEFAULT_SCAN_TOL,
-            "csv": csv_name,
-        }
+        return {"kind": scan.kind, **_scan_fields(cand, edge, scan.worst_ratio),
+                "argmax": [float(scan.argmax.real), float(scan.argmax.imag)],
+                "points": len(scan.grid), "evaluated": scan.evaluated,
+                "tol": DEFAULT_SCAN_TOL, "csv": csv_name}
 
     scans = {
-        "right": {**scan_block(right, "right"), "proof_slack": right.proof_slack,
+        "right": {**scan_block(right, "right", 0.0), "proof_slack": right.proof_slack,
                   "tail_ratio": right.tail_ratio if math.isfinite(right.tail_ratio) else None},
-        "strip": {**scan_block(strip, "strip"), "delta0": float(strip.delta0)},
+        "strip": {**scan_block(strip, "strip", -strip.delta0), "delta0": float(strip.delta0)},
     }
     print(f"right worst_ratio={right.worst_ratio:.9f} "
           f"strip worst_ratio={strip.worst_ratio:.9f}")
@@ -448,29 +475,14 @@ def cmd_perturb(job: _Job) -> int:
 
     if args.b_file is not None:
         b = load_matrix(args.b_file)
-        alpha = args.alpha
-        try:
-            if alpha is None:
-                best = max_alpha(cand, b)
-                alpha = best.alpha
-                job.report["max_alpha"] = {"alpha": float(best.alpha),
-                                           "decay": float(best.decay)}
-            rep = verify_perturbation(cand, b, alpha)
-        except RadiusExceededError as exc:
-            # beyond 1/(2|Q|) max_alpha finds no alpha > 1: alpha stays null
-            return job.finish(perturbation={"alpha": alpha, "b": matrix_to_json_dict(b),
-                                            "excess": float(exc.excess), "detail": str(exc)})
-        return job.finish(perturbation={
-            "alpha": float(alpha),
-            "b": matrix_to_json_dict(b),
-            "radius": float(rep.radius),
-            "b_norm": float(rep.b_norm),
-            "margin_after": float(rep.margin_after),
-            "rescaled_member": bool(rep.rescaled_member),
-            "rescaled_margin": float(rep.rescaled_margin),
-        })
+        blocks, detail = _one_b(cand, b, args.alpha)
+        p = blocks["perturbation"]
+        blocks["perturbation"] = {"alpha": p["alpha"], "b": matrix_to_json_dict(b), **p}
+        if detail is not None:
+            blocks["perturbation"]["detail"] = detail
+        return job.finish(**blocks)
 
-    alpha = args.alpha if args.alpha is not None else 2.0
+    alpha = args.alpha if args.alpha is not None else _TRIALS_ALPHA
     rep = random_trials(cand, alpha, args.random_trials, args.seed)
     print(f"perturbation trials passed: {rep.passes}/{args.random_trials}")
     return job.finish(perturbation={
@@ -483,12 +495,6 @@ def cmd_perturb(job: _Job) -> int:
         "worst_b": matrix_to_json_dict(rep.worst_b),
         "worst_rescaled_member": bool(rep.worst_rescaled_member),
     })
-
-
-def _strong_positivity(theta: float, fit: EnvelopeFit) -> tuple[float, bool, float]:
-    bound = fit.c ** 2 / (2.0 * fit.alpha) if fit.alpha > 0.0 else 0.0
-    # the witness rate |W| / (2 theta), and |W| = 1 as a map X -> X*: the whitened W is I
-    return bound, theta >= bound - _STRONG_POSITIVITY_SLACK, 1.0 / (2.0 * theta)
 
 
 def cmd_leftinv(job: _Job) -> int:
@@ -509,10 +515,10 @@ def cmd_leftinv(job: _Job) -> int:
             raise _CliUsageError(f"--t-grid expects start,stop,count: {exc}") from exc
     cand = job.candidate()
     fit = lower_envelope(a, nm, t_grid)
-    bound, ok, rate = _strong_positivity(cand.theta, fit)
-    t0 = envelope_witness_search(fit, rate)
+    sp = _strong_positivity_fields(cand, fit)
+    t0 = envelope_witness_search(fit, sp["witness_rate"])
     print(f"c={fit.c:.6e} alpha={fit.alpha:.6e} theta={cand.theta:.6e} "
-          f"c^2/(2 alpha)={bound:.6e}")
+          f"c^2/(2 alpha)={sp['envelope_bound']:.6e}")
     return job.finish(
         candidate=_candidate_block(cand),
         envelope={
@@ -521,11 +527,7 @@ def cmd_leftinv(job: _Job) -> int:
             "samples": [[float(t), float(m)] for t, m in fit.grid],
         },
         strong_positivity={
-            "theta": float(cand.theta),
-            "envelope_bound": float(bound),
-            "inequality_ok": bool(ok),
-            "witness_rate": float(rate),
-            "witness": None if t0 is None else {"t0": float(t0[0]), "m0": float(t0[1])},
+            **sp, "witness": None if t0 is None else {"t0": float(t0[0]), "m0": float(t0[1])},
         },
     )
 
@@ -541,10 +543,23 @@ def cmd_gen(args) -> int:
 
 def _agrees(recomputed, reported) -> bool:
     """Booleans and absent fields (None) exactly, numbers within _RECHECK_REL_TOL."""
-    if recomputed is None or reported is None or isinstance(recomputed, (bool, np.bool_)):
+    if recomputed is None or reported is None or isinstance(recomputed, bool):
         return recomputed == reported
     return recomputed == reported or abs(recomputed - reported) <= _RECHECK_REL_TOL * max(
         abs(recomputed), abs(reported), 1.0)
+
+
+def _dotted(derived: dict, reported, prefix: str = "") -> dict:
+    """Each recomputed field, a value that is not a dict, under its dotted name
+    as the pair (recomputed, reported), where an absent field reads as None."""
+    flat = {}
+    for key, value in derived.items():
+        got = reported.get(key) if isinstance(reported, dict) else None
+        if isinstance(value, dict):
+            flat.update(_dotted(value, got, f"{prefix}{key}."))
+        else:
+            flat[prefix + key] = (value, got)
+    return flat
 
 
 def _recheck_one(path: str) -> tuple[str | None, list, list]:
@@ -565,13 +580,14 @@ def _recheck_one(path: str) -> tuple[str | None, list, list]:
     verdict = report.get("verdict")
     if command not in _RULES or verdict not in {"refuted", *dict(_RULES[command])}:
         return None, [], [f"verdict {verdict!r} is not one that {command!r} writes"]
-    problems, fields, slack = [], {}, refutation_slack(a)
+    # the recomputed blocks, nested and in order as in the report
+    problems, derived, slack = [], {}, refutation_slack(a)
 
     if "witness" in report:
-        block = report["witness"]
-        lam = complex(block["eigenvalue"][0], block["eigenvalue"][1])
-        v = matrix_from_json_dict(block["vector"]).reshape(-1)
-        residual = fields["witness.residual"] = np.linalg.norm(a @ v - lam * v)
+        lam = complex(*report["witness"]["eigenvalue"])
+        v = matrix_from_json_dict(report["witness"]["vector"]).reshape(-1)
+        derived["witness"] = _witness_fields(a, lam, v)
+        residual = derived["witness"]["residual"]
         scale = _WITNESS_RESIDUAL_TOL * (1.0 + singular_extremes(a)[0]) * np.linalg.norm(v)
         if lam.real < -slack or residual > scale:
             problems.append(f"witness fails: real part {lam.real!r}, residual {residual!r} "
@@ -580,8 +596,7 @@ def _recheck_one(path: str) -> tuple[str | None, list, list]:
         return None, [], [f"eigenvalue {witness.eigenvalue!r} has real part >= "
                           f"-{slack:g}, but the report carries no witness"]
     elif command == "refute":
-        fields["witness"] = None
-        fields["spectral_bound"] = spectral_bound(a)
+        derived = {"witness": None, "spectral_bound": spectral_bound(a)}
     else:
         name = next((key for key in ("certificate", "q0") if key in report), "candidate")
         try:
@@ -590,48 +605,32 @@ def _recheck_one(path: str) -> tuple[str | None, list, list]:
             cand = membership_margin(qq.astype(np.result_type(qq, a, nm.w)), a, nm, tol=tol)
         except ValueError as exc:
             return None, [], [f"embedded candidate invalid ({exc})"]
-        fields.update({f"{name}.{key}": value for key, value in _candidate_fields(cand).items()})
+        derived[name] = _candidate_fields(cand)
         if command == "certify" and name == "certificate" and cand.is_member:
             t = report["certificate"]["grid"]["worst_t"]
-            ratio = op_norm(expm(a, t), nm) / cand.envelope(t)
-            fields.update({
-                "certificate.epsilon": cand.decay_rate, "certificate.M": cand.envelope(0.0),
-                "certificate.worst_ratio": ratio,
-                "certificate.grid_pass": ratio <= 1.0 + CERTIFICATE_SLACK,
-                "certificate.grid.t_max": CERTIFICATE_HORIZON / cand.decay_rate,
-                "certificate.grid.points": CERTIFICATE_POINTS,
-            })
+            derived[name].update(_certificate_fields(
+                cand, op_norm(expm(a, t), nm) / cand.envelope(t)))
         elif command == "resolvent":
             scans = report["scans"]
-            delta0 = scans["strip"]["delta0"]
-            for kind, edge in (("right", 0.0), ("strip", -delta0)):
-                lam = complex(scans[kind]["argmax"][0], scans[kind]["argmax"][1])
+            derived["scans"] = {}
+            for kind, edge in (("right", 0.0), ("strip", -scans["strip"]["delta0"])):
+                lam = complex(*scans[kind]["argmax"])
                 # the pointwise bound at the argmax; the right scan's 2|Q| is
                 # the strip's at Re lambda = 0
                 ratio = resolvent_norm(a, lam, nm) / cand.resolvent_bound(lam.real)
-                fields.update({f"scans.{kind}.bound": cand.resolvent_bound(edge),
-                               f"scans.{kind}.worst_ratio": ratio,
-                               f"scans.{kind}.pass": ratio <= 1.0 + DEFAULT_SCAN_TOL})
+                derived["scans"][kind] = _scan_fields(cand, edge, ratio)
         elif command == "perturb":
             block = report["perturbation"]
             w = "worst_" if "trials" in block else ""
-            b = matrix_from_json_dict(block[w + "b"])
-            alpha = block["alpha"]
-            try:
-                if alpha is None or "max_alpha" in report:  # the command ran max_alpha
-                    best = max_alpha(cand, b)
-                    fields.update({"max_alpha.alpha": best.alpha, "max_alpha.decay": best.decay})
-                    alpha = best.alpha if alpha is None else alpha
-                rep = verify_perturbation(cand, b, alpha)
-            except RadiusExceededError as exc:  # then the command wrote no max_alpha block
-                fields.update({"perturbation.excess": exc.excess, "max_alpha": None})
-            else:
-                fields.update({"perturbation.excess": None, "perturbation.radius": rep.radius,
-                               f"perturbation.{w}margin_after": rep.margin_after,
-                               f"perturbation.{w}rescaled_member": rep.rescaled_member})
-                if not w:
-                    fields.update({"perturbation.b_norm": rep.b_norm,
-                                   "perturbation.rescaled_margin": rep.rescaled_margin})
+            alpha = report["config"]["alpha"]  # on a --b-file, None: max_alpha ran
+            blocks, _ = _one_b(cand, matrix_from_json_dict(block[w + "b"]),
+                               _TRIALS_ALPHA if w and alpha is None else alpha)
+            p = blocks["perturbation"]
+            if w:  # the worst trial: its margin and member as worst_, no |B| or rescaling
+                p = {(w + key if key in ("margin_after", "rescaled_member") else key): value
+                     for key, value in p.items() if key not in ("b_norm", "rescaled_margin")}
+            derived.update({"max_alpha": None, **blocks,
+                            "perturbation": {**p, "excess": p.get("excess")}})
         elif command == "leftinv":
             env, sp = report["envelope"], report["strong_positivity"]
             fit = EnvelopeFit(c=env["c"], alpha=env["alpha"], grid=env["samples"])
@@ -639,27 +638,20 @@ def _recheck_one(path: str) -> tuple[str | None, list, list]:
                    if m < fit.c * math.exp(-fit.alpha * t) * (1 - 1e-12)]
             if low:
                 problems.append(f"envelope violated at t={low[0][0]!r}: m={low[0][1]!r}")
-            bound, ok, rate = _strong_positivity(cand.theta, fit)
-            fields.update({"strong_positivity.theta": cand.theta,
-                           "strong_positivity.envelope_bound": bound,
-                           "strong_positivity.inequality_ok": ok,
-                           "strong_positivity.witness_rate": rate})
+            own = derived["strong_positivity"] = _strong_positivity_fields(cand, fit)
             if sp["witness"] is None:  # none reported: search the samples for one
-                fields["strong_positivity.witness"] = envelope_witness_search(fit, rate)
+                own["witness"] = envelope_witness_search(fit, own["witness_rate"])
             else:
-                fields["strong_positivity.witness.m0"] = left_invertibility_witness(
-                    a, nm, sp["witness"]["t0"])
+                own["witness"] = {"m0": left_invertibility_witness(a, nm, sp["witness"]["t0"])}
 
-    for name, value in fields.items():
-        reported = report
-        for key in name.split("."):  # an absent field reads as None
-            reported = reported.get(key) if isinstance(reported, dict) else None
+    fields = _dotted(derived, report)
+    for name, (value, reported) in fields.items():
         if not _agrees(value, reported):
             problems.append(f"{name}: recomputed {value!r} vs reported {reported!r}")
-    derived = _verdict(report)
-    if derived != verdict:
-        problems.append(f"verdict {verdict!r}, but the embedded data give {derived!r}")
-    return derived, list(fields), problems
+    rule = _verdict(report)
+    if rule != verdict:
+        problems.append(f"verdict {verdict!r}, but the embedded data give {rule!r}")
+    return rule, list(fields), problems
 
 
 def cmd_recheck(args) -> int:
@@ -695,7 +687,10 @@ def main(argv=None) -> int:
             return args.func(job)
         except UnstableGeneratorError as exc:
             # the first stability gate the job reached refutes it
-            return job.finish(witness=_witness_block(exc.witness, job.a))
+            lam, v = exc.witness
+            return job.finish(witness={"eigenvalue": [float(lam.real), float(lam.imag)],
+                                       "vector": matrix_to_json_dict(v),
+                                       **_witness_fields(job.a, lam, v)})
     except _CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

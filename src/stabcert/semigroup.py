@@ -3,9 +3,9 @@ quantities, square-integrals, and left-invertibility measurements.
 
 The semigroup is always the matrix exponential family T(t) = exp(t A).
 Grid-based estimates here (growth bound, decay envelopes) are the
-workhorses behind certificate verification: they never overclaim, in the
-sense that fitted envelopes hold at every sample by construction and the
-growth-bound estimate always upper-bounds the true limit.
+workhorses behind certificate verification: fitted envelopes hold at
+every sample by construction, and the growth-bound estimate upper-bounds
+the growth bound up to the round-off rule of :func:`growth_bound_estimate`.
 """
 
 from __future__ import annotations
@@ -58,16 +58,17 @@ _DECAY_SAFETY = 2.0
 
 
 class Witness(NamedTuple):
-    """Eigenpair with Re lambda >= 0 refuting every candidate at once."""
+    """Computed eigenpair (lambda, v): lambda is an exact eigenvalue of A + E
+    with |E|_2 = |A v - lambda v| / |v|, but need not be an eigenvalue of A."""
 
     eigenvalue: complex
     vector: np.ndarray
 
 
 class UnstableGeneratorError(RuntimeError):
-    """The generator has an eigenvalue with Re lambda >= -slack, the
-    :func:`refutation_slack` of A, so no Lyapunov member exists; carries that
-    refuting eigenpair."""
+    """A computed eigenpair of the generator has Re lambda >= -slack, the
+    :func:`refutation_slack` of A, so no Lyapunov member exists for the
+    A + E of its :class:`Witness`; carries that eigenpair."""
 
     def __init__(self, witness: Witness, slack: float):
         super().__init__(f"eigenvalue {witness.eigenvalue:.6e} has real part >= "
@@ -109,11 +110,12 @@ def refutation_slack(a) -> float:
 
 def stability_gate(a) -> np.ndarray:
     """The spectrum of A when every Re lambda < -1e-10 |A|_1, else UnstableGeneratorError
-    with a witness eigenpair, which refutes every PSD candidate: along it the
-    Lyapunov form is 2 Re(lambda) <Qv, v> >= 0 and never reaches -|v|^2.  The
-    slack covers round-off.  Only a refuted A takes a second solve, with
-    eigenvectors, for the witness: the largest real part (ties by imaginary
-    part) among those meeting the rule."""
+    with a witness eigenpair (lambda, v), |v| = 1: lambda is an exact eigenvalue
+    of A + E with |E|_2 = |A v - lambda v|, and along v the Lyapunov form of
+    A + E is 2 Re(lambda) <Qv, v>, which never reaches -|v|^2 (the slack covers
+    round-off).  So it refutes every PSD candidate for A + E, not for A itself.
+    Only a refuted A takes a second solve, with eigenvectors, for the witness:
+    the largest real part (ties by imaginary part) among those meeting the rule."""
     aa = as_matrix(a, "a")
     eigs = np.linalg.eigvals(aa)
     slack = refutation_slack(aa)
@@ -193,9 +195,10 @@ def _grid_extremes(a, grid, nm: NormModel | None = None):
 def growth_bound_estimate(a, nm: NormModel, t_grid) -> SpectralSummary:
     """Estimate the growth bound as min over the grid of log|T(t)| / t.
 
-    The estimate upper-bounds the true growth bound and converges to the
-    spectral bound as the grid horizon grows; samples where |T(t)| has
-    underflowed to 0.0 are skipped.
+    Each rate is at least the spectral bound s in exact arithmetic, and the
+    estimate tends to s as the horizon grows.  Skipped are the samples where
+    |T(t)| underflowed to 0.0 and those with |log|T(t)|| <= 64 n eps, where
+    the sign of the rate is round-off; with none left the estimate is inf.
     """
     m = as_matrix(a, "a")
     grid = _validated_grid(t_grid)
@@ -204,9 +207,11 @@ def growth_bound_estimate(a, nm: NormModel, t_grid) -> SpectralSummary:
     # whitening each T(t), not A once: exp(t A_w) loses the structure that
     # keeps exp(t A) accurate deep into the decay for triangular generators
     norms = [sigma_max for _, sigma_max, _ in _grid_extremes(m, grid, nm)]
+    floor = 64.0 * m.shape[0] * _EPS
     return SpectralSummary(
         s=spectral_bound(m),
-        omega0_hat=float(min(math.log(v) / t for v, t in zip(norms, grid) if v > 0.0)),
+        omega0_hat=float(min((math.log(v) / t for v, t in zip(norms, grid)
+                              if v > 0.0 and abs(math.log(v)) > floor), default=math.inf)),
         norms=norms,
     )
 

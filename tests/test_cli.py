@@ -1,7 +1,9 @@
 import base64
+import fnmatch
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -651,6 +653,36 @@ class TestPerturb:
         else:  # max_alpha finds no alpha > 1, so there is no block to report
             assert "max_alpha: recomputed None vs reported {'alpha': 0.5" in out
 
+    def test_recheck_ties_alpha_to_max_alpha_and_the_flag(self, tmp_path, capsys):
+        # without --alpha the guarantee's alpha is max_alpha's (trials take 2);
+        # with --alpha, or with trials, the command runs no max_alpha
+        b = np.zeros((4, 4))
+        b[0, 0] = 1e-3
+        save_matrix(tmp_path / "b.json", b)
+        heat = ["perturb", "--family", "heat", "--n", "4"]
+        for name, flags in (("own", []), ("flag", ["--alpha", "2"]),
+                            ("trials", ["--random-trials", "3"])):
+            flags = flags if name == "trials" else ["--b-file", tmp_path / "b.json", *flags]
+            assert run([*heat, *flags, "--out-dir", tmp_path / name]) == 0
+        own = read_report(tmp_path / "own" / "perturb-heat-n4.json")
+        forged = dict(own, perturbation=dict(own["perturbation"], alpha=2.0))
+        (tmp_path / "own" / "perturb-heat-n4.json").write_text(json.dumps(forged))
+        trials = read_report(tmp_path / "trials" / "perturb-heat-n4.json")
+        assert trials["perturbation"]["alpha"] == 2.0
+        (tmp_path / "config").mkdir()
+        (tmp_path / "config" / "perturb-heat-n4.json").write_text(
+            json.dumps(dict(trials, config=dict(trials["config"], alpha=3.0))))
+        for name in ("flag", "trials"):  # a genuine max_alpha block, where none was run
+            path = tmp_path / name / "perturb-heat-n4.json"
+            path.write_text(json.dumps(dict(read_report(path), max_alpha=own["max_alpha"])))
+        capsys.readouterr()
+        for name, problem in (("own", "perturbation.alpha: recomputed"),
+                              ("flag", "max_alpha: recomputed None"),
+                              ("trials", "max_alpha: recomputed None"),
+                              ("config", "perturbation.alpha: recomputed 3.0 vs reported 2.0")):
+            assert run(["recheck", tmp_path / name / "perturb-heat-n4.json"]) == 2
+            assert problem in capsys.readouterr().out, name
+
     def test_small_admissible_b_passes_with_max_alpha(self, tmp_path):
         b = np.zeros((8, 8), dtype=complex)
         b[0, 1] = 0.1
@@ -1196,6 +1228,98 @@ def test_recheck_ok_line_names_the_fields_it_compared(tmp_path, capsys, argv, st
     assert head == f"{path}: ok ({read_report(path)['verdict']}"
     assert listed.split() == _recheck_one(str(path))[1]
     assert set(names) <= set(listed.split())
+
+
+# Report fields ``recheck`` does not recompute, each for a stated reason; a
+# field's dotted path matches an entry (``*`` being any block name) that it
+# equals or ends with after a dot.  README names exactly these under "Not
+# recomputed".
+NOT_RECOMPUTED = {
+    # the embedded data it starts from, and echoes of the flags
+    "q", "b", "worst_b", "witness.eigenvalue", "witness.vector", "tol", "trials", "kind", "csv",
+    # trusted: checked against other fields or used as given, not measured again
+    "envelope.c", "envelope.alpha", "envelope.samples", "witness.t0", "grid.worst_t", "delta0",
+    "argmax", "passes", "worst_trial",
+    # diagnostics, which no verdict rule reads
+    "grid.evaluated", "scans.*.points", "scans.*.evaluated", "proof_slack", "tail_ratio",
+    "q0.algebraic_gap", "theta_riesz", "perturbation.detail",
+}
+# the blocks that frame a report rather than carry its fields
+FRAME = {"tool", "command", "input", "norm_model", "config", "generator", "verdict", "timings"}
+
+
+def report_fields(doc: dict, prefix: str = ""):
+    """The dotted paths of a report's fields; a matrix or a list is one field."""
+    for key, value in doc.items():
+        if isinstance(value, dict) and "rows" not in value:
+            yield from report_fields(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def named(field: str, name: str) -> bool:
+    return fnmatch.fnmatchcase(field, name) or fnmatch.fnmatchcase(field, "*." + name)
+
+
+def not_recomputed(field: str) -> bool:
+    return any(named(field, name) for name in NOT_RECOMPUTED)
+
+
+def test_q0_on_a_slow_generator_passes_and_rechecks(tmp_path):
+    # |A| = 1.1e-5 and s(A) = -9.8e-8: the growth-bound grid starts where
+    # |T(t)| is 1 up to round-off, which once ended in "math range error"
+    assert run(["q0", "--family", "heat", "--n", "16", "--length", "1e4",
+                "--out-dir", tmp_path]) == 0
+    assert run(["recheck", tmp_path / "q0-heat-n16.json"]) == 0
+
+
+def test_every_report_field_is_rechecked_or_named(tmp_path):
+    b = np.zeros((4, 4))
+    b[0, 1] = 1e-3
+    save_matrix(tmp_path / "b.json", b)
+    save_matrix(tmp_path / "big.json", 100.0 * np.eye(4))
+    heat = ["--family", "heat", "--n", "4"]
+    jobs = {
+        "certify": (["certify", *heat], 0), "refute": (["refute", *heat], 0),
+        "q0": (["q0", *heat], 0), "resolvent": (["resolvent", *heat], 0),
+        "trials": (["perturb", *heat, "--random-trials", "3"], 0),
+        "leftinv": (["leftinv", *heat], 0),
+        "b-file": (["perturb", *heat, "--b-file", tmp_path / "b.json"], 0),
+        "rejected": (["perturb", *heat, "--b-file", tmp_path / "big.json"], 2),
+        "refuted": (["certify", "--family", "jordan", "--lambda", "1", "--n", "3"], 2),
+    }
+    used = set()
+    for job, (argv, code) in jobs.items():
+        out = tmp_path / job
+        assert run([*argv, "--out-dir", out]) == code, job
+        (path,) = out.glob("*.json")
+        _, compared, problems = _recheck_one(str(path))
+        assert problems == [], job
+        fields = [f for block, value in read_report(path).items() if block not in FRAME
+                  for f in report_fields({block: value})]
+        assert [f for f in fields if f not in compared and not not_recomputed(f)] == [], job
+        assert [f for f in compared if not_recomputed(f)] == [], job
+        used.update(name for name in NOT_RECOMPUTED for f in fields if named(f, name))
+    assert used == NOT_RECOMPUTED  # no stale entry
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def test_readme_names_the_fields_recheck_does_not_recompute():
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index("Not recomputed")
+    paragraph = text[start:text.index("\n\n", start)]
+    assert set(re.findall(r"`([^`]+)`", paragraph)) == NOT_RECOMPUTED
+
+
+def test_readme_example_line_lists_what_recheck_compares(tmp_path):
+    with open(README, encoding="utf-8") as fh:
+        (line,) = [x for x in fh if x.startswith("report.json: ok (certified): ")]
+    assert run(["certify", "--family", "heat", "--n", "4", "--out-dir", tmp_path]) == 0
+    compared = _recheck_one(str(tmp_path / "certify-heat-n4.json"))[1]
+    assert line.split(": ", 2)[2].split() == compared
 
 
 @pytest.mark.parametrize("layout", ["data_real", "data"])

@@ -524,6 +524,14 @@ class TestConstructQ0:
         with pytest.raises(UnstableGeneratorError):
             construct_q0(jordan_block(2, 0.1), riesz, nm)
 
+    @pytest.mark.parametrize("k", [-100, -1000])
+    def test_slow_heat_generator_is_a_member(self, k):
+        # the first samples of the growth-bound grid have |T(t)| = 1 up to
+        # round-off; their rates once put the decay model below s(A)
+        a = heat_dirichlet(16) * math.ldexp(1.0, k)
+        nm = NormModel.identity(16)
+        assert construct_q0(a, RieszMap.from_matrix(nm.w, nm), nm).is_member
+
 
 class TestCertificate:
     def test_scalar_tight(self):

@@ -118,6 +118,24 @@ class TestGrowthBound:
         assert summary.norms[1:] == [0.0] * 7
         assert summary.omega0_hat == pytest.approx(-1000.0, rel=1e-12)
 
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(family=st.sampled_from(["heat", "upwind", "jordan", "random-stable"]),
+           n=st.integers(2, 16), k=st.integers(-1000, 1000))
+    def test_estimate_stays_at_the_spectral_bound_at_every_scale(self, family, n, k):
+        # a sample with |T(t)| = 1 up to round-off has a rate of unknown sign,
+        # which once put the estimate of a slow generator many |s| below s
+        make = {"heat": heat_dirichlet, "upwind": upwind_shift,
+                "jordan": lambda n: jordan_block(n, -1.0),
+                "random-stable": lambda n: random_stable(n, 0.5, 7)}[family]
+        a = make(n) * math.ldexp(1.0, k)
+        summary = growth_bound_estimate(a, NormModel.identity(n), default_time_grid(a))
+        assert summary.omega0_hat >= summary.s - 0.01 * abs(summary.s)
+
+    def test_round_off_samples_alone_give_an_infinite_estimate(self):
+        # exp(-t) rounds to 1.0 on this grid, so no sample has a rate
+        grid = np.linspace(1e-18, 8e-18, 8)
+        assert growth_bound_estimate(-np.eye(2), NormModel.identity(2), grid).omega0_hat == math.inf
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**31), n=st.integers(2, 6))
     def test_estimate_upper_bounds_spectral_bound(self, seed, n):
